@@ -12,9 +12,7 @@ from .dataset import (
     SoilSample,
     SplitIndices,
     TARGET_COLUMN,
-    apply_encoding,
     drop_incomplete_rows,
-    encode_categoricals,
     load_csv,
     save_csv,
     soil_schema,

@@ -1,7 +1,7 @@
 """Tabular soil data: canonical schema, CSV ingestion, cleaning, and splitting.
 
 A :class:`Dataset` is an immutable column-ordered table.  Cells are floats
-(possibly non-finite), categorical string tokens, or ``None`` for missing.
+(possibly non-finite) or ``None`` for missing.
 All downstream stages consume datasets produced here, so row order and cell
 values are preserved exactly as parsed.
 """
@@ -22,10 +22,9 @@ from .errors import (
     HeaderMismatchError,
     InvalidRatioError,
     TooFewRowsError,
-    UnseenCategoryError,
 )
 
-Cell = float | str | None
+Cell = float | None
 
 # Canonical soil-test columns.  The twelve required nutrients mirror the
 # standard sample sheet; N and B appear on some sheets only, so they are
@@ -35,14 +34,6 @@ CANONICAL_FEATURES: tuple[str, ...] = (
 )
 OPTIONAL_FEATURES: tuple[str, ...] = ("N", "B")
 TARGET_COLUMN = "yield"
-
-# Display units for the canonical columns.
-_UNITS = {
-    "pH": "", "EC": "dS/m", "OC": "%", "N": "kg/ha", "P": "kg/ha",
-    "K": "kg/ha", "Ca": "meq/100g", "Mg": "meq/100g", "S": "ppm",
-    "Zn": "ppm", "Fe": "ppm", "Mn": "ppm", "Cu": "ppm", "B": "ppm",
-    "yield": "",
-}
 
 # Canonical on-disk column order: pH,EC,OC,N,P,K,Ca,Mg,S,Zn,Fe,Mn,Cu,B,yield
 _CANONICAL_ORDER: tuple[str, ...] = (
@@ -87,17 +78,13 @@ class SoilSample:
 
 @dataclass(frozen=True)
 class ColumnSchema:
-    """Declares how one column is parsed and used."""
+    """Declares how one numeric column is used."""
 
     name: str
-    kind: str = "numeric"  # numeric | categorical
-    role: str = "feature"  # feature | target | ignored
-    unit: str = ""
+    role: str = "feature"  # feature | target
 
     def __post_init__(self) -> None:
-        if self.kind not in ("numeric", "categorical"):
-            raise ValueError(f"unknown column kind {self.kind!r}")
-        if self.role not in ("feature", "target", "ignored"):
+        if self.role not in ("feature", "target"):
             raise ValueError(f"unknown column role {self.role!r}")
 
 
@@ -133,10 +120,6 @@ class Dataset:
         return len(self.rows)
 
     @property
-    def n_cols(self) -> int:
-        return len(self.schema)
-
-    @property
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.schema)
 
@@ -157,15 +140,11 @@ class Dataset:
                 return i
         raise KeyError(name)
 
-    def column(self, name: str) -> tuple:
-        idx = self.column_index(name)
-        return tuple(row[idx] for row in self.rows)
-
     def matrix(self, columns: Sequence[str] | None = None) -> np.ndarray:
         """Extract the named columns as a float matrix.
 
-        Only valid once every requested cell is numeric, i.e. after
-        cleaning and categorical encoding.
+        Only valid once every requested cell is present, i.e. after
+        cleaning.
         """
         if columns is None:
             columns = self.feature_names
@@ -184,12 +163,8 @@ class Dataset:
         return out
 
     def is_complete_row(self, i: int) -> bool:
-        for c, cell in zip(self.schema, self.rows[i]):
-            if c.role == "ignored":
-                continue
-            if cell is None:
-                return False
-            if isinstance(cell, float) and not math.isfinite(cell):
+        for cell in self.rows[i]:
+            if cell is None or not math.isfinite(cell):
                 return False
         return True
 
@@ -222,23 +197,23 @@ def soil_schema(header: Sequence[str], target: str | None = TARGET_COLUMN) -> tu
     order = _CANONICAL_ORDER if target in (None, TARGET_COLUMN) else _CANONICAL_ORDER + (target,)
     for name in order:
         if name == target:
-            columns.append(ColumnSchema(name, "numeric", "target", _UNITS.get(name, "")))
+            columns.append(ColumnSchema(name, "target"))
         elif name in CANONICAL_FEATURES or (name in OPTIONAL_FEATURES and name in header):
-            columns.append(ColumnSchema(name, "numeric", "feature", _UNITS.get(name, "")))
+            columns.append(ColumnSchema(name))
     return tuple(columns)
 
 
 def load_csv(path: str | Path, schema: Sequence[ColumnSchema]) -> Dataset:
     """Parse a UTF-8 comma-delimited file into a :class:`Dataset`.
 
-    Cells are parsed per column kind; empty or unparseable cells become
-    missing (``None``) and the row is kept until cleaning.  Row order is
-    preserved.
+    A leading byte-order mark is skipped.  Each schema column must appear
+    in the header exactly once.  Empty or unparseable cells become missing
+    (``None``) and the row is kept until cleaning.  Row order is preserved.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -249,13 +224,18 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema]) -> Dataset:
             raise HeaderMismatchError(
                 f"{path}: columns not found in header: {', '.join(absent)}"
             )
+        repeated = [c.name for c in schema if header.count(c.name) > 1]
+        if repeated:
+            raise HeaderMismatchError(
+                f"{path}: columns named more than once in header: {', '.join(repeated)}"
+            )
         positions = [header.index(c.name) for c in schema]
         rows = []
         for raw in reader:
             cells = []
-            for col, pos in zip(schema, positions):
+            for pos in positions:
                 token = raw[pos].strip() if pos < len(raw) else ""
-                cells.append(_parse_cell(token, col.kind))
+                cells.append(_parse_cell(token))
             rows.append(tuple(cells))
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
@@ -266,11 +246,9 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema]) -> Dataset:
     )
 
 
-def _parse_cell(token: str, kind: str):
+def _parse_cell(token: str) -> Cell:
     if token == "":
         return None
-    if kind == "categorical":
-        return token
     try:
         return float(token)
     except ValueError:
@@ -287,12 +265,10 @@ def save_csv(d: Dataset, path: str | Path) -> None:
             writer.writerow([_format_cell(cell) for cell in row])
 
 
-def _format_cell(cell) -> str:
+def _format_cell(cell: Cell) -> str:
     if cell is None:
         return ""
-    if isinstance(cell, float):
-        return repr(cell)
-    return str(cell)
+    return repr(cell)
 
 
 def drop_incomplete_rows(d: Dataset) -> Dataset:
@@ -305,64 +281,6 @@ def drop_incomplete_rows(d: Dataset) -> Dataset:
         )
     provenance = replace(d.provenance, rows_dropped=d.provenance.rows_dropped + dropped)
     return Dataset(schema=d.schema, rows=kept, provenance=provenance)
-
-
-def encode_categoricals(d: Dataset) -> tuple[Dataset, dict[str, dict[str, int]]]:
-    """Replace categorical tokens by ordinal codes in first-appearance order.
-
-    Returns the encoded dataset and the token-to-code map needed to encode
-    prediction inputs identically.  Datasets without categorical columns
-    are returned unchanged with an empty map.
-    """
-    cat_cols = [i for i, c in enumerate(d.schema) if c.kind == "categorical"]
-    if not cat_cols:
-        return d, {}
-
-    encodings: dict[str, dict[str, int]] = {}
-    for ci in cat_cols:
-        mapping: dict[str, int] = {}
-        for row in d.rows:
-            token = row[ci]
-            if token is not None and token not in mapping:
-                mapping[token] = len(mapping)
-        encodings[d.schema[ci].name] = mapping
-
-    return _apply_codes(d, encodings), encodings
-
-
-def apply_encoding(d: Dataset, encodings: dict[str, dict[str, int]]) -> Dataset:
-    """Encode categorical columns with a previously fitted map.
-
-    A token absent from the stored map is an error, never a silent code.
-    """
-    relevant = {name: m for name, m in encodings.items() if name in d.column_names}
-    if not relevant:
-        return d
-    for name, mapping in relevant.items():
-        ci = d.column_index(name)
-        for i, row in enumerate(d.rows):
-            token = row[ci]
-            if isinstance(token, str) and token not in mapping:
-                raise UnseenCategoryError(
-                    f"column {name!r} row {i}: category {token!r} not in the stored encoding"
-                )
-    return _apply_codes(d, relevant)
-
-
-def _apply_codes(d: Dataset, encodings: dict[str, dict[str, int]]) -> Dataset:
-    indices = {d.column_index(name): mapping for name, mapping in encodings.items()}
-    new_rows = []
-    for row in d.rows:
-        cells = list(row)
-        for ci, mapping in indices.items():
-            token = cells[ci]
-            if token is not None:
-                cells[ci] = float(mapping[token])
-        new_rows.append(tuple(cells))
-    new_schema = tuple(
-        replace(c, kind="numeric") if c.name in encodings else c for c in d.schema
-    )
-    return Dataset(schema=new_schema, rows=tuple(new_rows), provenance=d.provenance)
 
 
 def train_test_split(d: Dataset, test_ratio: float, seed: int) -> SplitIndices:

@@ -34,10 +34,6 @@ class AllRowsDroppedError(ValidationError):
     pass
 
 
-class UnseenCategoryError(ValidationError):
-    pass
-
-
 class InvalidRatioError(ValidationError):
     pass
 

@@ -1,15 +1,18 @@
 """Versioned JSON persistence for fitted models.
 
 A model file bundles everything prediction needs: the model payload, the
-feature order, the min-max parameters for features and target, and the
-categorical encoding map.  Serialization is canonical (sorted keys,
-shortest round-trip floats), so saving a loaded model reproduces the file
-byte for byte and reloaded models predict bit-identically.
+feature order, and the min-max parameters for features and target.
+Serialization is canonical (sorted keys, shortest round-trip floats), so
+saving a loaded model reproduces the file byte for byte and reloaded models
+predict bit-identically.  Loading checks every index and number a
+prediction reads, so a damaged file fails here rather than predicting
+wrong values.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +34,6 @@ class ModelBundle:
     target_name: str
     feature_scaler: NormalizationParams
     target_scaler: NormalizationParams
-    encodings: dict[str, dict[str, int]]
     model: "LinearModel | ForestModel"
 
     def __post_init__(self) -> None:
@@ -54,33 +56,38 @@ def _encode_tree(root: TreeNode) -> list[dict]:
     return nodes
 
 
-def _decode_tree(nodes: list) -> TreeNode:
+def _decode_tree(nodes: list, n_features: int, where: str) -> TreeNode:
+    """Rebuild a tree from its preorder node list, without recursion.
+
+    ``pending`` holds the split nodes still waiting for children, each with
+    the children decoded so far; a node is built once it has both.
+    """
     if not isinstance(nodes, list) or not nodes:
-        raise SchemaViolationError("tree payload must be a non-empty node list")
-    pos = 0
-
-    def build() -> TreeNode:
-        nonlocal pos
-        if pos >= len(nodes):
-            raise SchemaViolationError("tree payload ended before all children were read")
-        entry = nodes[pos]
-        pos += 1
+        raise SchemaViolationError(f"{where}: must be a non-empty node list")
+    pending: list[tuple[int, float, list[TreeNode]]] = []
+    for pos, entry in enumerate(nodes):
+        at = f"{where} node {pos}"
         if not isinstance(entry, dict):
-            raise SchemaViolationError(f"tree node {pos - 1} is not an object")
+            raise SchemaViolationError(f"{at} is not an object")
         if "f" in entry:
-            feature = _expect(entry, "f", int, f"tree node {pos - 1}")
-            threshold = _number(entry, "t", f"tree node {pos - 1}")
-            left = build()
-            right = build()
-            return Internal(feature, threshold, left, right)
-        value = _number(entry, "v", f"tree node {pos - 1}")
-        count = _expect(entry, "n", int, f"tree node {pos - 1}")
-        return Leaf(value, count)
-
-    root = build()
-    if pos != len(nodes):
-        raise SchemaViolationError(f"tree payload has {len(nodes) - pos} trailing nodes")
-    return root
+            feature = _expect(entry, "f", int, at)
+            if not 0 <= feature < n_features:
+                raise SchemaViolationError(f"{at}: feature index {feature} out of range")
+            pending.append((feature, _finite(entry, "t", at), []))
+            continue
+        node: TreeNode = Leaf(_finite(entry, "v", at), _expect(entry, "n", int, at))
+        while pending:
+            feature, threshold, children = pending[-1]
+            children.append(node)
+            if len(children) < 2:
+                break
+            pending.pop()
+            node = Internal(feature, threshold, children[0], children[1])
+        else:
+            if pos != len(nodes) - 1:
+                raise SchemaViolationError(f"{where}: {len(nodes) - pos - 1} trailing nodes")
+            return node
+    raise SchemaViolationError(f"{where}: ended before all children were read")
 
 
 def _expect(obj: dict, key: str, typ, where: str):
@@ -100,6 +107,13 @@ def _number(obj: dict, key: str, where: str) -> float:
     return float(value)
 
 
+def _finite(obj: dict, key, where: str) -> float:
+    value = _number(obj, key, where)
+    if not math.isfinite(value):
+        raise SchemaViolationError(f"{where}: key {key!r} must be finite, got {value}")
+    return value
+
+
 def _scaler_to_obj(p: NormalizationParams) -> dict:
     return {
         "columns": list(p.columns),
@@ -117,13 +131,16 @@ def _scaler_from_obj(obj, where: str) -> NormalizationParams:
     if not (len(cols) == len(mins) == len(maxs)):
         raise SchemaViolationError(f"{where}: scaler arrays must have equal length")
     try:
-        return NormalizationParams(
+        params = NormalizationParams(
             columns=tuple(str(c) for c in cols),
             mins=np.asarray([float(v) for v in mins]),
             maxs=np.asarray([float(v) for v in maxs]),
         )
     except (TypeError, ValueError) as exc:
         raise SchemaViolationError(f"{where}: {exc}") from None
+    if not (np.isfinite(params.mins).all() and np.isfinite(params.maxs).all()):
+        raise SchemaViolationError(f"{where}: scaler min and max must be finite")
+    return params
 
 
 def _payload(bundle: ModelBundle) -> dict:
@@ -162,7 +179,9 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
         "target_name": bundle.target_name,
         "feature_scaler": _scaler_to_obj(bundle.feature_scaler),
         "target_scaler": _scaler_to_obj(bundle.target_scaler),
-        "encodings": bundle.encodings,
+        # Format v1 reserved this key for categorical encodings; every soil
+        # column is numeric, so it is always written empty.
+        "encodings": {},
         "payload": _payload(bundle),
     }
     text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
@@ -194,11 +213,8 @@ def load_model(path: str | Path) -> ModelBundle:
     target_name = _expect(obj, "target_name", str, str(path))
     feature_scaler = _scaler_from_obj(obj.get("feature_scaler"), f"{path}: feature_scaler")
     target_scaler = _scaler_from_obj(obj.get("target_scaler"), f"{path}: target_scaler")
-    encodings_obj = _expect(obj, "encodings", dict, str(path))
-    encodings = {
-        str(col): {str(tok): int(code) for tok, code in mapping.items()}
-        for col, mapping in encodings_obj.items()
-    }
+    if _expect(obj, "encodings", dict, str(path)):
+        raise SchemaViolationError(f"{path}: encodings must be empty; every column is numeric")
     payload = _expect(obj, "payload", dict, str(path))
     if kind == "forest":
         model = _forest_from_payload(payload, feature_names, str(path))
@@ -210,7 +226,6 @@ def load_model(path: str | Path) -> ModelBundle:
         target_name=target_name,
         feature_scaler=feature_scaler,
         target_scaler=target_scaler,
-        encodings=encodings,
         model=model,
     )
 
@@ -221,6 +236,8 @@ def _linear_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
         raise SchemaViolationError(
             f"{where}: {len(coefficients)} coefficients for {len(feature_names)} features"
         )
+    values = dict(enumerate(coefficients))
+    coefficients = [_finite(values, i, f"{where}: coefficients") for i in values]
     diag_obj = _expect(payload, "diagnostics", dict, where)
     training_r2 = diag_obj.get("training_r2")
     if training_r2 is not None and not isinstance(training_r2, (int, float)):
@@ -231,8 +248,8 @@ def _linear_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
         solver=_expect(diag_obj, "solver", str, where),
     )
     return LinearModel(
-        intercept=_number(payload, "intercept", where),
-        coefficients=np.asarray([float(v) for v in coefficients]),
+        intercept=_finite(payload, "intercept", where),
+        coefficients=np.asarray(coefficients),
         feature_names=feature_names,
         regularization_lambda=_number(payload, "lambda", where),
         diagnostics=diagnostics,
@@ -264,7 +281,9 @@ def _forest_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
     oob_r2 = payload.get("oob_r2")
     if oob_r2 is not None and not isinstance(oob_r2, (int, float)):
         raise SchemaViolationError(f"{where}: oob_r2 must be a number or null")
-    trees = tuple(_decode_tree(t) for t in trees_obj)
+    trees = tuple(
+        _decode_tree(t, len(feature_names), f"{where}: tree {i}") for i, t in enumerate(trees_obj)
+    )
     return ForestModel(
         trees=trees,
         params=params,

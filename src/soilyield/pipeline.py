@@ -2,9 +2,9 @@
 
 Every command is a pure function of a :class:`RunConfig` (plus explicit
 model paths where relevant): same config, same output bytes.  The stages
-are: load CSV -> drop incomplete rows -> encode categoricals -> seeded
-split -> fit min-max scalers on the training rows -> fit models -> score
-on the held-out rows -> report.
+are: load CSV -> drop incomplete rows -> seeded split -> fit min-max
+scalers on the training rows -> fit models -> score on the held-out rows
+-> report.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -21,11 +22,8 @@ import numpy as np
 from . import synth
 from .dataset import (
     Dataset,
-    SplitIndices,
     TARGET_COLUMN,
-    apply_encoding,
     drop_incomplete_rows,
-    encode_categoricals,
     load_csv,
     save_csv,
     soil_schema,
@@ -68,6 +66,20 @@ HEATMAP_FILENAME = "correlation_heatmap.svg"
 PREDICTIONS_FILENAME = "predictions.csv"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# A check per type named in a RunConfig annotation; an int is a valid float.
+_CONFIG_CHECKS = {
+    "str": lambda v: isinstance(v, str),
+    "int": _is_int,
+    "float": lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+    "bool": lambda v: isinstance(v, bool),
+    "None": lambda v: v is None,
+}
+
+
 def model_filename(kind: str) -> str:
     return f"model_{kind}.json"
 
@@ -93,6 +105,10 @@ class RunConfig:
     n: int = 500
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not any(_CONFIG_CHECKS[name](value) for name in f.type.split(" | ")):
+                raise ValidationError(f"config {f.name} must be {f.type}, got {value!r}")
         if self.model not in MODEL_CHOICES:
             raise ValidationError(
                 f"model must be one of {', '.join(MODEL_CHOICES)}, got {self.model!r}"
@@ -135,10 +151,13 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _read_header(path: str) -> list[str]:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        return [h.strip() for h in next(csv.reader(fh), [])]
+
+
 def _load_cleaned(path: str, target: str | None) -> Dataset:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = [h.strip() for h in next(csv.reader(fh), [])]
-    schema = soil_schema(header, target=target)
+    schema = soil_schema(_read_header(path), target=target)
     return drop_incomplete_rows(load_csv(path, schema))
 
 
@@ -174,7 +193,6 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
     input_path = _require_input(cfg)
     out = _out_dir(cfg)
     d = _load_cleaned(input_path, target=cfg.target_column)
-    d, encodings = encode_categoricals(d)
     split = train_test_split(d, cfg.test_ratio, cfg.seed)
 
     features = d.feature_names
@@ -207,7 +225,6 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
             target_name=target,
             feature_scaler=feature_scaler,
             target_scaler=target_scaler,
-            encodings=encodings,
             model=model,
         )
         path = out / model_filename(kind)
@@ -241,7 +258,7 @@ def _bundle_predict_normalized(bundle: ModelBundle, x_norm: np.ndarray) -> np.nd
 
 
 def predict_bundle(bundle: ModelBundle, d: Dataset) -> tuple[np.ndarray, int]:
-    """Predict original-unit targets for every row of an encoded dataset.
+    """Predict original-unit targets for every row of a cleaned dataset.
 
     Returns the predictions and the number of feature cells that fell
     outside the training range and were clamped.
@@ -269,11 +286,10 @@ def run_evaluate(cfg: RunConfig, model_paths: Sequence[str]) -> tuple[Evaluation
     entries = []
     for model_path in model_paths:
         bundle = load_model(model_path)
-        encoded = apply_encoding(d, bundle.encodings)
         test_view = Dataset(
-            schema=encoded.schema,
-            rows=tuple(encoded.rows[i] for i in test_rows),
-            provenance=encoded.provenance,
+            schema=d.schema,
+            rows=tuple(d.rows[i] for i in test_rows),
+            provenance=d.provenance,
         )
         y_true = test_view.matrix((cfg.target_column,)).ravel()
         y_pred, _ = predict_bundle(bundle, test_view)
@@ -292,21 +308,15 @@ def run_predict(cfg: RunConfig, model_path: str) -> Path:
     input_path = _require_input(cfg)
     out = _out_dir(cfg)
     bundle = load_model(model_path)
-    with open(input_path, "r", encoding="utf-8", newline="") as fh:
-        header = [h.strip() for h in next(csv.reader(fh), [])]
-    schema = soil_schema(header, target=None)
-    raw = load_csv(input_path, schema)
-    cleaned = drop_incomplete_rows(raw)
-    encoded = apply_encoding(cleaned, bundle.encodings)
-    predictions, clamped = predict_bundle(bundle, encoded)
+    cleaned = _load_cleaned(input_path, target=None)
+    predictions, clamped = predict_bundle(bundle, cleaned)
 
     path = out / PREDICTIONS_FILENAME
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(cleaned.column_names) + ["predicted_yield"])
         for row, pred in zip(cleaned.rows, predictions):
-            cells = ["" if c is None else (repr(c) if isinstance(c, float) else str(c)) for c in row]
-            writer.writerow(cells + [repr(float(pred))])
+            writer.writerow([repr(c) for c in row] + [repr(float(pred))])
         dropped = cleaned.provenance.rows_dropped
         fh.write(f"# clamped_cells={clamped} rows_dropped={dropped}\n")
     return path
@@ -316,11 +326,8 @@ def run_correlate(cfg: RunConfig) -> dict[str, Path]:
     """Emit the attribute correlation matrix as CSV plus a heatmap SVG."""
     input_path = _require_input(cfg)
     out = _out_dir(cfg)
-    with open(input_path, "r", encoding="utf-8", newline="") as fh:
-        header = [h.strip() for h in next(csv.reader(fh), [])]
-    target = cfg.target_column if cfg.target_column in header else None
+    target = cfg.target_column if cfg.target_column in _read_header(input_path) else None
     d = _load_cleaned(input_path, target=target)
-    d, _ = encode_categoricals(d)
     corr = pearson_correlation(d)
 
     csv_path = out / CORRELATION_CSV_FILENAME

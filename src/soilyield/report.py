@@ -21,8 +21,6 @@ class ModelScore:
     rmse: float
     mae: float
     n_test: int
-    rss: float | None = None
-    tss: float | None = None
 
 
 @dataclass(frozen=True)
@@ -35,17 +33,12 @@ def score_predictions(model_name: str, y_true, y_pred) -> ModelScore:
     """Score one model on held-out data."""
     yt = np.asarray(y_true, dtype=np.float64)
     yp = np.asarray(y_pred, dtype=np.float64)
-    r2 = r2_score(yt, yp)
-    rss = float(((yt - yp) ** 2).sum())
-    tss = float(((yt - yt.mean()) ** 2).sum())
     return ModelScore(
         model_name=model_name,
-        r2=r2,
+        r2=r2_score(yt, yp),
         rmse=rmse(yt, yp),
         mae=mae(yt, yp),
         n_test=int(yt.shape[0]),
-        rss=rss,
-        tss=tss,
     )
 
 
@@ -58,15 +51,6 @@ def build_report(entries: Sequence[ModelScore]) -> EvaluationReport:
         entries=tuple(ordered),
         ranking=tuple(e.model_name for e in ordered),
     )
-
-
-def compare_models(entries: Sequence[ModelScore], csv_path: str | Path,
-                   svg_path: str | Path) -> EvaluationReport:
-    """Rank the entries and emit the metrics CSV plus the R^2 bar chart."""
-    report = build_report(entries)
-    write_comparison_csv(report, csv_path)
-    render_comparison_svg(report, svg_path)
-    return report
 
 
 def write_comparison_csv(report: EvaluationReport, path: str | Path) -> None:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -25,6 +26,13 @@ model mlr: training_r2=0.409894 solver=cholesky file=model_mlr.json
 model ridge: training_r2=0.374687 lambda=1.0 solver=cholesky file=model_ridge.json
 model forest: training_r2=0.881736 trees=20 oob_r2=-0.041949 file=model_forest.json
 """
+
+# SHA-256 of the model files the ``trained`` fixture writes.
+GOLDEN_MODEL_DIGESTS = {
+    "mlr": "6d37dd0ac039cc94f0f4cddf31c7d431873c65a87dfd5f5d6cb4a0824e41ed03",
+    "ridge": "c631eacbd27d15a5d53a3807ed9555830b7c2dbea41984b391963f53a5b489b5",
+    "forest": "fa596a243e0d397d8e25ccb5115e20e25cd42739f0e4f703d1faf529f606e4d8",
+}
 
 
 def run(argv, capsys=None):
@@ -90,6 +98,33 @@ class TestTrain:
         assert (out / "train_log.txt").read_text() == GOLDEN_TRAIN_LOG
         echoed = json.loads((out / "run_config.json").read_text())
         assert echoed["seed"] == 3 and echoed["trees"] == 20
+
+    def test_model_files_are_golden_hashed(self, trained):
+        out, _ = trained
+        for kind, digest in GOLDEN_MODEL_DIGESTS.items():
+            assert hashlib.sha256((out / f"model_{kind}.json").read_bytes()).hexdigest() == digest
+
+    def test_byte_order_mark_trains_identical_models(self, trained, tmp_path):
+        _, csv_path = trained
+        bom = tmp_path / "bom" / csv_path.name
+        bom.parent.mkdir()
+        bom.write_bytes(b"\xef\xbb\xbf" + csv_path.read_bytes())
+        out = tmp_path / "out"
+        assert main(["train", "--input", str(bom), "--output-dir", str(out),
+                     "--seed", "3", "--trees", "20"]) == 0
+        for kind, digest in GOLDEN_MODEL_DIGESTS.items():
+            assert hashlib.sha256((out / f"model_{kind}.json").read_bytes()).hexdigest() == digest
+        assert (out / "train_log.txt").read_text() == GOLDEN_TRAIN_LOG
+
+    def test_repeated_header_column_exits_2(self, trained, tmp_path, capsys):
+        _, csv_path = trained
+        lines = csv_path.read_text().splitlines()
+        doubled = tmp_path / "doubled.csv"
+        doubled.write_text("\n".join([lines[0] + ",pH"] + [r + ",7.0" for r in lines[1:]]) + "\n")
+        code, _, err = run(["train", "--input", str(doubled), "--output-dir", str(tmp_path)],
+                           capsys)
+        assert code == 2
+        assert err.count("\n") == 1 and "pH" in err
 
     def test_same_config_twice_is_byte_identical(self, tmp_path):
         csv_path = synth_csv(tmp_path, n=40, seed=5)
@@ -220,6 +255,55 @@ class TestPredict:
         assert np.array_equal(written, expected)
 
 
+def tree_chain(depth):
+    """Preorder nodes of a tree whose splits each hold a leaf on the left."""
+    nodes = []
+    for _ in range(depth):
+        nodes += [{"f": 0, "t": 0.5}, {"v": 1.0, "n": 1}]
+    return nodes + [{"v": 2.0, "n": 1}]
+
+
+def predict_with_edited_model(trained, tmp_path, capsys, kind, path, value):
+    """Replace the JSON value at ``path`` in a trained model file, then predict."""
+    out, _ = trained
+    obj = json.loads((out / f"model_{kind}.json").read_text())
+    *parents, last = path
+    node = obj
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    damaged = tmp_path / "damaged.json"
+    damaged.write_text(json.dumps(obj))
+    sample = resources.files("soilyield").joinpath("data/sample_soil.csv")
+    return run(["predict", str(damaged), "--input", str(sample),
+                "--output-dir", str(tmp_path)], capsys)
+
+
+class TestDamagedModelFiles:
+    @pytest.mark.parametrize("kind, path, value", [
+        ("forest", ("payload", "trees", 0, 0, "f"), -1),
+        ("forest", ("payload", "trees", 0, 0, "f"), 99),
+        ("forest", ("payload", "trees", 0, 0, "t"), math.nan),
+        ("forest", ("payload", "trees", 0, -1, "v"), math.inf),
+        ("forest", ("payload", "trees", 0), tree_chain(3000)[:-1]),
+        ("ridge", ("payload", "coefficients", 0), -math.inf),
+        ("mlr", ("payload", "intercept"), math.nan),
+        ("mlr", ("feature_scaler", "min", 0), math.nan),
+        ("mlr", ("encodings",), {"texture": {"loam": 0}}),
+    ], ids=["feature-index-negative", "feature-index-past-end", "nan-threshold",
+            "inf-leaf-value", "truncated-deep-chain", "inf-coefficient", "nan-intercept",
+            "nan-scaler-min", "nonempty-encodings"])
+    def test_predict_exits_2_with_one_line(self, trained, tmp_path, capsys, kind, path, value):
+        code, _, err = predict_with_edited_model(trained, tmp_path, capsys, kind, path, value)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_deep_tree_loads_without_depth_cap(self, trained, tmp_path, capsys):
+        code, _, _ = predict_with_edited_model(
+            trained, tmp_path, capsys, "forest", ("payload", "trees", 0), tree_chain(3000))
+        assert code == 0
+
+
 class TestCorrelate:
     def test_csv_has_unit_diagonal(self, trained, tmp_path, capsys):
         _, csv_path = trained
@@ -282,6 +366,29 @@ class TestConfigPrecedence:
         assert echoed["trees"] == 9          # CLI wins
         assert echoed["test_ratio"] == 0.5   # config file wins
         assert echoed["ridge_lambda"] == 1.0  # default
+
+    @pytest.mark.parametrize("field, value", [
+        ("input_path", 7), ("output_dir", None), ("model", 3), ("seed", 3.0),
+        ("test_ratio", "0.2"), ("ridge_lambda", math.inf), ("trees", "100"),
+        ("max_depth", 2.5), ("min_samples_split", True), ("min_leaf", "1"),
+        ("max_features", [3]), ("bootstrap", 1), ("workers", 1.0),
+        ("target_column", None), ("n", "500"),
+    ])
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, monkeypatch, field, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        code, _, err = run(["synth", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert f"config {field} must be" in err and err.count("\n") == 1
+
+    def test_integer_for_float_field_still_accepted(self, tmp_path):
+        csv_path = synth_csv(tmp_path, n=30, seed=4)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ridge_lambda": 2, "max_depth": None}))
+        assert main(["train", "--input", str(csv_path), "--output-dir", str(tmp_path),
+                     "--model", "ridge", "--config", str(cfg)]) == 0
+        assert load_model(tmp_path / "model_ridge.json").model.regularization_lambda == 2.0
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

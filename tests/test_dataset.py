@@ -10,9 +10,7 @@ from soilyield.dataset import (
     Dataset,
     Provenance,
     SoilSample,
-    apply_encoding,
     drop_incomplete_rows,
-    encode_categoricals,
     load_csv,
     save_csv,
     soil_schema,
@@ -25,7 +23,6 @@ from soilyield.errors import (
     HeaderMismatchError,
     InvalidRatioError,
     TooFewRowsError,
-    UnseenCategoryError,
 )
 
 CANONICAL_HEADER = CANONICAL_FEATURES + ("yield",)
@@ -40,11 +37,8 @@ def write_csv(path, text):
     return path
 
 
-def small_dataset(cells, kinds=None, roles=None):
-    names = [f"c{i}" for i in range(len(cells[0]))]
-    kinds = kinds or ["numeric"] * len(names)
-    roles = roles or ["feature"] * len(names)
-    schema = tuple(ColumnSchema(n, k, r) for n, k, r in zip(names, kinds, roles))
+def small_dataset(cells):
+    schema = tuple(ColumnSchema(f"c{i}") for i in range(len(cells[0])))
     return Dataset(schema=schema, rows=tuple(tuple(r) for r in cells),
                    provenance=Provenance("test", len(cells)))
 
@@ -158,43 +152,12 @@ class TestDropIncompleteRows:
         assert cleaned.rows == ((3.0, 4.0),)
         assert cleaned.provenance.rows_dropped == 2
 
-    def test_ignored_columns_do_not_block_rows(self):
-        d = small_dataset([[None, 1.0]], roles=["ignored", "feature"])
-        assert drop_incomplete_rows(d).n_rows == 1
-
     def test_cleaning_is_idempotent(self):
         d = small_dataset([[1.0, None], [2.0, 3.0], [4.0, 5.0]])
         once = drop_incomplete_rows(d)
         twice = drop_incomplete_rows(once)
         assert twice.rows == once.rows
         assert twice.provenance == once.provenance
-
-
-class TestEncodeCategoricals:
-    def test_first_appearance_order(self):
-        d = small_dataset([["loam"], ["clay"], ["loam"]], kinds=["categorical"])
-        encoded, mapping = encode_categoricals(d)
-        assert [r[0] for r in encoded.rows] == [0.0, 1.0, 0.0]
-        assert mapping == {"c0": {"loam": 0, "clay": 1}}
-        assert encoded.schema[0].kind == "numeric"
-
-    def test_no_categoricals_is_identity(self):
-        d = small_dataset([[1.0], [2.0]])
-        encoded, mapping = encode_categoricals(d)
-        assert encoded is d
-        assert mapping == {}
-
-    def test_unseen_category_raises(self):
-        d = small_dataset([["sandy"]], kinds=["categorical"])
-        with pytest.raises(UnseenCategoryError):
-            apply_encoding(d, {"c0": {"loam": 0}})
-
-    def test_encoding_roundtrip(self):
-        tokens = ["a", "b", "a", "c", "b", "a"]
-        d = small_dataset([[t] for t in tokens], kinds=["categorical"])
-        encoded, mapping = encode_categoricals(d)
-        reapplied = apply_encoding(d, mapping)
-        assert reapplied.rows == encoded.rows
 
 
 class TestTrainTestSplit:

@@ -38,7 +38,6 @@ def make_bundle(kind, seed=5):
         target_name="yield",
         feature_scaler=scaler(d.feature_names, X.min(axis=0), X.max(axis=0)),
         target_scaler=scaler(("yield",), [y.min()], [y.max()]),
-        encodings={"texture": {"loam": 0, "clay": 1}},
         model=model,
     ), X
 
@@ -72,12 +71,11 @@ class TestRoundTrip:
         save_model(load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_scalers_and_encodings_survive(self, tmp_path):
+    def test_scalers_survive(self, tmp_path):
         bundle, _ = make_bundle("ridge")
         path = tmp_path / "m.json"
         save_model(bundle, path)
         loaded = load_model(path)
-        assert loaded.encodings == bundle.encodings
         assert loaded.target_name == "yield"
         assert loaded.feature_names == bundle.feature_names
         assert np.array_equal(loaded.feature_scaler.mins, bundle.feature_scaler.mins)
