@@ -22,8 +22,7 @@ from .dataset import (
 from .forest import (
     ForestModel,
     ForestParams,
-    Internal,
-    Leaf,
+    Tree,
     best_split,
     fit_forest,
     fit_tree,

@@ -22,7 +22,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, TooFewRowsError
+from .errors import DimensionMismatchError, LengthMismatchError, TooFewRowsError, ZeroVarianceError
+from .metrics import r2_score
 
 # Below this many samples a scalar scan beats numpy's per-call overhead.
 _SMALL_NODE = 48
@@ -34,21 +35,23 @@ _SMALL_NODE = 48
 REDUCTION_TIE_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Leaf:
-    value: float
-    count: int
+class Tree(NamedTuple):
+    """One regression tree as parallel arrays over its nodes in preorder.
+
+    Node 0 is the root and a split's left child is the node after it, the
+    order model files store.  Fields a node does not use hold -1 or 0.
+    """
+
+    feature: np.ndarray  # -1 marks a leaf
+    threshold: np.ndarray  # a row goes left when x[feature] <= threshold
+    right: np.ndarray  # index of a split's right child
+    value: np.ndarray  # leaf prediction
+    count: np.ndarray  # training samples in a leaf
 
 
-@dataclass(frozen=True)
-class Internal:
-    feature_index: int
-    threshold: float
-    left: "TreeNode"
-    right: "TreeNode"
-
-
-TreeNode = Leaf | Internal
+def tree_from_nodes(nodes: Sequence[Sequence]) -> Tree:
+    """Build a tree from preorder ``[feature, threshold, right, value, count]`` rows."""
+    return Tree(*(np.array(column) for column in zip(*nodes)))
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ class ForestParams:
 
 @dataclass(frozen=True, eq=False)
 class ForestModel:
-    trees: tuple[TreeNode, ...]
+    trees: tuple[Tree, ...]
     params: ForestParams
     feature_names: tuple[str, ...]
     oob_r2: float | None
@@ -195,7 +198,7 @@ def _resolve_max_features(max_features: int | None, d: int) -> int:
     return mf
 
 
-def fit_tree(X, y, rows, params: ForestParams, rng: np.random.Generator) -> TreeNode:
+def fit_tree(X, y, rows, params: ForestParams, rng: np.random.Generator) -> Tree:
     """Grow one regression tree over the given (multiset of) row indices."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -204,8 +207,9 @@ def fit_tree(X, y, rows, params: ForestParams, rng: np.random.Generator) -> Tree
         raise ValueError("need at least one row to grow a tree")
     d = X.shape[1]
     mf = _resolve_max_features(params.max_features, d)
+    nodes: list[list] = []
 
-    def grow(rows: np.ndarray, depth: int) -> TreeNode:
+    def grow(rows: np.ndarray, depth: int) -> None:
         ys = y[rows]
         stop = (
             rows.size < params.min_samples_split
@@ -217,20 +221,24 @@ def fit_tree(X, y, rows, params: ForestParams, rng: np.random.Generator) -> Tree
             candidates = np.sort(rng.choice(d, size=mf, replace=False))
             choice = best_split(rows, X, y, candidates, params.min_samples_leaf)
         if choice is None:
-            return Leaf(value=float(ys.mean()), count=int(rows.size))
+            nodes.append([-1, 0.0, -1, float(ys.mean()), int(rows.size)])
+            return
+        node = [choice.feature, choice.threshold, -1, 0.0, 0]
+        nodes.append(node)
         mask = X[rows, choice.feature] <= choice.threshold
-        left = grow(rows[mask], depth + 1)
-        right = grow(rows[~mask], depth + 1)
-        return Internal(choice.feature, choice.threshold, left, right)
+        grow(rows[mask], depth + 1)
+        node[2] = len(nodes)
+        grow(rows[~mask], depth + 1)
 
-    return grow(rows, 0)
+    grow(rows, 0)
+    return tree_from_nodes(nodes)
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tree_index,)))
 
 
-def _fit_one_tree(args) -> tuple[TreeNode, np.ndarray | None]:
+def _fit_one_tree(args) -> tuple[Tree, np.ndarray | None]:
     X, y, params, tree_index = args
     rng = _tree_rng(params.seed, tree_index)
     n = X.shape[0]
@@ -284,28 +292,30 @@ def fit_forest(X, y, params: ForestParams,
 
 
 def _oob_r2(X: np.ndarray, y: np.ndarray, results) -> float | None:
-    n = X.shape[0]
-    sums = np.zeros(n)
-    counts = np.zeros(n, dtype=np.intp)
+    """R² of each row's mean prediction over the trees that left it out, or
+    None where ``r2_score`` finds it undefined (under two such rows, or a constant y)."""
+    sums = np.zeros(X.shape[0])
     for tree, oob in results:
-        for i in np.nonzero(oob)[0]:
-            sums[i] += predict_tree(tree, X[i])
-            counts[i] += 1
+        sums[oob] += predict_tree(tree, X[oob])
+    counts = np.sum([oob for _, oob in results], axis=0)
     covered = counts > 0
-    if covered.sum() < 2:
+    try:
+        return r2_score(y[covered], sums[covered] / counts[covered])
+    except (LengthMismatchError, ZeroVarianceError):
         return None
-    y_cov = y[covered]
-    tss = float(((y_cov - y_cov.mean()) ** 2).sum())
-    if tss == 0.0:
-        return None
-    rss = float(((y_cov - sums[covered] / counts[covered]) ** 2).sum())
-    return 1.0 - rss / tss
 
 
-def predict_tree(node: TreeNode, x: np.ndarray) -> float:
-    while isinstance(node, Internal):
-        node = node.left if x[node.feature_index] <= node.threshold else node.right
-    return node.value
+def predict_tree(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """The leaf value each row of ``X`` reaches, routing all rows one level per step."""
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    rows = np.arange(X.shape[0])
+    while rows.size:
+        at = node[rows]
+        split = tree.feature[at] >= 0
+        rows, at = rows[split], at[split]
+        left = X[rows, tree.feature[at]] <= tree.threshold[at]
+        node[rows] = np.where(left, at + 1, tree.right[at])
+    return tree.value[node]
 
 
 def predict_forest(m: ForestModel, X) -> np.ndarray:
@@ -315,11 +325,4 @@ def predict_forest(m: ForestModel, X) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected shape (n, {len(m.feature_names)}), got {X.shape}"
         )
-    n_trees = len(m.trees)
-    out = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        total = 0.0
-        for tree in m.trees:
-            total += predict_tree(tree, X[i])
-        out[i] = total / n_trees
-    return out
+    return sum(predict_tree(tree, X) for tree in m.trees) / len(m.trees)

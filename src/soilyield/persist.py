@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaViolationError, UnsupportedVersionError
-from .forest import ForestModel, ForestParams, Internal, Leaf, TreeNode
+from .forest import ForestModel, ForestParams, Tree, tree_from_nodes
 from .linear import FitDiagnostics, LinearModel
 from .preprocess import NormalizationParams
 
@@ -41,53 +41,47 @@ class ModelBundle:
             raise ValueError(f"unknown model kind {self.kind!r}")
 
 
-def _encode_tree(root: TreeNode) -> list[dict]:
-    """Flatten a tree to its preorder node list."""
-    nodes: list[dict] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Internal):
-            nodes.append({"f": node.feature_index, "t": node.threshold})
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            nodes.append({"v": node.value, "n": node.count})
-    return nodes
+def _encode_tree(tree: Tree) -> list[dict]:
+    """The tree's preorder node list."""
+    return [
+        {"f": f, "t": t} if f >= 0 else {"v": v, "n": n}
+        for f, t, v, n in zip(tree.feature.tolist(), tree.threshold.tolist(),
+                              tree.value.tolist(), tree.count.tolist())
+    ]
 
 
-def _decode_tree(nodes: list, n_features: int, where: str) -> TreeNode:
-    """Rebuild a tree from its preorder node list, without recursion.
+def _decode_tree(nodes: list, n_features: int, where: str) -> Tree:
+    """Read a tree from its preorder node list, without recursion.
 
-    ``pending`` holds the split nodes still waiting for children, each with
-    the children decoded so far; a node is built once it has both.
+    ``slots`` holds the splits still waiting for their right child; the
+    node after a leaf is the right child of the latest of them.
     """
     if not isinstance(nodes, list) or not nodes:
         raise SchemaViolationError(f"{where}: must be a non-empty node list")
-    pending: list[tuple[int, float, list[TreeNode]]] = []
+    rows: list[list] = []
+    slots: list[list] = []
     for pos, entry in enumerate(nodes):
         at = f"{where} node {pos}"
         if not isinstance(entry, dict):
             raise SchemaViolationError(f"{at} is not an object")
+        if rows and rows[-1][0] < 0:
+            if not slots:
+                raise SchemaViolationError(f"{where}: {len(nodes) - pos} trailing nodes")
+            slots.pop()[2] = pos
         if "f" in entry:
             feature = _expect(entry, "f", int, at)
             if not 0 <= feature < n_features:
                 raise SchemaViolationError(f"{at}: feature index {feature} out of range")
-            pending.append((feature, _finite(entry, "t", at), []))
+            rows.append([feature, _finite(entry, "t", at), -1, 0.0, 0])
+            slots.append(rows[-1])
             continue
-        node: TreeNode = Leaf(_finite(entry, "v", at), _expect(entry, "n", int, at))
-        while pending:
-            feature, threshold, children = pending[-1]
-            children.append(node)
-            if len(children) < 2:
-                break
-            pending.pop()
-            node = Internal(feature, threshold, children[0], children[1])
-        else:
-            if pos != len(nodes) - 1:
-                raise SchemaViolationError(f"{where}: {len(nodes) - pos - 1} trailing nodes")
-            return node
-    raise SchemaViolationError(f"{where}: ended before all children were read")
+        count = _expect(entry, "n", int, at)
+        if not 1 <= count < 2**63:  # the range of the tree's int64 count array
+            raise SchemaViolationError(f"{at}: leaf count {count} out of range")
+        rows.append([-1, 0.0, -1, _finite(entry, "v", at), count])
+    if slots:
+        raise SchemaViolationError(f"{where}: ended before all children were read")
+    return tree_from_nodes(rows)
 
 
 def _expect(obj: dict, key: str, typ, where: str):
@@ -102,9 +96,16 @@ def _expect(obj: dict, key: str, typ, where: str):
     return value
 
 
-def _number(obj: dict, key: str, where: str) -> float:
+def _number(obj: dict, key, where: str) -> float:
     value = _expect(obj, key, (int, float), where)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaViolationError(f"{where}: key {key!r} is too large for a float") from None
+
+
+def _optional_number(obj: dict, key: str, where: str) -> float | None:
+    return None if obj.get(key) is None else _number(obj, key, where)
 
 
 def _finite(obj: dict, key, where: str) -> float:
@@ -136,7 +137,7 @@ def _scaler_from_obj(obj, where: str) -> NormalizationParams:
             mins=np.asarray([float(v) for v in mins]),
             maxs=np.asarray([float(v) for v in maxs]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaViolationError(f"{where}: {exc}") from None
     if not (np.isfinite(params.mins).all() and np.isfinite(params.maxs).all()):
         raise SchemaViolationError(f"{where}: scaler min and max must be finite")
@@ -239,12 +240,9 @@ def _linear_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
     values = dict(enumerate(coefficients))
     coefficients = [_finite(values, i, f"{where}: coefficients") for i in values]
     diag_obj = _expect(payload, "diagnostics", dict, where)
-    training_r2 = diag_obj.get("training_r2")
-    if training_r2 is not None and not isinstance(training_r2, (int, float)):
-        raise SchemaViolationError(f"{where}: training_r2 must be a number or null")
     diagnostics = FitDiagnostics(
         condition_estimate=_number(diag_obj, "condition_estimate", where),
-        training_r2=None if training_r2 is None else float(training_r2),
+        training_r2=_optional_number(diag_obj, "training_r2", where),
         solver=_expect(diag_obj, "solver", str, where),
     )
     return LinearModel(
@@ -278,9 +276,6 @@ def _forest_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
         raise SchemaViolationError(
             f"{where}: payload has {len(trees_obj)} trees, params say {params.n_trees}"
         )
-    oob_r2 = payload.get("oob_r2")
-    if oob_r2 is not None and not isinstance(oob_r2, (int, float)):
-        raise SchemaViolationError(f"{where}: oob_r2 must be a number or null")
     trees = tuple(
         _decode_tree(t, len(feature_names), f"{where}: tree {i}") for i, t in enumerate(trees_obj)
     )
@@ -288,5 +283,5 @@ def _forest_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
         trees=trees,
         params=params,
         feature_names=feature_names,
-        oob_r2=None if oob_r2 is None else float(oob_r2),
+        oob_r2=_optional_number(payload, "oob_r2", where),
     )

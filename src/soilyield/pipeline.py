@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -70,11 +70,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# A check per type named in a RunConfig annotation; an int is a valid float.
+# A check per type named in a RunConfig annotation; a float is finite, and an
+# int is a valid float when a float can hold it.
 _CONFIG_CHECKS = {
     "str": lambda v: isinstance(v, str),
     "int": _is_int,
-    "float": lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+    "float": lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
     "bool": lambda v: isinstance(v, bool),
     "None": lambda v: v is None,
 }

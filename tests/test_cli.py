@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from soilyield.cli import main
 from soilyield.persist import load_model
@@ -255,6 +257,14 @@ class TestPredict:
         assert np.array_equal(written, expected)
 
 
+# Any JSON value, with the integers too large for a float and the non-finite floats.
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+    st.sampled_from([10**400, -10**400, 2**63, 2**70, -(2**63)]),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=1), st.integers()),
+)
+
+
 def tree_chain(depth):
     """Preorder nodes of a tree whose splits each hold a leaf on the left."""
     nodes = []
@@ -272,6 +282,11 @@ def predict_with_edited_model(trained, tmp_path, capsys, kind, path, value):
     for key in parents:
         node = node[key]
     node[last] = value
+    return predict_with_model(obj, tmp_path, capsys)
+
+
+def predict_with_model(obj, tmp_path, capsys):
+    """Write ``obj`` as a model file, then predict the bundled sample with it."""
     damaged = tmp_path / "damaged.json"
     damaged.write_text(json.dumps(obj))
     sample = resources.files("soilyield").joinpath("data/sample_soil.csv")
@@ -290,9 +305,19 @@ class TestDamagedModelFiles:
         ("mlr", ("payload", "intercept"), math.nan),
         ("mlr", ("feature_scaler", "min", 0), math.nan),
         ("mlr", ("encodings",), {"texture": {"loam": 0}}),
+        ("forest", ("payload", "trees", 0, 0, "t"), 10**400),
+        ("forest", ("payload", "trees", 0, -1, "n"), 0),
+        ("forest", ("payload", "trees", 0, -1, "n"), -5),
+        ("forest", ("payload", "trees", 0, -1, "n"), 2**70),
+        ("forest", ("payload", "oob_r2"), 10**400),
+        ("mlr", ("payload", "diagnostics", "training_r2"), -10**400),
+        ("mlr", ("target_scaler", "max", 0), 10**400),
     ], ids=["feature-index-negative", "feature-index-past-end", "nan-threshold",
             "inf-leaf-value", "truncated-deep-chain", "inf-coefficient", "nan-intercept",
-            "nan-scaler-min", "nonempty-encodings"])
+            "nan-scaler-min", "nonempty-encodings", "threshold-too-large-for-float",
+            "leaf-count-zero", "leaf-count-negative", "leaf-count-past-int64",
+            "oob-r2-too-large-for-float", "training-r2-too-large-for-float",
+            "scaler-max-too-large-for-float"])
     def test_predict_exits_2_with_one_line(self, trained, tmp_path, capsys, kind, path, value):
         code, _, err = predict_with_edited_model(trained, tmp_path, capsys, kind, path, value)
         assert code == 2
@@ -302,6 +327,30 @@ class TestDamagedModelFiles:
         code, _, _ = predict_with_edited_model(
             trained, tmp_path, capsys, "forest", ("payload", "trees", 0), tree_chain(3000))
         assert code == 0
+
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_tree_damage_exits_0_or_2(self, trained, tmp_path, capsys, data):
+        out, _ = trained
+        obj = json.loads((out / "model_forest.json").read_text())
+        for _ in range(data.draw(st.integers(1, 3))):
+            tree = data.draw(st.sampled_from(obj["payload"]["trees"]))
+            if not tree:
+                continue
+            pos = data.draw(st.integers(0, len(tree) - 1))
+            key = data.draw(st.sampled_from("ftvn"))
+            edit = data.draw(st.sampled_from(["set", "drop-key", "drop-node"]))
+            if edit == "set":
+                tree[pos][key] = data.draw(JSON_VALUES)
+            elif edit == "drop-key":
+                tree[pos].pop(key, None)
+            else:
+                del tree[pos]
+        code, _, err = predict_with_model(obj, tmp_path, capsys)
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCorrelate:
@@ -373,6 +422,7 @@ class TestConfigPrecedence:
         ("max_depth", 2.5), ("min_samples_split", True), ("min_leaf", "1"),
         ("max_features", [3]), ("bootstrap", 1), ("workers", 1.0),
         ("target_column", None), ("n", "500"),
+        pytest.param("ridge_lambda", 10**400, id="ridge_lambda-too-large-for-float"),
     ])
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, monkeypatch, field, value):
         monkeypatch.chdir(tmp_path)

@@ -7,13 +7,13 @@ from soilyield.errors import DimensionMismatchError, TooFewRowsError
 from soilyield.forest import (
     ForestModel,
     ForestParams,
-    Internal,
-    Leaf,
+    Tree,
     best_split,
     fit_forest,
     fit_tree,
     predict_forest,
     predict_tree,
+    tree_from_nodes,
 )
 from soilyield.metrics import r2_score
 from soilyield.synth import generate
@@ -157,6 +157,20 @@ class TestBestSplit:
         assert choice.threshold == 1.5
 
 
+def leaf(value, count):
+    """One leaf in the preorder rows ``tree_from_nodes`` takes."""
+    return [-1, 0.0, -1, value, count]
+
+
+def split(feature, threshold, right):
+    return [feature, threshold, right, 0.0, 0]
+
+
+def assert_same_tree(a: Tree, b: Tree):
+    for field, x, y in zip(Tree._fields, a, b, strict=True):
+        assert x.dtype == y.dtype and np.array_equal(x, y), field
+
+
 def exact_fit_params(seed=0):
     return ForestParams(n_trees=1, min_samples_leaf=1, max_depth=None,
                         min_samples_split=2, max_features=None, seed=seed,
@@ -169,7 +183,7 @@ class TestFitTree:
         y = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
         params = ForestParams(min_samples_split=10, max_features=1)
         tree = fit_tree(X, y, np.arange(5), params, np.random.default_rng(0))
-        assert tree == Leaf(value=4.0, count=5)
+        assert_same_tree(tree, tree_from_nodes([leaf(4.0, 5)]))
 
     def test_exact_fit_regime_reproduces_targets(self):
         rng = np.random.default_rng(5)
@@ -177,15 +191,15 @@ class TestFitTree:
         y = rng.normal(size=30)
         params = ForestParams(max_features=3)
         tree = fit_tree(X, y, np.arange(30), params, np.random.default_rng(1))
-        preds = np.array([predict_tree(tree, x) for x in X])
-        assert np.array_equal(preds, y)
+        assert np.array_equal(predict_tree(tree, X), y)
 
     def test_depth_one_tree_structure(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0.0, 0.0, 10.0, 10.0])
         params = ForestParams(max_depth=1, max_features=1)
         tree = fit_tree(X, y, np.arange(4), params, np.random.default_rng(0))
-        assert tree == Internal(0, 2.5, Leaf(0.0, 2), Leaf(10.0, 2))
+        expected = tree_from_nodes([split(0, 2.5, 2), leaf(0.0, 2), leaf(10.0, 2)])
+        assert_same_tree(tree, expected)
 
 
 class TestFitForest:
@@ -212,7 +226,9 @@ class TestFitForest:
         params = ForestParams(n_trees=8, seed=11)
         a = fit_forest(X, y, params)
         b = fit_forest(X, y, params)
-        assert a.trees == b.trees
+        assert len(a.trees) == len(b.trees)
+        for tree_a, tree_b in zip(a.trees, b.trees):
+            assert_same_tree(tree_a, tree_b)
         assert a.oob_r2 == b.oob_r2
 
     def test_worker_count_never_changes_predictions(self):
@@ -262,7 +278,7 @@ class TestFitForest:
 class TestPredictForest:
     def test_mean_of_tree_predictions(self):
         model = ForestModel(
-            trees=(Leaf(4.0, 1), Leaf(6.0, 1)),
+            trees=(tree_from_nodes([leaf(4.0, 1)]), tree_from_nodes([leaf(6.0, 1)])),
             params=ForestParams(n_trees=2, max_features=1),
             feature_names=("a",),
             oob_r2=None,
@@ -271,7 +287,7 @@ class TestPredictForest:
 
     def test_single_leaf_forest_is_constant(self):
         model = ForestModel(
-            trees=(Leaf(2.5, 10),),
+            trees=(tree_from_nodes([leaf(2.5, 10)]),),
             params=ForestParams(n_trees=1, max_features=1),
             feature_names=("a",),
             oob_r2=None,
@@ -279,7 +295,7 @@ class TestPredictForest:
         assert np.all(predict_forest(model, [[-9.0], [0.0], [9.0]]) == 2.5)
 
     def test_value_at_threshold_routes_left(self):
-        tree = Internal(0, 2.5, Leaf(-1.0, 1), Leaf(1.0, 1))
+        tree = tree_from_nodes([split(0, 2.5, 2), leaf(-1.0, 1), leaf(1.0, 1)])
         model = ForestModel(
             trees=(tree,),
             params=ForestParams(n_trees=1, max_features=1),
@@ -289,9 +305,24 @@ class TestPredictForest:
         assert predict_forest(model, [[2.5]])[0] == -1.0
         assert predict_forest(model, [[2.5000001]])[0] == 1.0
 
+    def test_tree_walk_matches_one_row_at_a_time(self):
+        d = generate(80, seed=2)
+        X = d.matrix(d.feature_names)
+        model = fit_forest(X, d.matrix(("yield",)).ravel(), ForestParams(n_trees=5, seed=3))
+        probe = np.random.default_rng(23).normal(scale=20.0, size=(60, X.shape[1]))
+        rows = np.vstack([X, probe])
+        for tree in model.trees:
+            expected = []
+            for x in rows:
+                i = 0
+                while tree.feature[i] >= 0:
+                    i = i + 1 if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+                expected.append(tree.value[i])
+            assert np.array_equal(predict_tree(tree, rows), expected)
+
     def test_dimension_mismatch(self):
         model = ForestModel(
-            trees=(Leaf(1.0, 1),),
+            trees=(tree_from_nodes([leaf(1.0, 1)]),),
             params=ForestParams(n_trees=1, max_features=1),
             feature_names=("a",),
             oob_r2=None,
