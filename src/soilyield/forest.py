@@ -25,7 +25,9 @@ import numpy as np
 from .errors import DimensionMismatchError, LengthMismatchError, TooFewRowsError, ZeroVarianceError
 from .metrics import r2_score
 
-# Below this many samples a scalar scan beats numpy's per-call overhead.
+# Below this many samples a node is grown in Python lists: numpy's per-call
+# overhead outweighs its vector speed there, and most of a forest's nodes are
+# that small.
 _SMALL_NODE = 48
 
 # Two candidate features whose impurity decreases agree to within this
@@ -125,10 +127,44 @@ def _scan_feature_numpy(xs: np.ndarray, ys: np.ndarray, sse_parent: float,
     return float(threshold), float(reduction[j])
 
 
-def _scan_feature_scalar(xs: np.ndarray, ys: np.ndarray, sse_parent: float,
+def _pairwise_sum(a: Sequence[float]) -> float:
+    """numpy's pairwise summation of a float64 vector, bit for bit.
+
+    ``np.sum(a)`` is ``0.0 + _pairwise_sum(a)``: numpy starts its reduction
+    from 0.0 and adds this.  Copying it lets a node held in Python lists
+    get the same means and sums, to the last bit, as one held in arrays.
+    """
+    n = len(a)
+    if n < 8:
+        res = -0.0
+        for v in a:
+            res += v
+        return res
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = a[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
+            r0 += a[i]
+            r1 += a[i + 1]
+            r2 += a[i + 2]
+            r3 += a[i + 3]
+            r4 += a[i + 4]
+            r5 += a[i + 5]
+            r6 += a[i + 6]
+            r7 += a[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, n):
+            res += a[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+
+
+def _scan_feature_scalar(xs: list[float], ys: list[float], sse_parent: float,
                          min_leaf: int) -> tuple[float, float] | None:
-    m = xs.shape[0]
-    pairs = sorted(zip(xs.tolist(), ys.tolist()))
+    m = len(xs)
+    pairs = sorted(zip(xs, ys))
     s_t = 0.0
     q_t = 0.0
     for _, yv in pairs:
@@ -157,6 +193,50 @@ def _scan_feature_scalar(xs: np.ndarray, ys: np.ndarray, sse_parent: float,
     return best
 
 
+def _node_target(rows: list[int], y: np.ndarray,
+                 y_list: list[float]) -> tuple[float, list[float] | np.ndarray | None]:
+    """The node's mean target, and its targets less that mean (None when constant).
+
+    Centred targets keep the scans' sums well conditioned.  A node under
+    ``_SMALL_NODE`` rows works on Python lists, a larger one on arrays;
+    both give the same bits.
+    """
+    m = len(rows)
+    if m < _SMALL_NODE:
+        ys = [y_list[i] for i in rows]
+        mean = (0.0 + _pairwise_sum(ys)) / m
+        return mean, None if ys.count(ys[0]) == m else [v - mean for v in ys]
+    ys = y[rows]
+    mean = float(ys.mean())
+    return mean, None if (ys == ys[0]).all() else ys - mean
+
+
+def _split_node(rows: list[int], X: np.ndarray, X_list: list[list[float]], yc,
+                features: list[int], min_leaf: int) -> SplitChoice | None:
+    """Best split of a node whose rows are sorted, given its centred targets ``yc``."""
+    m = len(rows)
+    if m < _SMALL_NODE:
+        s_t = 0.0 + _pairwise_sum(yc)
+        q_t = 0.0 + _pairwise_sum([v * v for v in yc])
+        xrows = [X_list[i] for i in rows]
+        columns = ([x[f] for x in xrows] for f in features)
+        scan = _scan_feature_scalar
+    else:
+        s_t = float(np.sum(yc))
+        q_t = float(np.sum(yc * yc))
+        at = np.array(rows)
+        columns = (X[at, f] for f in features)
+        scan = _scan_feature_numpy
+    sse_parent = q_t - s_t * s_t / m
+    tie_band = REDUCTION_TIE_RTOL * sse_parent / m
+    best: SplitChoice | None = None
+    for f, xs in zip(features, columns):
+        found = scan(xs, yc, sse_parent, min_leaf)
+        if found is not None and (best is None or found[1] > best.impurity_decrease + tie_band):
+            best = SplitChoice(f, found[0], found[1])
+    return best
+
+
 def best_split(rows, X, y, candidate_features: Sequence[int],
                min_samples_leaf: int = 1) -> SplitChoice | None:
     """Best (feature, threshold) among the candidates, or None.
@@ -169,26 +249,14 @@ def best_split(rows, X, y, candidate_features: Sequence[int],
     the parent variance, so equal-partition candidates resolve to the
     lowest feature index.
     """
-    rows = np.sort(np.asarray(rows, dtype=np.intp))
-    m = rows.size
-    if m < 2:
+    rows = np.sort(np.asarray(rows, dtype=np.intp)).tolist()
+    if len(rows) < 2:
         return None
-    ys = y[rows]
-    if np.all(ys == ys[0]):
+    _, yc = _node_target(rows, y, y.tolist())
+    if yc is None:
         return None
-    yc = ys - ys.mean()  # shift-invariant sums keep the scans well conditioned
-    s_t = float(np.sum(yc))
-    q_t = float(np.sum(yc * yc))
-    sse_parent = q_t - s_t * s_t / m
-    tie_band = REDUCTION_TIE_RTOL * sse_parent / m
-
-    scan = _scan_feature_scalar if m < _SMALL_NODE else _scan_feature_numpy
-    best: SplitChoice | None = None
-    for f in sorted(int(f) for f in candidate_features):
-        found = scan(X[rows, f], yc, sse_parent, min_samples_leaf)
-        if found is not None and (best is None or found[1] > best.impurity_decrease + tie_band):
-            best = SplitChoice(f, found[0], found[1])
-    return best
+    features = sorted(int(f) for f in candidate_features)
+    return _split_node(rows, X, X.tolist(), yc, features, min_samples_leaf)
 
 
 def _resolve_max_features(max_features: int | None, d: int) -> int:
@@ -207,30 +275,31 @@ def fit_tree(X, y, rows, params: ForestParams, rng: np.random.Generator) -> Tree
         raise ValueError("need at least one row to grow a tree")
     d = X.shape[1]
     mf = _resolve_max_features(params.max_features, d)
+    X_list = X.tolist()
+    y_list = y.tolist()
     nodes: list[list] = []
-
-    def grow(rows: np.ndarray, depth: int) -> None:
-        ys = y[rows]
-        stop = (
-            rows.size < params.min_samples_split
-            or (params.max_depth is not None and depth >= params.max_depth)
-            or np.all(ys == ys[0])
-        )
+    # Depth first, left before right, so nodes and rng draws come in preorder.
+    # An entry holds a node's sorted rows, its depth, and the split it is the
+    # right child of, if any.
+    stack: list[tuple[list[int], int, list | None]] = [(rows.tolist(), 0, None)]
+    while stack:
+        rows, depth, parent = stack.pop()
+        if parent is not None:
+            parent[2] = len(nodes)
+        mean, yc = _node_target(rows, y, y_list)
         choice = None
-        if not stop:
-            candidates = np.sort(rng.choice(d, size=mf, replace=False))
-            choice = best_split(rows, X, y, candidates, params.min_samples_leaf)
+        if (yc is not None and len(rows) >= params.min_samples_split
+                and (params.max_depth is None or depth < params.max_depth)):
+            candidates = sorted(rng.choice(d, size=mf, replace=False).tolist())
+            choice = _split_node(rows, X, X_list, yc, candidates, params.min_samples_leaf)
         if choice is None:
-            nodes.append([-1, 0.0, -1, float(ys.mean()), int(rows.size)])
-            return
-        node = [choice.feature, choice.threshold, -1, 0.0, 0]
+            nodes.append([-1, 0.0, -1, mean, len(rows)])
+            continue
+        f, t = choice.feature, choice.threshold
+        node = [f, t, -1, 0.0, 0]
         nodes.append(node)
-        mask = X[rows, choice.feature] <= choice.threshold
-        grow(rows[mask], depth + 1)
-        node[2] = len(nodes)
-        grow(rows[~mask], depth + 1)
-
-    grow(rows, 0)
+        stack.append(([i for i in rows if X_list[i][f] > t], depth + 1, node))
+        stack.append(([i for i in rows if X_list[i][f] <= t], depth + 1, None))
     return tree_from_nodes(nodes)
 
 

@@ -115,6 +115,18 @@ def _finite(obj: dict, key, where: str) -> float:
     return value
 
 
+def _finite_list(values: list, where: str) -> list[float]:
+    indexed = dict(enumerate(values))
+    return [_finite(indexed, i, where) for i in indexed]
+
+
+def _strings(obj: dict, key: str, where: str) -> tuple[str, ...]:
+    values = _expect(obj, key, list, where)
+    if not all(isinstance(v, str) for v in values):
+        raise SchemaViolationError(f"{where}: every entry of {key!r} must be a string")
+    return tuple(values)
+
+
 def _scaler_to_obj(p: NormalizationParams) -> dict:
     return {
         "columns": list(p.columns),
@@ -126,22 +138,15 @@ def _scaler_to_obj(p: NormalizationParams) -> dict:
 def _scaler_from_obj(obj, where: str) -> NormalizationParams:
     if not isinstance(obj, dict):
         raise SchemaViolationError(f"{where}: scaler must be an object")
-    cols = _expect(obj, "columns", list, where)
-    mins = _expect(obj, "min", list, where)
-    maxs = _expect(obj, "max", list, where)
+    cols = _strings(obj, "columns", where)
+    mins = _finite_list(_expect(obj, "min", list, where), f"{where}: min")
+    maxs = _finite_list(_expect(obj, "max", list, where), f"{where}: max")
     if not (len(cols) == len(mins) == len(maxs)):
         raise SchemaViolationError(f"{where}: scaler arrays must have equal length")
     try:
-        params = NormalizationParams(
-            columns=tuple(str(c) for c in cols),
-            mins=np.asarray([float(v) for v in mins]),
-            maxs=np.asarray([float(v) for v in maxs]),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
+        return NormalizationParams(columns=cols, mins=np.asarray(mins), maxs=np.asarray(maxs))
+    except ValueError as exc:
         raise SchemaViolationError(f"{where}: {exc}") from None
-    if not (np.isfinite(params.mins).all() and np.isfinite(params.maxs).all()):
-        raise SchemaViolationError(f"{where}: scaler min and max must be finite")
-    return params
 
 
 def _payload(bundle: ModelBundle) -> dict:
@@ -208,9 +213,7 @@ def load_model(path: str | Path) -> ModelBundle:
     kind = _expect(obj, "model_kind", str, str(path))
     if kind not in MODEL_KINDS:
         raise SchemaViolationError(f"{path}: unknown model_kind {kind!r}")
-    feature_names = tuple(
-        str(n) for n in _expect(obj, "feature_names", list, str(path))
-    )
+    feature_names = _strings(obj, "feature_names", str(path))
     target_name = _expect(obj, "target_name", str, str(path))
     feature_scaler = _scaler_from_obj(obj.get("feature_scaler"), f"{path}: feature_scaler")
     target_scaler = _scaler_from_obj(obj.get("target_scaler"), f"{path}: target_scaler")
@@ -237,8 +240,7 @@ def _linear_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
         raise SchemaViolationError(
             f"{where}: {len(coefficients)} coefficients for {len(feature_names)} features"
         )
-    values = dict(enumerate(coefficients))
-    coefficients = [_finite(values, i, f"{where}: coefficients") for i in values]
+    coefficients = _finite_list(coefficients, f"{where}: coefficients")
     diag_obj = _expect(payload, "diagnostics", dict, where)
     diagnostics = FitDiagnostics(
         condition_estimate=_number(diag_obj, "condition_estimate", where),

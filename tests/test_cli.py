@@ -312,12 +312,18 @@ class TestDamagedModelFiles:
         ("forest", ("payload", "oob_r2"), 10**400),
         ("mlr", ("payload", "diagnostics", "training_r2"), -10**400),
         ("mlr", ("target_scaler", "max", 0), 10**400),
+        ("mlr", ("feature_scaler", "min", 0), "0.5"),
+        ("mlr", ("target_scaler", "min", 0), True),
+        ("mlr", ("feature_scaler", "columns", 0), 7),
+        ("forest", ("feature_names", 0), 7),
     ], ids=["feature-index-negative", "feature-index-past-end", "nan-threshold",
             "inf-leaf-value", "truncated-deep-chain", "inf-coefficient", "nan-intercept",
             "nan-scaler-min", "nonempty-encodings", "threshold-too-large-for-float",
             "leaf-count-zero", "leaf-count-negative", "leaf-count-past-int64",
             "oob-r2-too-large-for-float", "training-r2-too-large-for-float",
-            "scaler-max-too-large-for-float"])
+            "scaler-max-too-large-for-float",
+            "string-feature-scaler-min", "bool-target-scaler-min", "number-scaler-column",
+            "number-feature-name"])
     def test_predict_exits_2_with_one_line(self, trained, tmp_path, capsys, kind, path, value):
         code, _, err = predict_with_edited_model(trained, tmp_path, capsys, kind, path, value)
         assert code == 2

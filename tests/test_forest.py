@@ -1,13 +1,19 @@
+import gc
 import hashlib
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soilyield.errors import DimensionMismatchError, TooFewRowsError
 from soilyield.forest import (
+    _SMALL_NODE,
     ForestModel,
     ForestParams,
     Tree,
+    _pairwise_sum,
     best_split,
     fit_forest,
     fit_tree,
@@ -57,8 +63,8 @@ def brute_force_split(rows, X, y, candidate_features, min_samples_leaf=1):
     return best
 
 
-def random_split_instance(rng, n_max=30, d_max=4):
-    n = int(rng.integers(2, n_max + 1))
+def random_split_instance(rng, n_max=30, d_max=4, n_min=2):
+    n = int(rng.integers(n_min, n_max + 1))
     d = int(rng.integers(1, d_max + 1))
     if rng.random() < 0.5:
         X = rng.integers(0, 5, size=(n, d)).astype(float)  # duplicates likely
@@ -137,6 +143,24 @@ class TestBestSplit:
             assert (ours.feature, ours.threshold) == (oracle[0], oracle[1])
             assert ours.impurity_decrease == pytest.approx(oracle[2], rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("m, min_leaf", [
+        (_SMALL_NODE - 1, 1), (_SMALL_NODE, 1), (_SMALL_NODE + 1, 1), (_SMALL_NODE, 5),
+    ])
+    def test_agrees_with_brute_force_either_side_of_small_node(self, m, min_leaf):
+        # Nodes under _SMALL_NODE rows are scanned in Python lists, the rest with numpy.
+        rng = np.random.default_rng(107 + m + min_leaf)
+        for _ in range(20):
+            X, y = random_split_instance(rng, n_min=m, n_max=m)
+            rows = rng.integers(0, m, size=m) if rng.random() < 0.5 else np.arange(m)
+            features = list(range(X.shape[1]))
+            ours = best_split(rows, X, y, features, min_samples_leaf=min_leaf)
+            oracle = brute_force_split(rows, X, y, features, min_samples_leaf=min_leaf)
+            if oracle is None:
+                assert ours is None
+            else:
+                assert (ours.feature, ours.threshold) == (oracle[0], oracle[1])
+                assert ours.impurity_decrease == pytest.approx(oracle[2], rel=1e-9, abs=1e-9)
+
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(103)
         for _ in range(50):
@@ -155,6 +179,30 @@ class TestBestSplit:
         y = np.array([0.0, 10.0])
         choice = best_split(np.array([0, 0, 1, 1]), X, y, [0])
         assert choice.threshold == 1.5
+
+
+def float_bits(value):
+    """The float's eight bytes, so that -0.0 and 0.0 differ."""
+    return struct.pack("<d", value)
+
+
+class TestPairwiseSum:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=300))
+    def test_matches_numpy_sum_bit_for_bit(self, values):
+        with np.errstate(over="ignore", invalid="ignore"):  # huge values may sum to inf or nan
+            expected = float(np.sum(np.array(values, dtype=np.float64)))
+        assert float_bits(0.0 + _pairwise_sum(values)) == float_bits(expected)
+
+    @pytest.mark.parametrize("n", [7, 8, 128, 129])
+    def test_branch_edges(self, n):
+        # Magnitudes spread over 16 decades, so that summing in the order of the
+        # neighbouring branch would round differently in many of these arrays.
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+            expected = float(np.sum(values))
+            assert float_bits(0.0 + _pairwise_sum(values.tolist())) == float_bits(expected)
 
 
 def leaf(value, count):
@@ -192,6 +240,20 @@ class TestFitTree:
         params = ForestParams(max_features=3)
         tree = fit_tree(X, y, np.arange(30), params, np.random.default_rng(1))
         assert np.array_equal(predict_tree(tree, X), y)
+
+    def test_leaves_no_reference_cycle(self):
+        # A cycle would keep each tree's list copy of X alive until the cyclic collector runs.
+        rng = np.random.default_rng(31)
+        X = rng.normal(size=(400, 12))
+        y = rng.normal(size=400)
+        rows = rng.integers(0, 400, size=400)
+        gc.collect()
+        gc.disable()
+        try:
+            fit_tree(X, y, rows, ForestParams(max_features=4), np.random.default_rng(0))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_depth_one_tree_structure(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])

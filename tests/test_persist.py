@@ -149,3 +149,13 @@ class TestRejection:
         path.write_text(json.dumps(obj))
         with pytest.raises(SchemaViolationError):
             load_model(path)
+
+    def test_feature_names_must_be_strings(self, tmp_path):
+        bundle, _ = make_bundle("mlr")
+        path = tmp_path / "m.json"
+        save_model(bundle, path)
+        obj = json.loads(path.read_text())
+        obj["feature_names"][0] = 7
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaViolationError):
+            load_model(path)
