@@ -16,6 +16,7 @@ makes the chosen split independent of training row order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -95,38 +96,6 @@ class SplitChoice(NamedTuple):
     impurity_decrease: float
 
 
-def _scan_feature_numpy(xs: np.ndarray, ys: np.ndarray, sse_parent: float,
-                        min_leaf: int) -> tuple[float, float] | None:
-    m = xs.shape[0]
-    order = np.lexsort((ys, xs))
-    xs = xs[order]
-    ys = ys[order]
-    boundary = xs[:-1] != xs[1:]
-    if not boundary.any():
-        return None
-    k = np.arange(1, m)
-    valid = boundary & (k >= min_leaf) & (m - k >= min_leaf)
-    if not valid.any():
-        return None
-    cs = np.cumsum(ys)
-    cq = np.cumsum(ys * ys)
-    s_l = cs[:-1]
-    q_l = cq[:-1]
-    s_t = cs[-1]
-    q_t = cq[-1]
-    sse_l = q_l - s_l * s_l / k
-    sse_r = (q_t - q_l) - (s_t - s_l) ** 2 / (m - k)
-    reduction = (sse_parent - sse_l - sse_r) / m
-    reduction[~valid] = -np.inf
-    j = int(np.argmax(reduction))  # first max = lowest threshold
-    if reduction[j] <= 0.0:
-        return None
-    threshold = 0.5 * (xs[j] + xs[j + 1])
-    if threshold == xs[j + 1]:  # adjacent floats: keep the <= rule partition intact
-        threshold = xs[j]
-    return float(threshold), float(reduction[j])
-
-
 def _pairwise_sum(a: Sequence[float]) -> float:
     """numpy's pairwise summation of a float64 vector, bit for bit.
 
@@ -193,6 +162,42 @@ def _scan_feature_scalar(xs: list[float], ys: list[float], sse_parent: float,
     return best
 
 
+def _scan_features_numpy(xs: np.ndarray, ys: np.ndarray, sse_parent: float,
+                         min_leaf: int) -> list[tuple[float, float] | None]:
+    """Each column's best (threshold, reduction), scanning all of ``xs`` at once.
+
+    Two stable sorts, by target and then by value, put each column in
+    ``lexsort((ys, x))`` order; cumulative sums run down the columns.
+    """
+    m = xs.shape[0]
+    by_y = np.argsort(ys, kind="stable")
+    xs = xs[by_y]
+    order = np.argsort(xs, axis=0, kind="stable")
+    xs = np.take_along_axis(xs, order, axis=0)
+    ys = ys[by_y][order]
+    cs = np.cumsum(ys, axis=0)
+    cq = np.cumsum(ys * ys, axis=0)
+    k = np.arange(1, m)[:, None]
+    s_l = cs[:-1]
+    q_l = cq[:-1]
+    s_t = cs[-1]
+    q_t = cq[-1]
+    sse_l = q_l - s_l * s_l / k
+    sse_r = (q_t - q_l) - (s_t - s_l) ** 2 / (m - k)
+    reduction = (sse_parent - sse_l - sse_r) / m
+    valid = (xs[:-1] != xs[1:]) & (k >= min_leaf) & (m - k >= min_leaf)
+    reduction[~valid] = -np.inf
+    j = reduction.argmax(axis=0)  # first max = lowest threshold
+    columns = np.arange(xs.shape[1])
+    lo = xs[j, columns]
+    hi = xs[j + 1, columns]
+    threshold = 0.5 * (lo + hi)
+    # Adjacent floats: keep the <= rule partition intact.
+    threshold = np.where(threshold == hi, lo, threshold)
+    return [(t, r) if r > 0.0 else None
+            for t, r in zip(threshold.tolist(), reduction[j, columns].tolist())]
+
+
 def _node_target(rows: list[int], y: np.ndarray,
                  y_list: list[float]) -> tuple[float, list[float] | np.ndarray | None]:
     """The node's mean target, and its targets less that mean (None when constant).
@@ -218,22 +223,20 @@ def _split_node(rows: list[int], X: np.ndarray, X_list: list[list[float]], yc,
     if m < _SMALL_NODE:
         s_t = 0.0 + _pairwise_sum(yc)
         q_t = 0.0 + _pairwise_sum([v * v for v in yc])
+        sse_parent = q_t - s_t * s_t / m
         xrows = [X_list[i] for i in rows]
-        columns = ([x[f] for x in xrows] for f in features)
-        scan = _scan_feature_scalar
+        found = [_scan_feature_scalar([x[f] for x in xrows], yc, sse_parent, min_leaf)
+                 for f in features]
     else:
         s_t = float(np.sum(yc))
         q_t = float(np.sum(yc * yc))
-        at = np.array(rows)
-        columns = (X[at, f] for f in features)
-        scan = _scan_feature_numpy
-    sse_parent = q_t - s_t * s_t / m
+        sse_parent = q_t - s_t * s_t / m
+        found = _scan_features_numpy(X[np.ix_(rows, features)], yc, sse_parent, min_leaf)
     tie_band = REDUCTION_TIE_RTOL * sse_parent / m
     best: SplitChoice | None = None
-    for f, xs in zip(features, columns):
-        found = scan(xs, yc, sse_parent, min_leaf)
-        if found is not None and (best is None or found[1] > best.impurity_decrease + tie_band):
-            best = SplitChoice(f, found[0], found[1])
+    for f, split in zip(features, found):
+        if split is not None and (best is None or split[1] > best.impurity_decrease + tie_band):
+            best = SplitChoice(f, split[0], split[1])
     return best
 
 
@@ -259,6 +262,74 @@ def best_split(rows, X, y, candidate_features: Sequence[int],
     return _split_node(rows, X, X.tolist(), yc, features, min_samples_leaf)
 
 
+class _CandidateDraws:
+    """``sorted(rng.choice(d, size=k, replace=False).tolist())``, replayed in Python.
+
+    For d up to 10,000, numpy's ``choice`` is Floyd's sampling algorithm
+    over Lemire's unbiased bounded draws from 32-bit words, followed by a
+    shuffle that sorting discards.  This copy reads the same words from a
+    PCG64 generator's raw 64-bit outputs, each output giving its low half
+    then its high half, and ``close`` leaves the generator exactly where
+    the ``choice`` calls would have.
+    """
+
+    _CHUNK = 256  # raw outputs read at a time; ``close`` gives back the unused ones
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        if type(bitgen) is not np.random.PCG64:
+            raise ValueError(f"trees draw from a PCG64 generator, got {type(bitgen).__name__}")
+        self._bitgen = bitgen
+        self._start = bitgen.state
+        # A 32-bit draw made before (the bootstrap's, say) may have left
+        # the high half of an output buffered; it is the next word.
+        self._carry = self._start["has_uint32"]
+        self._words = [self._start["uinteger"]] if self._carry else []
+        self._pos = 0
+
+    def _word(self) -> int:
+        if self._pos == len(self._words):
+            raw = self._bitgen.random_raw(self._CHUNK)
+            self._words += np.column_stack([raw & 0xFFFFFFFF, raw >> 32]).ravel().tolist()
+        word = self._words[self._pos]
+        self._pos += 1
+        return word
+
+    def _below(self, n: int) -> int:
+        """Lemire's unbiased draw from [0, n)."""
+        m = self._word() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (2**32 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._word() * n
+        return m >> 32
+
+    def sample(self, d: int, k: int) -> list[int]:
+        picked: list[int] = []
+        for j in range(d - k, d):
+            v = self._below(j + 1) if j else 0
+            picked.append(j if v in picked else v)
+        for i in range(k, 1, -1):  # numpy's shuffle of the picks
+            self._below(i)
+        picked.sort()
+        return picked
+
+    def close(self) -> None:
+        """Rewind the generator to just after the words drawn."""
+        used = self._pos - self._carry  # words taken from raw outputs
+        state = self._start
+        if used > 0:
+            outputs = (used + 1) // 2
+            self._bitgen.state = state
+            self._bitgen.advance(outputs)
+            state = self._bitgen.state
+            state["has_uint32"] = used % 2
+            state["uinteger"] = self._words[self._carry + 2 * outputs - 1]
+        elif self._pos:  # only the buffered word was drawn
+            state = dict(state, has_uint32=0)
+        self._bitgen.state = state
+
+
 def _resolve_max_features(max_features: int | None, d: int) -> int:
     mf = math.ceil(d / 3) if max_features is None else max_features
     if not 1 <= mf <= d:
@@ -267,7 +338,11 @@ def _resolve_max_features(max_features: int | None, d: int) -> int:
 
 
 def fit_tree(X, y, rows, params: ForestParams, rng: np.random.Generator) -> Tree:
-    """Grow one regression tree over the given (multiset of) row indices."""
+    """Grow one regression tree over the given (multiset of) row indices.
+
+    ``rng`` must be PCG64-backed, as ``np.random.default_rng`` makes it:
+    candidate features are replayed from its raw stream.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     rows = np.sort(np.asarray(rows, dtype=np.intp))
@@ -275,6 +350,7 @@ def fit_tree(X, y, rows, params: ForestParams, rng: np.random.Generator) -> Tree
         raise ValueError("need at least one row to grow a tree")
     d = X.shape[1]
     mf = _resolve_max_features(params.max_features, d)
+    draws = _CandidateDraws(rng)
     X_list = X.tolist()
     y_list = y.tolist()
     nodes: list[list] = []
@@ -290,8 +366,8 @@ def fit_tree(X, y, rows, params: ForestParams, rng: np.random.Generator) -> Tree
         choice = None
         if (yc is not None and len(rows) >= params.min_samples_split
                 and (params.max_depth is None or depth < params.max_depth)):
-            candidates = sorted(rng.choice(d, size=mf, replace=False).tolist())
-            choice = _split_node(rows, X, X_list, yc, candidates, params.min_samples_leaf)
+            choice = _split_node(rows, X, X_list, yc, draws.sample(d, mf),
+                                 params.min_samples_leaf)
         if choice is None:
             nodes.append([-1, 0.0, -1, mean, len(rows)])
             continue
@@ -300,6 +376,7 @@ def fit_tree(X, y, rows, params: ForestParams, rng: np.random.Generator) -> Tree
         nodes.append(node)
         stack.append(([i for i in rows if X_list[i][f] > t], depth + 1, node))
         stack.append(([i for i in rows if X_list[i][f] <= t], depth + 1, None))
+    draws.close()
     return tree_from_nodes(nodes)
 
 
@@ -322,13 +399,23 @@ def _fit_one_tree(args) -> tuple[Tree, np.ndarray | None]:
     return fit_tree(X, y, rows, params, rng), oob
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def fit_forest(X, y, params: ForestParams,
                feature_names: Sequence[str] | None = None,
                workers: int = 1) -> ForestModel:
     """Fit ``params.n_trees`` bootstrap trees.
 
-    ``workers`` only controls scheduling; the fitted model is bit-identical
-    for any worker count because each tree owns a derived generator.
+    ``workers`` caps the worker processes, which never outnumber the trees
+    or the CPUs this process may use; with one, trees are fitted in this
+    process.  It only controls scheduling: the fitted model is
+    bit-identical for any worker count because each tree owns a derived
+    generator.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -349,10 +436,12 @@ def fit_forest(X, y, params: ForestParams,
         raise DimensionMismatchError(f"expected {d} feature names, got {len(names)}")
 
     tasks = [(X, y, resolved, t) for t in range(resolved.n_trees)]
-    if workers <= 1:
+    # The pool starts all its processes at once, so it gets no more than can be busy.
+    pool_size = min(workers, resolved.n_trees, _usable_cpus())
+    if pool_size <= 1:
         results = [_fit_one_tree(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(_fit_one_tree, tasks))
 
     trees = tuple(tree for tree, _ in results)

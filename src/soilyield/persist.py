@@ -19,12 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaViolationError, UnsupportedVersionError
-from .forest import ForestModel, ForestParams, Tree, tree_from_nodes
+from .forest import ForestModel, ForestParams, Tree
 from .linear import FitDiagnostics, LinearModel
 from .preprocess import NormalizationParams
 
 FORMAT_VERSION = 1
 MODEL_KINDS = ("mlr", "ridge", "forest")
+SOLVERS = ("cholesky", "svd")
 
 
 @dataclass(frozen=True)
@@ -51,37 +52,59 @@ def _encode_tree(tree: Tree) -> list[dict]:
 
 
 def _decode_tree(nodes: list, n_features: int, where: str) -> Tree:
-    """Read a tree from its preorder node list, without recursion.
+    """Read a tree from its preorder node list, in one pass without recursion.
 
-    ``slots`` holds the splits still waiting for their right child; the
-    node after a leaf is the right child of the latest of them.
+    ``waiting`` holds the splits still waiting for their right child; the
+    node after a leaf is the right child of the latest of them.  Values of
+    the types ``save_model`` writes are checked inline; anything else goes
+    through the general checks, which convert it or name what is wrong.
     """
     if not isinstance(nodes, list) or not nodes:
         raise SchemaViolationError(f"{where}: must be a non-empty node list")
-    rows: list[list] = []
-    slots: list[list] = []
+    feature: list[int] = []
+    threshold: list[float] = []
+    right: list[int] = []
+    value: list[float] = []
+    count: list[int] = []
+    waiting: list[int] = []
+    isfinite = math.isfinite
     for pos, entry in enumerate(nodes):
-        at = f"{where} node {pos}"
-        if not isinstance(entry, dict):
-            raise SchemaViolationError(f"{at} is not an object")
-        if rows and rows[-1][0] < 0:
-            if not slots:
+        if type(entry) is not dict:
+            raise SchemaViolationError(f"{where} node {pos} is not an object")
+        if pos and feature[-1] < 0:
+            if not waiting:
                 raise SchemaViolationError(f"{where}: {len(nodes) - pos} trailing nodes")
-            slots.pop()[2] = pos
+            right[waiting.pop()] = pos
         if "f" in entry:
-            feature = _expect(entry, "f", int, at)
-            if not 0 <= feature < n_features:
-                raise SchemaViolationError(f"{at}: feature index {feature} out of range")
-            rows.append([feature, _finite(entry, "t", at), -1, 0.0, 0])
-            slots.append(rows[-1])
-            continue
-        count = _expect(entry, "n", int, at)
-        if not 1 <= count < 2**63:  # the range of the tree's int64 count array
-            raise SchemaViolationError(f"{at}: leaf count {count} out of range")
-        rows.append([-1, 0.0, -1, _finite(entry, "v", at), count])
-    if slots:
+            f = entry["f"]
+            if type(f) is not int or not 0 <= f < n_features:
+                _expect(entry, "f", int, f"{where} node {pos}")  # raises unless an int
+                raise SchemaViolationError(f"{where} node {pos}: feature index {f} out of range")
+            t = entry.get("t")
+            if type(t) is not float or not isfinite(t):
+                t = _finite(entry, "t", f"{where} node {pos}")
+            waiting.append(pos)
+            feature.append(f)
+            threshold.append(t)
+            value.append(0.0)
+            count.append(0)
+        else:
+            n = entry.get("n")
+            if type(n) is not int or not 1 <= n < 2**63:  # the range of the int64 count array
+                _expect(entry, "n", int, f"{where} node {pos}")  # raises unless an int
+                raise SchemaViolationError(f"{where} node {pos}: leaf count {n} out of range")
+            v = entry.get("v")
+            if type(v) is not float or not isfinite(v):
+                v = _finite(entry, "v", f"{where} node {pos}")
+            feature.append(-1)
+            threshold.append(0.0)
+            value.append(v)
+            count.append(n)
+        right.append(-1)
+    if waiting:
         raise SchemaViolationError(f"{where}: ended before all children were read")
-    return tree_from_nodes(rows)
+    return Tree(np.array(feature), np.array(threshold), np.array(right), np.array(value),
+                np.array(count))
 
 
 def _expect(obj: dict, key: str, typ, where: str):
@@ -104,8 +127,20 @@ def _number(obj: dict, key, where: str) -> float:
         raise SchemaViolationError(f"{where}: key {key!r} is too large for a float") from None
 
 
-def _optional_number(obj: dict, key: str, where: str) -> float | None:
-    return None if obj.get(key) is None else _number(obj, key, where)
+def _optional_number(obj: dict, key: str, where: str, null: float | None = None) -> float | None:
+    """The number at ``key``, or ``null`` where the file holds null there."""
+    if key not in obj:
+        raise SchemaViolationError(f"{where}: missing key {key!r}")
+    return null if obj[key] is None else _number(obj, key, where)
+
+
+def _r2(obj: dict, key: str, where: str) -> float | None:
+    """An R² score, finite and at most 1, or None where the file holds null."""
+    value = _optional_number(obj, key, where)
+    if value is not None and not (math.isfinite(value) and value <= 1.0):
+        raise SchemaViolationError(f"{where}: key {key!r} must be a finite R² of at most 1, "
+                                   f"got {value}")
+    return value
 
 
 def _finite(obj: dict, key, where: str) -> float:
@@ -157,7 +192,10 @@ def _payload(bundle: ModelBundle) -> dict:
             "coefficients": [float(v) for v in model.coefficients],
             "lambda": model.regularization_lambda,
             "diagnostics": {
-                "condition_estimate": model.diagnostics.condition_estimate,
+                # A singular Gram matrix has an infinite estimate, which JSON cannot hold.
+                "condition_estimate": (model.diagnostics.condition_estimate
+                                       if math.isfinite(model.diagnostics.condition_estimate)
+                                       else None),
                 "training_r2": model.diagnostics.training_r2,
                 "solver": model.diagnostics.solver,
             },
@@ -190,7 +228,7 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
         "encodings": {},
         "payload": _payload(bundle),
     }
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -206,7 +244,7 @@ def load_model(path: str | Path) -> ModelBundle:
         raise SchemaViolationError(f"{path}: top level must be an object")
     if "format_version" not in obj:
         raise SchemaViolationError(f"{path}: missing format_version")
-    if obj["format_version"] != FORMAT_VERSION:
+    if type(obj["format_version"]) is not int or obj["format_version"] != FORMAT_VERSION:
         raise UnsupportedVersionError(
             f"{path}: format_version {obj['format_version']!r} not supported"
         )
@@ -217,6 +255,11 @@ def load_model(path: str | Path) -> ModelBundle:
     target_name = _expect(obj, "target_name", str, str(path))
     feature_scaler = _scaler_from_obj(obj.get("feature_scaler"), f"{path}: feature_scaler")
     target_scaler = _scaler_from_obj(obj.get("target_scaler"), f"{path}: target_scaler")
+    # Scalers apply by position, so their columns must be the model's, in its order.
+    if feature_scaler.columns != feature_names:
+        raise SchemaViolationError(f"{path}: feature_scaler columns differ from feature_names")
+    if target_scaler.columns != (target_name,):
+        raise SchemaViolationError(f"{path}: target_scaler columns differ from target_name")
     if _expect(obj, "encodings", dict, str(path)):
         raise SchemaViolationError(f"{path}: encodings must be empty; every column is numeric")
     payload = _expect(obj, "payload", dict, str(path))
@@ -242,25 +285,30 @@ def _linear_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
         )
     coefficients = _finite_list(coefficients, f"{where}: coefficients")
     diag_obj = _expect(payload, "diagnostics", dict, where)
-    diagnostics = FitDiagnostics(
-        condition_estimate=_number(diag_obj, "condition_estimate", where),
-        training_r2=_optional_number(diag_obj, "training_r2", where),
-        solver=_expect(diag_obj, "solver", str, where),
-    )
+    condition = _optional_number(diag_obj, "condition_estimate", where, math.inf)
+    if not condition >= 1.0:
+        raise SchemaViolationError(
+            f"{where}: condition_estimate must be at least 1, got {condition}"
+        )
+    solver = _expect(diag_obj, "solver", str, where)
+    if solver not in SOLVERS:
+        raise SchemaViolationError(f"{where}: unknown solver {solver!r}")
+    lam = _finite(payload, "lambda", where)
+    if lam < 0:
+        raise SchemaViolationError(f"{where}: lambda must be nonnegative, got {lam}")
     return LinearModel(
         intercept=_finite(payload, "intercept", where),
         coefficients=np.asarray(coefficients),
         feature_names=feature_names,
-        regularization_lambda=_number(payload, "lambda", where),
-        diagnostics=diagnostics,
+        regularization_lambda=lam,
+        diagnostics=FitDiagnostics(condition, _r2(diag_obj, "training_r2", where), solver),
     )
 
 
 def _forest_from_payload(payload: dict, feature_names: tuple[str, ...], where: str) -> ForestModel:
     params_obj = _expect(payload, "params", dict, where)
-    max_depth = params_obj.get("max_depth")
-    if max_depth is not None and not isinstance(max_depth, int):
-        raise SchemaViolationError(f"{where}: max_depth must be an integer or null")
+    max_depth = (None if params_obj.get("max_depth", 0) is None
+                 else _expect(params_obj, "max_depth", int, where))
     try:
         params = ForestParams(
             n_trees=_expect(params_obj, "n_trees", int, where),
@@ -273,6 +321,10 @@ def _forest_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
         )
     except ValueError as exc:
         raise SchemaViolationError(f"{where}: {exc}") from None
+    if params.max_features > len(feature_names):
+        raise SchemaViolationError(
+            f"{where}: max_features {params.max_features} exceeds {len(feature_names)} features"
+        )
     trees_obj = _expect(payload, "trees", list, where)
     if len(trees_obj) != params.n_trees:
         raise SchemaViolationError(
@@ -285,5 +337,5 @@ def _forest_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
         trees=trees,
         params=params,
         feature_names=feature_names,
-        oob_r2=_optional_number(payload, "oob_r2", where),
+        oob_r2=_r2(payload, "oob_r2", where),
     )

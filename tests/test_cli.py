@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from soilyield.cli import main
-from soilyield.persist import load_model
+from soilyield.persist import load_model, save_model
 from soilyield.pipeline import RunConfig
 
 GOLDEN_TRAIN_LOG = """\
@@ -155,6 +155,34 @@ class TestTrain:
                             "--output-dir", str(tmp_path)], capsys)
         assert code == 2
 
+    def test_constant_column_writes_strict_json(self, tmp_path, capsys):
+        # A constant training column makes the Gram matrix singular, so its
+        # condition estimate is infinite, which strict JSON cannot hold.
+        lines = synth_csv(tmp_path, n=120, seed=3).read_text().splitlines()
+        cu = lines[0].split(",").index("Cu")
+        rows = [line.split(",") for line in lines[1:]]
+        for cells in rows:
+            cells[cu] = "1.5"
+        flat = tmp_path / "flat_cu.csv"
+        flat.write_text("\n".join([lines[0]] + [",".join(cells) for cells in rows]) + "\n")
+        assert main(["train", "--input", str(flat), "--output-dir", str(tmp_path),
+                     "--model", "mlr"]) == 0
+        model_path = tmp_path / "model_mlr.json"
+
+        def reject(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        obj = json.loads(model_path.read_text(), parse_constant=reject)
+        assert obj["payload"]["diagnostics"]["condition_estimate"] is None
+        bundle = load_model(model_path)
+        assert bundle.model.diagnostics.condition_estimate == math.inf
+        resaved = tmp_path / "resaved.json"
+        save_model(bundle, resaved)
+        assert resaved.read_bytes() == model_path.read_bytes()
+        code, _, _ = run(["predict", str(model_path), "--input", str(flat),
+                          "--output-dir", str(tmp_path / "pred")], capsys)
+        assert code == 0
+
     def test_single_model_selection(self, tmp_path):
         csv_path = synth_csv(tmp_path, n=30, seed=2)
         assert main(["train", "--input", str(csv_path), "--output-dir", str(tmp_path),
@@ -265,6 +293,29 @@ JSON_VALUES = st.one_of(
 )
 
 
+# The fields of a model file outside its trees, as paths; an integer picks a list entry.
+SCALER_FIELDS = [(scaler, *rest) for scaler in ("feature_scaler", "target_scaler")
+                 for rest in [(), ("columns",), ("columns", 0), ("min",), ("min", 0),
+                              ("max",), ("max", 0)]]
+COMMON_FIELDS = [("format_version",), ("feature_names",), ("feature_names", 0),
+                 ("target_name",), *SCALER_FIELDS]
+LINEAR_FIELDS = COMMON_FIELDS + [
+    ("payload", "coefficients"), ("payload", "coefficients", 0), ("payload", "intercept"),
+    ("payload", "lambda"), ("payload", "diagnostics"),
+    ("payload", "diagnostics", "condition_estimate"),
+    ("payload", "diagnostics", "training_r2"), ("payload", "diagnostics", "solver"),
+]
+NON_TREE_FIELDS = {
+    "mlr": LINEAR_FIELDS,
+    "ridge": LINEAR_FIELDS,
+    "forest": COMMON_FIELDS + [("payload", "params"), ("payload", "oob_r2")] + [
+        ("payload", "params", key) for key in (
+            "n_trees", "max_depth", "min_samples_split", "min_samples_leaf", "max_features",
+            "seed", "bootstrap")
+    ],
+}
+
+
 def tree_chain(depth):
     """Preorder nodes of a tree whose splits each hold a leaf on the left."""
     nodes = []
@@ -273,15 +324,23 @@ def tree_chain(depth):
     return nodes + [{"v": 2.0, "n": 1}]
 
 
+DROP = object()  # as an edited value: remove the key instead
+FEATURES = ["pH", "EC", "OC", "P", "K", "Ca", "Mg", "S", "Zn", "Fe", "Mn", "Cu"]
+
+
 def predict_with_edited_model(trained, tmp_path, capsys, kind, path, value):
-    """Replace the JSON value at ``path`` in a trained model file, then predict."""
+    """Replace (or with DROP, remove) the JSON value at ``path`` in a trained model file,
+    then predict."""
     out, _ = trained
     obj = json.loads((out / f"model_{kind}.json").read_text())
     *parents, last = path
     node = obj
     for key in parents:
         node = node[key]
-    node[last] = value
+    if value is DROP:
+        del node[last]
+    else:
+        node[last] = value
     return predict_with_model(obj, tmp_path, capsys)
 
 
@@ -316,6 +375,20 @@ class TestDamagedModelFiles:
         ("mlr", ("target_scaler", "min", 0), True),
         ("mlr", ("feature_scaler", "columns", 0), 7),
         ("forest", ("feature_names", 0), 7),
+        ("mlr", ("feature_scaler", "columns"), [FEATURES[1], FEATURES[0], *FEATURES[2:]]),
+        ("mlr", ("target_scaler", "columns"), ["not_yield"]),
+        ("mlr", ("format_version",), True),
+        ("forest", ("format_version",), 1.0),
+        ("ridge", ("payload", "lambda"), math.nan),
+        ("mlr", ("payload", "diagnostics", "condition_estimate"), -1.0),
+        ("ridge", ("payload", "diagnostics", "solver"), "qr"),
+        ("mlr", ("payload", "diagnostics", "training_r2"), 2.0),
+        ("ridge", ("payload", "diagnostics", "training_r2"), DROP),
+        ("forest", ("payload", "oob_r2"), math.inf),
+        ("forest", ("payload", "oob_r2"), DROP),
+        ("forest", ("payload", "params", "max_depth"), True),
+        ("forest", ("payload", "params", "max_depth"), DROP),
+        ("forest", ("payload", "params", "max_features"), 13),
     ], ids=["feature-index-negative", "feature-index-past-end", "nan-threshold",
             "inf-leaf-value", "truncated-deep-chain", "inf-coefficient", "nan-intercept",
             "nan-scaler-min", "nonempty-encodings", "threshold-too-large-for-float",
@@ -323,7 +396,11 @@ class TestDamagedModelFiles:
             "oob-r2-too-large-for-float", "training-r2-too-large-for-float",
             "scaler-max-too-large-for-float",
             "string-feature-scaler-min", "bool-target-scaler-min", "number-scaler-column",
-            "number-feature-name"])
+            "number-feature-name", "swapped-feature-scaler-columns",
+            "renamed-target-scaler-column", "bool-format-version", "float-format-version",
+            "nan-lambda", "negative-condition-estimate", "unknown-solver",
+            "training-r2-above-one", "missing-training-r2", "inf-oob-r2", "missing-oob-r2",
+            "bool-max-depth", "missing-max-depth", "max-features-past-end"])
     def test_predict_exits_2_with_one_line(self, trained, tmp_path, capsys, kind, path, value):
         code, _, err = predict_with_edited_model(trained, tmp_path, capsys, kind, path, value)
         assert code == 2
@@ -353,6 +430,34 @@ class TestDamagedModelFiles:
                 tree[pos].pop(key, None)
             else:
                 del tree[pos]
+        code, _, err = predict_with_model(obj, tmp_path, capsys)
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_other_field_damage_exits_0_or_2(self, trained, tmp_path, capsys, data):
+        out, _ = trained
+        kind = data.draw(st.sampled_from(["mlr", "ridge", "forest"]))
+        obj = json.loads((out / f"model_{kind}.json").read_text())
+        for _ in range(data.draw(st.integers(1, 3))):
+            *parents, last = data.draw(st.sampled_from(NON_TREE_FIELDS[kind]))
+            node = obj
+            for key in parents:
+                node = node.get(key) if isinstance(node, dict) else None
+            if isinstance(last, int):
+                if not isinstance(node, list) or not node:
+                    continue
+                last %= len(node)
+            elif not isinstance(node, dict):
+                continue
+            if data.draw(st.booleans()):
+                node[last] = data.draw(JSON_VALUES)
+            elif isinstance(node, list) or last in node:
+                del node[last]
         code, _, err = predict_with_model(obj, tmp_path, capsys)
         assert code in (0, 2)
         if code == 2:

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -8,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soilyield.errors import DimensionMismatchError, TooFewRowsError
+from soilyield import forest
 from soilyield.forest import (
     _SMALL_NODE,
     ForestModel,
     ForestParams,
     Tree,
+    _CandidateDraws,
     _pairwise_sum,
+    _scan_features_numpy,
     best_split,
     fit_forest,
     fit_tree,
@@ -61,6 +65,29 @@ def brute_force_split(rows, X, y, candidate_features, min_samples_leaf=1):
         if feature_best is not None and (best is None or feature_best[2] > best[2] + tie_band):
             best = feature_best
     return best
+
+
+def lexsort_scan(xs, ys, sse_parent, min_leaf):
+    """One column's best (threshold, reduction), in ``lexsort((ys, xs))`` order."""
+    m = xs.shape[0]
+    order = np.lexsort((ys, xs))
+    xs = xs[order]
+    ys = ys[order]
+    k = np.arange(1, m)
+    valid = (xs[:-1] != xs[1:]) & (k >= min_leaf) & (m - k >= min_leaf)
+    cs = np.cumsum(ys)
+    cq = np.cumsum(ys * ys)
+    sse_l = cq[:-1] - cs[:-1] * cs[:-1] / k
+    sse_r = (cq[-1] - cq[:-1]) - (cs[-1] - cs[:-1]) ** 2 / (m - k)
+    reduction = (sse_parent - sse_l - sse_r) / m
+    reduction[~valid] = -np.inf
+    j = int(np.argmax(reduction))
+    if reduction[j] <= 0.0:
+        return None
+    threshold = 0.5 * (xs[j] + xs[j + 1])
+    if threshold == xs[j + 1]:
+        threshold = xs[j]
+    return float(threshold), float(reduction[j])
 
 
 def random_split_instance(rng, n_max=30, d_max=4, n_min=2):
@@ -145,12 +172,17 @@ class TestBestSplit:
 
     @pytest.mark.parametrize("m, min_leaf", [
         (_SMALL_NODE - 1, 1), (_SMALL_NODE, 1), (_SMALL_NODE + 1, 1), (_SMALL_NODE, 5),
+        (2 * _SMALL_NODE, 1), (3 * _SMALL_NODE, 4),
     ])
     def test_agrees_with_brute_force_either_side_of_small_node(self, m, min_leaf):
-        # Nodes under _SMALL_NODE rows are scanned in Python lists, the rest with numpy.
+        # Nodes under _SMALL_NODE rows are scanned in Python lists, the rest
+        # all candidate columns at once with numpy.
         rng = np.random.default_rng(107 + m + min_leaf)
-        for _ in range(20):
-            X, y = random_split_instance(rng, n_min=m, n_max=m)
+        instances = [random_split_instance(rng, n_min=m, n_max=m) for _ in range(20)]
+        # Few distinct x and y values, so many rows tie on x and on (x, y).
+        instances += [(rng.integers(0, 3, size=(m, 4)).astype(float),
+                       rng.integers(0, 4, size=m) * 0.1) for _ in range(20)]
+        for X, y in instances:
             rows = rng.integers(0, m, size=m) if rng.random() < 0.5 else np.arange(m)
             features = list(range(X.shape[1]))
             ours = best_split(rows, X, y, features, min_samples_leaf=min_leaf)
@@ -160,6 +192,23 @@ class TestBestSplit:
             else:
                 assert (ours.feature, ours.threshold) == (oracle[0], oracle[1])
                 assert ours.impurity_decrease == pytest.approx(oracle[2], rel=1e-9, abs=1e-9)
+
+    def test_fused_scan_matches_per_column_lexsort_bit_for_bit(self):
+        # Tied x values with different targets: the order of the cumulative
+        # sums, and so the last bits of each reduction, depends on the
+        # target being the second sort key.
+        rng = np.random.default_rng(113)
+        for _ in range(200):
+            m = int(rng.integers(_SMALL_NODE, 3 * _SMALL_NODE))
+            X = rng.integers(0, 4, size=(m, 5)).astype(float)
+            y = rng.normal(size=m) * 10.0 ** rng.integers(-3, 4, size=m)
+            rows = np.sort(rng.integers(0, m, size=m))
+            features = sorted(rng.choice(5, size=int(rng.integers(1, 6)), replace=False).tolist())
+            yc = y[rows] - y[rows].mean()
+            sse_parent = float(np.sum(yc * yc)) - float(np.sum(yc)) ** 2 / m
+            min_leaf = int(rng.integers(1, 6))
+            fused = _scan_features_numpy(X[np.ix_(rows, features)], yc, sse_parent, min_leaf)
+            assert fused == [lexsort_scan(X[rows, f], yc, sse_parent, min_leaf) for f in features]
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(103)
@@ -203,6 +252,45 @@ class TestPairwiseSum:
             values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
             expected = float(np.sum(values))
             assert float_bits(0.0 + _pairwise_sum(values.tolist())) == float_bits(expected)
+
+
+class TestCandidateDraws:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), prior=st.integers(0, 9),
+           picks=st.lists(st.integers(1, 14).flatmap(
+               lambda d: st.tuples(st.just(d), st.integers(1, d))), min_size=1, max_size=60))
+    def test_replays_numpy_choice(self, seed, prior, picks):
+        # An odd number of prior 32-bit draws leaves half an output buffered.
+        ours = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        ours.integers(0, 400, size=prior)
+        reference.integers(0, 400, size=prior)
+        draws = _CandidateDraws(ours)
+        for d, k in picks:
+            expected = sorted(reference.choice(d, size=k, replace=False).tolist())
+            assert draws.sample(d, k) == expected
+        draws.close()
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+    def test_rejected_word_is_drawn_again(self):
+        # A buffered word of 0 lies below Lemire's rejection threshold for a
+        # bound that is not a power of two, such as choice(12, 4)'s first, 9.
+        ours = np.random.default_rng(5)
+        reference = np.random.default_rng(5)
+        for rng in (ours, reference):
+            state = rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, 0
+            rng.bit_generator.state = state
+        draws = _CandidateDraws(ours)
+        assert draws.sample(12, 4) == sorted(reference.choice(12, size=4, replace=False).tolist())
+        draws.close()
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+    def test_fit_tree_needs_pcg64(self):
+        X = np.arange(8.0).reshape(-1, 1)
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(ValueError, match="PCG64"):
+            fit_tree(X, X.ravel(), np.arange(8), ForestParams(max_features=1), rng)
 
 
 def leaf(value, count):
@@ -305,6 +393,42 @@ class TestFitForest:
         assert hashlib.sha256(serial.tobytes()).hexdigest() == (
             "de3e94f8ba42afab90a032fb3b29db26337d72fd87f6acb847d5930928f30bd1"
         )
+
+    @pytest.mark.parametrize("workers, n_trees, cpus, pool_size", [
+        (64, 10, 2, 2), (64, 2, 64, 2), (2, 10, 8, 2), (64, 1, 2, None), (8, 10, 1, None),
+    ])
+    def test_pool_never_outnumbers_trees_or_cpus(self, monkeypatch, workers, n_trees, cpus,
+                                                 pool_size):
+        requested = []
+
+        class RecordingPool:
+            """Runs the trees in this process and records the pool size asked for."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(forest, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(forest, "_usable_cpus", lambda: cpus)
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(30, 3))
+        y = rng.normal(size=30)
+        params = ForestParams(n_trees=n_trees, seed=2)
+        model = fit_forest(X, y, params, workers=workers)
+        assert requested == ([] if pool_size is None else [pool_size])
+        serial = fit_forest(X, y, params)
+        assert predict_forest(model, X).tobytes() == predict_forest(serial, X).tobytes()
+
+    def test_usable_cpus_within_machine(self):
+        assert 1 <= forest._usable_cpus() <= (os.cpu_count() or 1)
 
     def test_predictions_bounded_by_training_range(self):
         rng = np.random.default_rng(19)
