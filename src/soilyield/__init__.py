@@ -9,14 +9,12 @@ from .dataset import (
     CANONICAL_FEATURES,
     ColumnSchema,
     Dataset,
-    SoilSample,
     SplitIndices,
     TARGET_COLUMN,
     drop_incomplete_rows,
     load_csv,
     save_csv,
     soil_schema,
-    to_soil_samples,
     train_test_split,
 )
 from .forest import (

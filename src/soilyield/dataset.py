@@ -1,9 +1,9 @@
 """Tabular soil data: canonical schema, CSV ingestion, cleaning, and splitting.
 
-A :class:`Dataset` is an immutable column-ordered table.  Cells are floats
-(possibly non-finite) or ``None`` for missing.
-All downstream stages consume datasets produced here, so row order and cell
-values are preserved exactly as parsed.
+A :class:`Dataset` is a column-ordered table held as one float64 matrix,
+with NaN for a missing or unparseable cell.  All downstream stages consume
+datasets produced here, so row order and cell values are preserved exactly
+as parsed.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,9 +22,8 @@ from .errors import (
     HeaderMismatchError,
     InvalidRatioError,
     TooFewRowsError,
+    ValidationError,
 )
-
-Cell = float | None
 
 # Canonical soil-test columns.  The twelve required nutrients mirror the
 # standard sample sheet; N and B appear on some sheets only, so they are
@@ -40,40 +39,6 @@ _CANONICAL_ORDER: tuple[str, ...] = (
     "pH", "EC", "OC", "N", "P", "K", "Ca", "Mg", "S", "Zn", "Fe", "Mn",
     "Cu", "B", TARGET_COLUMN,
 )
-
-
-@dataclass(frozen=True)
-class SoilSample:
-    """One soil measurement row, optionally labelled with a leaf yield.
-
-    ``n`` and ``b`` are optional because not every sample sheet reports
-    them; ``yield_label`` is absent on prediction inputs.
-    """
-
-    ph: float
-    ec: float
-    oc: float
-    p: float
-    k: float
-    ca: float
-    mg: float
-    s: float
-    zn: float
-    fe: float
-    mn: float
-    cu: float
-    n: float | None = None
-    b: float | None = None
-    yield_label: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.ph <= 14.0:
-            raise ValueError(f"pH {self.ph} outside [0, 14]")
-        for name in ("ec", "oc", "p", "k", "ca", "mg", "s", "zn", "fe",
-                     "mn", "cu", "n", "b", "yield_label"):
-            value = getattr(self, name)
-            if value is not None and (not math.isfinite(value) or value < 0):
-                raise ValueError(f"{name} must be a nonnegative finite value, got {value}")
 
 
 @dataclass(frozen=True)
@@ -97,10 +62,13 @@ class Provenance:
     rows_dropped: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
+    """Rows of cells under ``schema``: ``values`` is ``(n_rows, len(schema))``
+    float64, NaN where a cell is missing."""
+
     schema: tuple[ColumnSchema, ...]
-    rows: tuple[tuple, ...]
+    values: np.ndarray
     provenance: Provenance
 
     def __post_init__(self) -> None:
@@ -110,14 +78,19 @@ class Dataset:
         targets = [c for c in self.schema if c.role == "target"]
         if len(targets) > 1:
             raise ValueError("at most one target column allowed")
-        width = len(self.schema)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
+        if self.values.ndim != 2 or self.values.shape[1] != len(names):
+            raise ValueError(
+                f"values must have shape (n_rows, {len(names)}), got {self.values.shape}"
+            )
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.values.shape[0]
+
+    @property
+    def rows(self) -> list[list[float]]:
+        """The cells as Python floats, row by row."""
+        return self.values.tolist()
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -134,39 +107,18 @@ class Dataset:
                 return c.name
         return None
 
-    def column_index(self, name: str) -> int:
-        for i, c in enumerate(self.schema):
-            if c.name == name:
-                return i
-        raise KeyError(name)
-
     def matrix(self, columns: Sequence[str] | None = None) -> np.ndarray:
-        """Extract the named columns as a float matrix.
+        """The named columns (default: the features, then the target) as a
+        new C-ordered matrix.
 
-        Only valid once every requested cell is present, i.e. after
-        cleaning.
+        Holds NaN for missing cells until the dataset is cleaned.
         """
         if columns is None:
             columns = self.feature_names
             if self.target_name is not None:
                 columns = columns + (self.target_name,)
-        idx = [self.column_index(c) for c in columns]
-        out = np.empty((self.n_rows, len(idx)), dtype=np.float64)
-        for j, ci in enumerate(idx):
-            for i, row in enumerate(self.rows):
-                cell = row[ci]
-                if not isinstance(cell, float):
-                    raise ValueError(
-                        f"column {columns[j]!r} row {i} is not numeric: {cell!r}"
-                    )
-                out[i, j] = cell
-        return out
-
-    def is_complete_row(self, i: int) -> bool:
-        for cell in self.rows[i]:
-            if cell is None or not math.isfinite(cell):
-                return False
-        return True
+        position = {c.name: i for i, c in enumerate(self.schema)}
+        return self.values.take([position[c] for c in columns], axis=1)
 
 
 @dataclass(frozen=True)
@@ -203,22 +155,29 @@ def soil_schema(header: Sequence[str], target: str | None = TARGET_COLUMN) -> tu
     return tuple(columns)
 
 
-def load_csv(path: str | Path, schema: Sequence[ColumnSchema]) -> Dataset:
+def load_csv(
+    path: str | Path,
+    schema: Sequence[ColumnSchema] | Callable[[list[str]], Sequence[ColumnSchema]],
+) -> Dataset:
     """Parse a UTF-8 comma-delimited file into a :class:`Dataset`.
 
-    A leading byte-order mark is skipped.  Each schema column must appear
-    in the header exactly once.  Empty or unparseable cells become missing
-    (``None``) and the row is kept until cleaning.  Row order is preserved.
+    ``schema`` is the column list, or a function that builds it from the
+    header.  A leading byte-order mark and blank lines are skipped.  Each
+    schema column must appear in the header exactly once.  Empty or
+    unparseable cells become NaN and the row is kept until cleaning.  Row
+    order is preserved.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise EmptyInputError(f"{path}: file is empty") from None
+        records = _records(fh, path)
+        first = next(records, None)
+        if first is None:
+            raise EmptyInputError(f"{path}: file is empty")
+        header = [h.strip() for h in first]
+        if callable(schema):
+            schema = schema(header)
         absent = [c.name for c in schema if c.name not in header]
         if absent:
             raise HeaderMismatchError(
@@ -231,28 +190,29 @@ def load_csv(path: str | Path, schema: Sequence[ColumnSchema]) -> Dataset:
             )
         positions = [header.index(c.name) for c in schema]
         rows = []
-        for raw in reader:
+        for raw in records:
             cells = []
             for pos in positions:
-                token = raw[pos].strip() if pos < len(raw) else ""
-                cells.append(_parse_cell(token))
-            rows.append(tuple(cells))
+                try:
+                    cells.append(float(raw[pos]))
+                except (IndexError, ValueError):
+                    cells.append(math.nan)
+            rows.append(cells)
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
     return Dataset(
         schema=tuple(schema),
-        rows=tuple(rows),
+        values=np.array(rows, dtype=np.float64),
         provenance=Provenance(source=str(path), rows_read=len(rows)),
     )
 
 
-def _parse_cell(token: str) -> Cell:
-    if token == "":
-        return None
+def _records(fh, path: Path) -> Iterator[list[str]]:
+    """The non-blank records of an open CSV file."""
     try:
-        return float(token)
-    except ValueError:
-        return None
+        yield from (raw for raw in csv.reader(fh) if raw)
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_csv(d: Dataset, path: str | Path) -> None:
@@ -261,26 +221,19 @@ def save_csv(d: Dataset, path: str | Path) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(d.column_names)
-        for row in d.rows:
-            writer.writerow([_format_cell(cell) for cell in row])
-
-
-def _format_cell(cell: Cell) -> str:
-    if cell is None:
-        return ""
-    return repr(cell)
+        writer.writerows(d.rows)
 
 
 def drop_incomplete_rows(d: Dataset) -> Dataset:
     """Keep only rows whose feature/target cells are all present and finite."""
-    kept = tuple(row for i, row in enumerate(d.rows) if d.is_complete_row(i))
-    dropped = d.n_rows - len(kept)
-    if not kept:
+    kept = d.values[np.isfinite(d.values).all(axis=1)]
+    dropped = d.n_rows - kept.shape[0]
+    if kept.shape[0] == 0:
         raise AllRowsDroppedError(
             f"all {d.n_rows} rows had missing or non-finite cells"
         )
     provenance = replace(d.provenance, rows_dropped=d.provenance.rows_dropped + dropped)
-    return Dataset(schema=d.schema, rows=kept, provenance=provenance)
+    return Dataset(schema=d.schema, values=kept, provenance=provenance)
 
 
 def train_test_split(d: Dataset, test_ratio: float, seed: int) -> SplitIndices:
@@ -301,28 +254,3 @@ def train_test_split(d: Dataset, test_ratio: float, seed: int) -> SplitIndices:
     test = tuple(sorted(int(i) for i in perm[:n_test]))
     train = tuple(sorted(int(i) for i in perm[n_test:]))
     return SplitIndices(train=train, test=test, seed=seed, test_ratio=test_ratio)
-
-
-_FIELD_BY_COLUMN = {
-    "pH": "ph", "EC": "ec", "OC": "oc", "N": "n", "P": "p", "K": "k",
-    "Ca": "ca", "Mg": "mg", "S": "s", "Zn": "zn", "Fe": "fe", "Mn": "mn",
-    "Cu": "cu", "B": "b", TARGET_COLUMN: "yield_label",
-}
-
-
-def to_soil_samples(d: Dataset) -> list[SoilSample]:
-    """Convert complete rows of a canonical-schema dataset to samples."""
-    for required in CANONICAL_FEATURES:
-        if required not in d.column_names:
-            raise HeaderMismatchError(f"dataset lacks canonical column {required!r}")
-    samples = []
-    for i, row in enumerate(d.rows):
-        if not d.is_complete_row(i):
-            continue
-        kwargs = {}
-        for col, cell in zip(d.schema, row):
-            field = _FIELD_BY_COLUMN.get(col.name)
-            if field is not None:
-                kwargs[field] = cell
-        samples.append(SoilSample(**kwargs))
-    return samples

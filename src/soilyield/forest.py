@@ -80,6 +80,11 @@ class ForestParams:
             raise ValueError("max_features must be >= 1 or None")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
+        # Leaf counts are int64, so no fit can need a larger size or depth.
+        for name in ("n_trees", "max_depth", "min_samples_split", "min_samples_leaf",
+                     "max_features"):
+            if (getattr(self, name) or 0) >= 2**63:
+                raise ValueError(f"{name} must be below 2**63")
 
 
 @dataclass(frozen=True, eq=False)

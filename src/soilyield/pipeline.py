@@ -13,7 +13,8 @@ import csv
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -152,14 +153,8 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _read_header(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return [h.strip() for h in next(csv.reader(fh), [])]
-
-
 def _load_cleaned(path: str, target: str | None) -> Dataset:
-    schema = soil_schema(_read_header(path), target=target)
-    return drop_incomplete_rows(load_csv(path, schema))
+    return drop_incomplete_rows(load_csv(path, partial(soil_schema, target=target)))
 
 
 def _selected_kinds(model: str) -> tuple[str, ...]:
@@ -192,6 +187,9 @@ def run_synth(cfg: RunConfig) -> Path:
 def run_train(cfg: RunConfig) -> dict[str, Path]:
     """Train the selected models and persist them with their scalers."""
     input_path = _require_input(cfg)
+    kinds = _selected_kinds(cfg.model)
+    if "forest" in kinds:
+        cfg.forest_params()  # reject bad forest settings before any file is written
     out = _out_dir(cfg)
     d = _load_cleaned(input_path, target=cfg.target_column)
     split = train_test_split(d, cfg.test_ratio, cfg.seed)
@@ -201,10 +199,9 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
     feature_scaler = fit_minmax(d, split.train, features)
     target_scaler = fit_minmax(d, split.train, (target,))
 
-    x_all = d.matrix(features)
-    y_all = d.matrix((target,)).ravel()
-    x_train = apply_minmax(feature_scaler, x_all[list(split.train)])
-    y_train_raw = y_all[list(split.train)]
+    train = d.matrix()[list(split.train)]  # the features, then the target
+    x_train = apply_minmax(feature_scaler, train[:, :-1])
+    y_train_raw = train[:, -1]
     y_train = _target_vector(target_scaler, y_train_raw, forward=True)
 
     log_lines = [
@@ -218,7 +215,7 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
         f"test_ratio: {cfg.test_ratio}",
     ]
     paths: dict[str, Path] = {}
-    for kind in _selected_kinds(cfg.model):
+    for kind in kinds:
         model = _fit_kind(kind, cfg, x_train, y_train, features)
         bundle = ModelBundle(
             kind=kind,
@@ -282,18 +279,13 @@ def run_evaluate(cfg: RunConfig, model_paths: Sequence[str]) -> tuple[Evaluation
     out = _out_dir(cfg)
     d = _load_cleaned(input_path, target=cfg.target_column)
     split = train_test_split(d, cfg.test_ratio, cfg.seed)
-    test_rows = list(split.test)
+    test = replace(d, values=d.values[list(split.test)])
+    y_true = test.matrix((cfg.target_column,)).ravel()
 
     entries = []
     for model_path in model_paths:
         bundle = load_model(model_path)
-        test_view = Dataset(
-            schema=d.schema,
-            rows=tuple(d.rows[i] for i in test_rows),
-            provenance=d.provenance,
-        )
-        y_true = test_view.matrix((cfg.target_column,)).ravel()
-        y_pred, _ = predict_bundle(bundle, test_view)
+        y_pred, _ = predict_bundle(bundle, test)
         entries.append(score_predictions(bundle.kind, y_true, y_pred))
 
     report = build_report(entries)
@@ -316,8 +308,8 @@ def run_predict(cfg: RunConfig, model_path: str) -> Path:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(cleaned.column_names) + ["predicted_yield"])
-        for row, pred in zip(cleaned.rows, predictions):
-            writer.writerow([repr(c) for c in row] + [repr(float(pred))])
+        for row, pred in zip(cleaned.rows, predictions.tolist()):
+            writer.writerow(row + [pred])
         dropped = cleaned.provenance.rows_dropped
         fh.write(f"# clamped_cells={clamped} rows_dropped={dropped}\n")
     return path
@@ -327,8 +319,9 @@ def run_correlate(cfg: RunConfig) -> dict[str, Path]:
     """Emit the attribute correlation matrix as CSV plus a heatmap SVG."""
     input_path = _require_input(cfg)
     out = _out_dir(cfg)
-    target = cfg.target_column if cfg.target_column in _read_header(input_path) else None
-    d = _load_cleaned(input_path, target=target)
+    target = cfg.target_column
+    d = drop_incomplete_rows(load_csv(
+        input_path, lambda header: soil_schema(header, target if target in header else None)))
     corr = pearson_correlation(d)
 
     csv_path = out / CORRELATION_CSV_FILENAME

@@ -76,11 +76,8 @@ def generate(n: int, seed: int) -> Dataset:
 
     header = CANONICAL_FEATURES + (TARGET_COLUMN,)
     schema = soil_schema(header)
-    rows = tuple(
-        tuple(float(columns[c.name][i]) for c in schema) for i in range(n)
-    )
     return Dataset(
         schema=schema,
-        rows=rows,
+        values=np.column_stack([columns[c.name] for c in schema]),
         provenance=Provenance(source=f"synthetic(n={n}, seed={seed})", rows_read=n),
     )

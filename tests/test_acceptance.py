@@ -10,7 +10,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from soilyield.dataset import drop_incomplete_rows, load_csv, soil_schema, to_soil_samples
+from soilyield.dataset import drop_incomplete_rows, load_csv, soil_schema
 from soilyield.errors import SchemaViolationError
 from soilyield.forest import ForestParams, best_split, fit_forest, predict_forest
 from soilyield.linear import fit_mlr, fit_ridge, predict_linear
@@ -221,10 +221,8 @@ def test_criterion_9_fixtures():
     sample_path = resources.files("soilyield").joinpath("data/sample_soil.csv")
     header = ("pH", "EC", "OC", "P", "K", "Ca", "Mg", "S", "Zn", "Fe", "Mn", "Cu", "yield")
     d = drop_incomplete_rows(load_csv(sample_path, soil_schema(header)))
-    samples = to_soil_samples(d)
-    assert len(samples) == 2
-    assert samples[0].yield_label == 50.36
-    assert samples[1].yield_label == 48.62
+    assert d.n_rows == 2
+    assert d.matrix(("yield",)).ravel().tolist() == [50.36, 48.62]
 
     assert nutrient_index(NutrientCounts(nl=2, nm=3, nh=5, nt=10)) == 2.3
     assert nutrient_index(NutrientCounts(nl=4, nm=0, nh=0, nt=4)) == 1.0

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -8,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import soilyield
 from soilyield.cli import main
 from soilyield.persist import load_model, save_model
 from soilyield.pipeline import RunConfig
@@ -117,6 +119,28 @@ class TestTrain:
         for kind, digest in GOLDEN_MODEL_DIGESTS.items():
             assert hashlib.sha256((out / f"model_{kind}.json").read_bytes()).hexdigest() == digest
         assert (out / "train_log.txt").read_text() == GOLDEN_TRAIN_LOG
+
+    def test_blank_lines_are_not_rows(self, trained, tmp_path):
+        _, csv_path = trained
+        lines = csv_path.read_text().splitlines()
+        spaced = tmp_path / "spaced" / csv_path.name
+        spaced.parent.mkdir()
+        spaced.write_text("\n".join(lines[:10] + ["", ""] + lines[10:]) + "\n\n\n")
+        out = tmp_path / "out"
+        assert main(["train", "--input", str(spaced), "--output-dir", str(out),
+                     "--seed", "3", "--trees", "20"]) == 0
+        assert (out / "train_log.txt").read_text() == GOLDEN_TRAIN_LOG
+        for kind, digest in GOLDEN_MODEL_DIGESTS.items():
+            assert hashlib.sha256((out / f"model_{kind}.json").read_bytes()).hexdigest() == digest
+
+    def test_header_and_blank_lines_only_exits_2(self, trained, tmp_path, capsys):
+        _, csv_path = trained
+        blank = tmp_path / "blank.csv"
+        blank.write_text(csv_path.read_text().splitlines()[0] + "\n\n\n")
+        code, _, err = run(["train", "--input", str(blank), "--output-dir", str(tmp_path)],
+                           capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "no data rows" in err
 
     def test_repeated_header_column_exits_2(self, trained, tmp_path, capsys):
         _, csv_path = trained
@@ -389,6 +413,9 @@ class TestDamagedModelFiles:
         ("forest", ("payload", "params", "max_depth"), True),
         ("forest", ("payload", "params", "max_depth"), DROP),
         ("forest", ("payload", "params", "max_features"), 13),
+        ("forest", ("payload", "params", "max_depth"), 10**400),
+        ("forest", ("payload", "params", "min_samples_split"), 2**63),
+        ("forest", ("payload", "params", "min_samples_leaf"), 10**400),
     ], ids=["feature-index-negative", "feature-index-past-end", "nan-threshold",
             "inf-leaf-value", "truncated-deep-chain", "inf-coefficient", "nan-intercept",
             "nan-scaler-min", "nonempty-encodings", "threshold-too-large-for-float",
@@ -400,7 +427,9 @@ class TestDamagedModelFiles:
             "renamed-target-scaler-column", "bool-format-version", "float-format-version",
             "nan-lambda", "negative-condition-estimate", "unknown-solver",
             "training-r2-above-one", "missing-training-r2", "inf-oob-r2", "missing-oob-r2",
-            "bool-max-depth", "missing-max-depth", "max-features-past-end"])
+            "bool-max-depth", "missing-max-depth", "max-features-past-end",
+            "max-depth-past-int64", "min-samples-split-past-int64",
+            "min-samples-leaf-past-int64"])
     def test_predict_exits_2_with_one_line(self, trained, tmp_path, capsys, kind, path, value):
         code, _, err = predict_with_edited_model(trained, tmp_path, capsys, kind, path, value)
         assert code == 2
@@ -461,6 +490,62 @@ class TestDamagedModelFiles:
         code, _, err = predict_with_model(obj, tmp_path, capsys)
         assert code in (0, 2)
         if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# A clean table that test_any_csv_damage_exits_0_2_or_3 damages.
+INGEST_ROWS = np.round(np.random.default_rng(5).uniform(0.5, 60.0, size=(24, 13)), 3).tolist()
+ODD_CELLS = ["", " ", "abc", "nan", "-inf", "1e400", "1e300", '"1,5"', '"2\n3"', '"4"',
+             '"unclosed', "\x00", "7\x00", "x" * 131073]
+
+
+@st.composite
+def damaged_csvs(draw):
+    """Bytes of a soil CSV with ragged rows, odd cells, blank lines, a BOM, invalid
+    UTF-8 or a cut."""
+    header = FEATURES + ["yield"]
+    if draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(header)))
+        header[i:i] = [draw(st.sampled_from(["", "junk", "pH", '"Zn"', " yield ", '"a\nb"']))]
+    n_rows = len(INGEST_ROWS) - draw(st.integers(0, len(INGEST_ROWS)))  # mostly near all
+    rows = [header] + [[repr(v) for v in row] for row in INGEST_ROWS[:n_rows]]
+    for _ in range(draw(st.integers(0, 8))):
+        i = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["cell", "truncate", "extend", "blank"]))
+        if edit == "cell" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(ODD_CELLS))
+        elif edit == "truncate":
+            del rows[i][draw(st.integers(0, len(rows[i]))):]
+        elif edit == "extend":
+            rows[i].append(draw(st.sampled_from(ODD_CELLS)))
+        else:
+            rows.insert(i, [])
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = (newline.join(",".join(r) for r in rows) + draw(st.sampled_from(["", newline]))).encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.integers(0, 4)) == 0:
+        pos = draw(st.integers(0, len(data)))
+        data = data[:pos] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x00"])) + data[pos:]
+    if draw(st.integers(0, 6)) == 0:
+        data = data[:len(data) - draw(st.integers(0, len(data)))]
+    return data
+
+
+class TestCsvIngestion:
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=damaged_csvs())
+    @example(data=b"")
+    @example(data=b"\xef\xbb\xbf\n\n")
+    @example(data=",".join(FEATURES + ["yield"]).encode() + b"\n\n")
+    def test_any_csv_damage_exits_0_2_or_3(self, tmp_path, capsys, data):
+        path = tmp_path / "soil.csv"
+        path.write_bytes(data)
+        code, _, err = run(["train", "--input", str(path), "--output-dir", str(tmp_path / "out"),
+                            "--trees", "3"], capsys)
+        assert code in (0, 2, 3)
+        if code != 0:
             assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -543,6 +628,18 @@ class TestConfigPrecedence:
         assert code == 2
         assert f"config {field} must be" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("field", ["max_depth", "min_samples_split", "min_leaf"])
+    def test_forest_setting_past_int64_exits_2_before_writing(self, tmp_path, capsys, field):
+        csv_path = synth_csv(tmp_path, n=30, seed=4)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: 10**30, "trees": 5}))
+        out = tmp_path / "out"
+        code, _, err = run(["train", "--input", str(csv_path), "--output-dir", str(out),
+                            "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "2**63" in err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_integer_for_float_field_still_accepted(self, tmp_path):
         csv_path = synth_csv(tmp_path, n=30, seed=4)
         cfg = tmp_path / "cfg.json"
@@ -614,10 +711,13 @@ class TestExitCodes:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # The child process imports the same package as this test, installed or not.
+        package_root = str(Path(soilyield.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "soilyield", "synth", "--n", "10",
              "--output-dir", str(tmp_path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert (tmp_path / "synthetic_soil.csv").exists()

@@ -9,12 +9,10 @@ from soilyield.dataset import (
     ColumnSchema,
     Dataset,
     Provenance,
-    SoilSample,
     drop_incomplete_rows,
     load_csv,
     save_csv,
     soil_schema,
-    to_soil_samples,
     train_test_split,
 )
 from soilyield.errors import (
@@ -23,6 +21,7 @@ from soilyield.errors import (
     HeaderMismatchError,
     InvalidRatioError,
     TooFewRowsError,
+    ValidationError,
 )
 
 CANONICAL_HEADER = CANONICAL_FEATURES + ("yield",)
@@ -38,22 +37,29 @@ def write_csv(path, text):
 
 
 def small_dataset(cells):
+    """A dataset of the given rows; ``None`` is a missing cell."""
     schema = tuple(ColumnSchema(f"c{i}") for i in range(len(cells[0])))
-    return Dataset(schema=schema, rows=tuple(tuple(r) for r in cells),
-                   provenance=Provenance("test", len(cells)))
+    values = np.array([[math.nan if c is None else c for c in r] for r in cells])
+    return Dataset(schema=schema, values=values, provenance=Provenance("test", len(cells)))
 
 
 class TestLoadCsv:
     def test_bundled_sample_parses_to_two_complete_samples(self):
         d = load_csv(bundled_sample_path(), soil_schema(CANONICAL_HEADER))
-        samples = to_soil_samples(d)
-        assert len(samples) == 2
-        first = samples[0]
-        assert first == SoilSample(
-            ph=5.3, ec=0.16, oc=0.75, p=13.0, k=52.0, ca=2.8, mg=1.3,
-            s=19.82, zn=2.48, fe=13.75, mn=38.07, cu=1.005, yield_label=50.36,
-        )
-        assert samples[1].yield_label == 48.62
+        assert d.column_names == CANONICAL_HEADER
+        assert d.n_rows == 2 and np.isfinite(d.values).all()
+        assert d.rows[0] == [5.3, 0.16, 0.75, 13.0, 52.0, 2.8, 1.3,
+                             19.82, 2.48, 13.75, 38.07, 1.005, 50.36]
+        assert d.rows[1][-1] == 48.62
+
+        # Layout contracts: matrices are C-ordered (the linear solvers' bytes
+        # depend on it) and cells are Python floats whose repr round-trips
+        # (CSV writers print them with repr).
+        for columns in (None, ("yield", "pH"), ("Cu",)):
+            assert d.matrix(columns).flags.c_contiguous
+        for row in d.rows:
+            for cell in row:
+                assert type(cell) is float and float(repr(cell)) == cell
 
     def test_header_only_file_is_empty_input(self, tmp_path):
         path = write_csv(tmp_path / "empty.csv", ",".join(CANONICAL_HEADER) + "\n")
@@ -65,7 +71,25 @@ class TestLoadCsv:
         schema = (ColumnSchema("a"), ColumnSchema("b"))
         d = load_csv(path, schema)
         assert d.n_rows == 2  # row retained until cleaning
-        assert d.rows[0] == (1.5, None)
+        assert d.rows[0][0] == 1.5 and math.isnan(d.rows[0][1])
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = write_csv(tmp_path / "blank.csv", "\na,b\n\n1,2\n\n3,4\n\n")
+        d = load_csv(path, (ColumnSchema("a"), ColumnSchema("b")))
+        assert d.rows == [[1.0, 2.0], [3.0, 4.0]]
+        assert d.provenance.rows_read == 2
+
+    def test_schema_may_be_built_from_the_header(self, tmp_path):
+        path = write_csv(tmp_path / "built.csv", "b, a ,junk\n1,2,3\n")
+        headers = []
+        d = load_csv(path, lambda header: headers.append(header) or (ColumnSchema("a"),))
+        assert headers == [["b", "a", "junk"]]
+        assert d.rows == [[2.0]]
+
+    def test_malformed_record_is_validation_error(self, tmp_path):
+        path = write_csv(tmp_path / "long.csv", "a\n" + "1" * 200_000 + "\n")
+        with pytest.raises(ValidationError, match="field limit"):
+            load_csv(path, (ColumnSchema("a"),))
 
     def test_missing_schema_column_is_header_mismatch(self, tmp_path):
         path = write_csv(tmp_path / "cols.csv", "a,b\n1,2\n")
@@ -79,7 +103,7 @@ class TestLoadCsv:
     def test_extra_header_columns_are_ignored(self, tmp_path):
         path = write_csv(tmp_path / "extra.csv", "a,junk,b\n1,zzz,2\n")
         d = load_csv(path, (ColumnSchema("a"), ColumnSchema("b")))
-        assert d.rows == ((1.0, 2.0),)
+        assert d.rows == [[1.0, 2.0]]
 
     def test_roundtrip_after_cleaning_is_cell_identical(self, tmp_path):
         path = write_csv(
@@ -116,23 +140,11 @@ class TestSoilSchema:
             soil_schema(CANONICAL_FEATURES, target="yield")
 
 
-class TestSoilSample:
-    def test_ph_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            SoilSample(ph=15.0, ec=0.1, oc=0.5, p=1, k=1, ca=1, mg=1, s=1,
-                       zn=1, fe=1, mn=1, cu=1)
-
-    def test_negative_concentration_rejected(self):
-        with pytest.raises(ValueError):
-            SoilSample(ph=7.0, ec=-0.1, oc=0.5, p=1, k=1, ca=1, mg=1, s=1,
-                       zn=1, fe=1, mn=1, cu=1)
-
-
 class TestDropIncompleteRows:
     def test_drops_rows_with_missing_cells(self):
         d = small_dataset([[1.0, 2.0], [None, 3.0], [4.0, 5.0]])
         cleaned = drop_incomplete_rows(d)
-        assert cleaned.rows == ((1.0, 2.0), (4.0, 5.0))
+        assert cleaned.rows == [[1.0, 2.0], [4.0, 5.0]]
         assert cleaned.provenance.rows_dropped == 1
 
     def test_no_missing_cells_is_identity(self):
@@ -149,7 +161,7 @@ class TestDropIncompleteRows:
     def test_non_finite_cells_count_as_incomplete(self):
         d = small_dataset([[float("nan"), 1.0], [math.inf, 2.0], [3.0, 4.0]])
         cleaned = drop_incomplete_rows(d)
-        assert cleaned.rows == ((3.0, 4.0),)
+        assert cleaned.rows == [[3.0, 4.0]]
         assert cleaned.provenance.rows_dropped == 2
 
     def test_cleaning_is_idempotent(self):

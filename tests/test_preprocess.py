@@ -25,11 +25,10 @@ GOLDEN_DIR = Path(__file__).parent / "data"
 
 
 def numeric_dataset(matrix, names=None):
-    matrix = np.asarray(matrix, dtype=float)
-    names = names or [f"c{i}" for i in range(matrix.shape[1])]
+    values = np.array(matrix, dtype=float)
+    names = names or [f"c{i}" for i in range(values.shape[1])]
     schema = tuple(ColumnSchema(n) for n in names)
-    rows = tuple(tuple(float(v) for v in row) for row in matrix)
-    return Dataset(schema=schema, rows=rows, provenance=Provenance("test", len(rows)))
+    return Dataset(schema=schema, values=values, provenance=Provenance("test", len(values)))
 
 
 def params(mins, maxs, names=None):
