@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -26,10 +28,11 @@ import numpy as np
 from .errors import DimensionMismatchError, LengthMismatchError, TooFewRowsError, ZeroVarianceError
 from .metrics import r2_score
 
-# Below this many samples a node is grown in Python lists: numpy's per-call
-# overhead outweighs its vector speed there, and most of a forest's nodes are
-# that small.
-_SMALL_NODE = 48
+# A scan call pads its nodes to the widest, so nodes of up to 8 rows, of up
+# to 48 and more go to separate calls, each of at most this many padded
+# cells (nodes x candidates x width) unless one node alone has more.
+_WIDTH_CLASSES = (8, 48)
+_SCAN_CELLS = 8192
 
 # Two candidate features whose impurity decreases agree to within this
 # fraction of the parent variance are a tie; distinct true reductions on
@@ -50,11 +53,6 @@ class Tree(NamedTuple):
     right: np.ndarray  # index of a split's right child
     value: np.ndarray  # leaf prediction
     count: np.ndarray  # training samples in a leaf
-
-
-def tree_from_nodes(nodes: Sequence[Sequence]) -> Tree:
-    """Build a tree from preorder ``[feature, threshold, right, value, count]`` rows."""
-    return Tree(*(np.array(column) for column in zip(*nodes)))
 
 
 @dataclass(frozen=True)
@@ -135,114 +133,91 @@ def _pairwise_sum(a: Sequence[float]) -> float:
     return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
 
 
-def _scan_feature_scalar(xs: list[float], ys: list[float], sse_parent: float,
-                         min_leaf: int) -> tuple[float, float] | None:
-    m = len(xs)
-    pairs = sorted(zip(xs, ys))
-    s_t = 0.0
-    q_t = 0.0
-    for _, yv in pairs:
-        s_t += yv
-        q_t += yv * yv
-    best: tuple[float, float] | None = None
-    s_l = 0.0
-    q_l = 0.0
-    for p in range(1, m):
-        yv = pairs[p - 1][1]
-        s_l += yv
-        q_l += yv * yv
-        if pairs[p - 1][0] == pairs[p][0]:
-            continue
-        if p < min_leaf or m - p < min_leaf:
-            continue
+def _node_target(rows: list[int], y_list: list[float], may_split: bool) -> tuple[float, float | None]:
+    """A node's mean target and, if it may split and is not constant, its
+    centred sum of squares: numpy's pairwise sums in row order, bit for bit."""
+    m = len(rows)
+    ys = [y_list[i] for i in rows]
+    mean = (0.0 + _pairwise_sum(ys)) / m
+    if not may_split or ys.count(ys[0]) == m:
+        return mean, None
+    yc = [v - mean for v in ys]
+    s = 0.0 + _pairwise_sum(yc)
+    return mean, (0.0 + _pairwise_sum([v * v for v in yc])) - s * s / m
+
+
+def _rank_tables(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's position in ``lexsort((y, x))`` per feature, from f * (n + 1) on, and
+    x and y by position (flat); a feature's last position, past every row, pads a scan."""
+    n, d = X.shape
+    order = np.array([np.lexsort((y, X[:, f])) for f in range(d)])
+    ranks = np.full((d, n + 1), n)
+    np.put_along_axis(ranks, order, np.arange(n), axis=1)
+    by_rank = np.zeros((2, d, n + 1))
+    by_rank[0, :, :n] = np.take_along_axis(X.T, order, axis=1)
+    by_rank[1, :, :n] = y[order]
+    return ranks + (n + 1) * np.arange(d)[:, None], by_rank[0].ravel(), by_rank[1].ravel()
+
+
+def _best_splits(tables, nodes, features: np.ndarray, min_leaf: int) -> list[SplitChoice | None]:
+    """Each node's best split among its candidate features, or None, scanned in one batch.
+
+    ``nodes`` holds (rows, mean, sse_parent), ``features`` a sorted row of
+    candidates per node.  A (node, feature) pair's rows are sorted by
+    position, which is (x, y) order (rows that tie on both give equal terms),
+    and its prefix sums run along a padded row in the order a loop over the
+    node would add them: a node's result depends on nothing else in the batch.
+    """
+    ranks, x_by_rank, y_by_rank = tables
+    k = features.shape[-1]  # an empty batch has shape (0,)
+    order = sorted(range(len(nodes)), key=lambda i: len(nodes[i][0]))
+    thresholds, reductions = np.empty((2, *features.shape))
+    while order:
+        # One call takes nodes of one width class, padded to the widest.
+        limit = next((w for w in _WIDTH_CLASSES if len(nodes[order[0]][0]) <= w), math.inf)
+        stop = 1
+        while (stop < len(order) and (width := len(nodes[order[stop]][0])) <= limit
+               and (stop + 1) * k * width <= _SCAN_CELLS):
+            stop += 1
+        chunk, order = order[:stop], order[stop:]
+        rows, means, sse_parent = zip(*(nodes[i] for i in chunk))
+        m = np.array([len(r) for r in rows])[:, None, None]
+        width = len(rows[-1])
+        padded = np.full((len(chunk), 1, width), ranks.shape[1] - 1)
+        padded[np.arange(width) < m] = [i for r in rows for i in r]
+        at = ranks[features[chunk][:, :, None], padded]
+        at.sort(axis=2)
+        xs = np.take(x_by_rank, at)
+        ys = np.take(y_by_rank, at) - np.array(means)[:, None, None]
+        cs, cq = np.cumsum(ys, axis=2), np.cumsum(ys * ys, axis=2)
+        cell = np.arange(len(chunk) * k).reshape(len(chunk), k, 1)
+        row = cell * width  # where each (node, candidate) row starts in xs, cs and cq
+        s_t, q_t = np.take(cs, row + (m - 1)), np.take(cq, row + (m - 1))
+        s_l, q_l = cs[:, :, :-1], cq[:, :, :-1]
+        p = np.arange(1.0, width)
+        n_r = m - p
         sse_l = q_l - s_l * s_l / p
-        s_r = s_t - s_l
-        sse_r = (q_t - q_l) - s_r * s_r / (m - p)
-        reduction = (sse_parent - sse_l - sse_r) / m
-        if reduction > 0.0 and (best is None or reduction > best[1]):
-            threshold = 0.5 * (pairs[p - 1][0] + pairs[p][0])
-            if threshold == pairs[p][0]:
-                threshold = pairs[p - 1][0]
-            best = (threshold, reduction)
-    return best
-
-
-def _scan_features_numpy(xs: np.ndarray, ys: np.ndarray, sse_parent: float,
-                         min_leaf: int) -> list[tuple[float, float] | None]:
-    """Each column's best (threshold, reduction), scanning all of ``xs`` at once.
-
-    Two stable sorts, by target and then by value, put each column in
-    ``lexsort((ys, x))`` order; cumulative sums run down the columns.
-    """
-    m = xs.shape[0]
-    by_y = np.argsort(ys, kind="stable")
-    xs = xs[by_y]
-    order = np.argsort(xs, axis=0, kind="stable")
-    xs = np.take_along_axis(xs, order, axis=0)
-    ys = ys[by_y][order]
-    cs = np.cumsum(ys, axis=0)
-    cq = np.cumsum(ys * ys, axis=0)
-    k = np.arange(1, m)[:, None]
-    s_l = cs[:-1]
-    q_l = cq[:-1]
-    s_t = cs[-1]
-    q_t = cq[-1]
-    sse_l = q_l - s_l * s_l / k
-    sse_r = (q_t - q_l) - (s_t - s_l) ** 2 / (m - k)
-    reduction = (sse_parent - sse_l - sse_r) / m
-    valid = (xs[:-1] != xs[1:]) & (k >= min_leaf) & (m - k >= min_leaf)
-    reduction[~valid] = -np.inf
-    j = reduction.argmax(axis=0)  # first max = lowest threshold
-    columns = np.arange(xs.shape[1])
-    lo = xs[j, columns]
-    hi = xs[j + 1, columns]
-    threshold = 0.5 * (lo + hi)
-    # Adjacent floats: keep the <= rule partition intact.
-    threshold = np.where(threshold == hi, lo, threshold)
-    return [(t, r) if r > 0.0 else None
-            for t, r in zip(threshold.tolist(), reduction[j, columns].tolist())]
-
-
-def _node_target(rows: list[int], y: np.ndarray,
-                 y_list: list[float]) -> tuple[float, list[float] | np.ndarray | None]:
-    """The node's mean target, and its targets less that mean (None when constant).
-
-    Centred targets keep the scans' sums well conditioned.  A node under
-    ``_SMALL_NODE`` rows works on Python lists, a larger one on arrays;
-    both give the same bits.
-    """
-    m = len(rows)
-    if m < _SMALL_NODE:
-        ys = [y_list[i] for i in rows]
-        mean = (0.0 + _pairwise_sum(ys)) / m
-        return mean, None if ys.count(ys[0]) == m else [v - mean for v in ys]
-    ys = y[rows]
-    mean = float(ys.mean())
-    return mean, None if (ys == ys[0]).all() else ys - mean
-
-
-def _split_node(rows: list[int], X: np.ndarray, X_list: list[list[float]], yc,
-                features: list[int], min_leaf: int) -> SplitChoice | None:
-    """Best split of a node whose rows are sorted, given its centred targets ``yc``."""
-    m = len(rows)
-    if m < _SMALL_NODE:
-        s_t = 0.0 + _pairwise_sum(yc)
-        q_t = 0.0 + _pairwise_sum([v * v for v in yc])
-        sse_parent = q_t - s_t * s_t / m
-        xrows = [X_list[i] for i in rows]
-        found = [_scan_feature_scalar([x[f] for x in xrows], yc, sse_parent, min_leaf)
-                 for f in features]
-    else:
-        s_t = float(np.sum(yc))
-        q_t = float(np.sum(yc * yc))
-        sse_parent = q_t - s_t * s_t / m
-        found = _scan_features_numpy(X[np.ix_(rows, features)], yc, sse_parent, min_leaf)
-    tie_band = REDUCTION_TIE_RTOL * sse_parent / m
-    best: SplitChoice | None = None
-    for f, split in zip(features, found):
-        if split is not None and (best is None or split[1] > best.impurity_decrease + tie_band):
-            best = SplitChoice(f, split[0], split[1])
-    return best
+        # Past a node's last row the right side is empty; those cells are masked.
+        sse_r = (q_t - q_l) - (s_t - s_l) ** 2 / np.maximum(n_r, 1.0)
+        reduction = (np.array(sse_parent)[:, None, None] - sse_l - sse_r) / m
+        valid = (xs[:, :, :-1] != xs[:, :, 1:]) & ((p >= min_leaf) & (n_r >= min_leaf))
+        reduction = np.where(valid, reduction, -np.inf)
+        j = reduction.argmax(axis=2)[:, :, None]  # first max = lowest threshold
+        reductions[chunk] = np.take(reduction, cell * (width - 1) + j)[:, :, 0]
+        lo, hi = np.take(xs, row + j)[:, :, 0], np.take(xs, row + j + 1)[:, :, 0]
+        threshold = 0.5 * (lo + hi)
+        # Adjacent floats: keep the <= rule partition intact.
+        thresholds[chunk] = np.where(threshold == hi, lo, threshold)
+    choices = []
+    for (rows, _, sse_parent), fs, ts, rs in zip(nodes, features.tolist(), thresholds.tolist(),
+                                                 reductions.tolist()):
+        tie_band = REDUCTION_TIE_RTOL * sse_parent / len(rows)
+        best = -1
+        for c, r in enumerate(rs):
+            if r > 0.0 and (best < 0 or r > rs[best] + tie_band):
+                best = c
+        choices.append(SplitChoice(fs[best], ts[best], rs[best]) if best >= 0 else None)
+    return choices
 
 
 def best_split(rows, X, y, candidate_features: Sequence[int],
@@ -257,14 +232,17 @@ def best_split(rows, X, y, candidate_features: Sequence[int],
     the parent variance, so equal-partition candidates resolve to the
     lowest feature index.
     """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     rows = np.sort(np.asarray(rows, dtype=np.intp)).tolist()
     if len(rows) < 2:
         return None
-    _, yc = _node_target(rows, y, y.tolist())
-    if yc is None:
+    mean, sse_parent = _node_target(rows, y.tolist(), True)
+    if sse_parent is None:
         return None
-    features = sorted(int(f) for f in candidate_features)
-    return _split_node(rows, X, X.tolist(), yc, features, min_samples_leaf)
+    features = np.array([sorted(int(f) for f in candidate_features)])
+    return _best_splits(_rank_tables(X, y), [(rows, mean, sse_parent)], features,
+                        min_samples_leaf)[0]
 
 
 class _CandidateDraws:
@@ -278,7 +256,7 @@ class _CandidateDraws:
     the ``choice`` calls would have.
     """
 
-    _CHUNK = 256  # raw outputs read at a time; ``close`` gives back the unused ones
+    _CHUNK = 64  # raw outputs read at a time; ``close`` gives back the unused ones
 
     def __init__(self, rng: np.random.Generator):
         bitgen = rng.bit_generator
@@ -289,25 +267,24 @@ class _CandidateDraws:
         # A 32-bit draw made before (the bootstrap's, say) may have left
         # the high half of an output buffered; it is the next word.
         self._carry = self._start["has_uint32"]
-        self._words = [self._start["uinteger"]] if self._carry else []
+        # Only the current chunk is kept, as a block of trees grows at once.
+        self._words = array("Q", [self._start["uinteger"]] if self._carry else [])
         self._pos = 0
-
-    def _word(self) -> int:
-        if self._pos == len(self._words):
-            raw = self._bitgen.random_raw(self._CHUNK)
-            self._words += np.column_stack([raw & 0xFFFFFFFF, raw >> 32]).ravel().tolist()
-        word = self._words[self._pos]
-        self._pos += 1
-        return word
+        self._read = 0  # words read from raw outputs, the current chunk's included
 
     def _below(self, n: int) -> int:
         """Lemire's unbiased draw from [0, n)."""
-        m = self._word() * n
-        if m & 0xFFFFFFFF < n:
-            threshold = (2**32 - n) % n
-            while m & 0xFFFFFFFF < threshold:
-                m = self._word() * n
-        return m >> 32
+        while True:
+            if self._pos == len(self._words):
+                raw = self._bitgen.random_raw(self._CHUNK)
+                self._words = array("Q", np.column_stack([raw & 0xFFFFFFFF, raw >> 32]).tobytes())
+                self._pos = 0
+                self._read += 2 * self._CHUNK
+            m = self._words[self._pos] * n
+            self._pos += 1
+            low = m & 0xFFFFFFFF
+            if low >= n or low >= (2**32 - n) % n:
+                return m >> 32
 
     def sample(self, d: int, k: int) -> list[int]:
         picked: list[int] = []
@@ -321,15 +298,16 @@ class _CandidateDraws:
 
     def close(self) -> None:
         """Rewind the generator to just after the words drawn."""
-        used = self._pos - self._carry  # words taken from raw outputs
+        used = self._read - len(self._words) + self._pos  # words taken from raw outputs
         state = self._start
         if used > 0:
-            outputs = (used + 1) // 2
             self._bitgen.state = state
-            self._bitgen.advance(outputs)
+            self._bitgen.advance((used + 1) // 2)
             state = self._bitgen.state
             state["has_uint32"] = used % 2
-            state["uinteger"] = self._words[self._carry + 2 * outputs - 1]
+            # The last output's high half, which the current chunk holds:
+            # the word after the last one drawn if that was a low half.
+            state["uinteger"] = self._words[self._pos - 1 + used % 2]
         elif self._pos:  # only the buffered word was drawn
             state = dict(state, has_uint32=0)
         self._bitgen.state = state
@@ -342,66 +320,78 @@ def _resolve_max_features(max_features: int | None, d: int) -> int:
     return mf
 
 
+def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
+          roots: list[tuple[np.ndarray, np.random.Generator]]) -> list[Tree]:
+    """Grow one tree per (sorted rows, generator) pair of ``roots``, all in lockstep.
+
+    In each step every unfinished tree settles leaves in preorder up to
+    its next node that may split, and draws that node's candidates; one
+    ``_best_splits`` call serves the step's nodes.  Each tree gets the
+    nodes and draws that growing it alone would give.
+    """
+    d = X.shape[1]
+    k = _resolve_max_features(params.max_features, d)
+    max_depth = math.inf if params.max_depth is None else params.max_depth
+    tables = _rank_tables(X, y)
+    columns, y_list = X.T.tolist(), y.tolist()
+    ids = list(range(X.shape[0]))  # the row lists hold these ints, not copies of them
+    # Per tree: a depth-first stack of (sorted rows, depth, index of the split
+    # whose right child it is or -1), left popped before right; the draws; and
+    # the preorder nodes, five float64s each in Tree's field order.
+    trees = [([(list(map(ids.__getitem__, rows.tolist())), 0, -1)], _CandidateDraws(rng),
+              array("d")) for rows, rng in roots]
+    growing = trees
+    while growing:
+        batch = []
+        for tree in growing:
+            stack, draws, nodes = tree
+            while stack:
+                rows, depth, parent = stack.pop()
+                if parent >= 0:
+                    nodes[5 * parent + 2] = len(nodes) // 5
+                may_split = len(rows) >= params.min_samples_split and depth < max_depth
+                mean, sse_parent = _node_target(rows, y_list, may_split)
+                if sse_parent is not None:
+                    batch.append((tree, rows, depth, mean, sse_parent, draws.sample(d, k)))
+                    break
+                nodes.extend((-1, 0.0, -1, mean, len(rows)))
+        choices = _best_splits(tables, [(b[1], b[3], b[4]) for b in batch],
+                               np.array([b[5] for b in batch]), params.min_samples_leaf)
+        for ((stack, _, nodes), rows, depth, mean, _, _), choice in zip(batch, choices):
+            if choice is None:
+                nodes.extend((-1, 0.0, -1, mean, len(rows)))
+                continue
+            f, t, _ = choice
+            column = columns[f]
+            stack.append(([i for i in rows if column[i] > t], depth + 1, len(nodes) // 5))
+            stack.append(([i for i in rows if column[i] <= t], depth + 1, -1))
+            nodes.extend((f, t, -1, 0.0, 0))
+        growing = [b[0] for b in batch if b[0][0]]
+    fitted = []
+    for _, draws, nodes in trees:
+        draws.close()
+        f, t, right, value, count = np.array(nodes).reshape(-1, 5).T
+        del nodes[:]  # every tree's nodes are held at once, so free them as we go
+        fitted.append(Tree(f.astype(np.int64), t.copy(), right.astype(np.int64), value.copy(),
+                           count.astype(np.int64)))
+    return fitted
+
+
 def fit_tree(X, y, rows, params: ForestParams, rng: np.random.Generator) -> Tree:
     """Grow one regression tree over the given (multiset of) row indices.
 
     ``rng`` must be PCG64-backed, as ``np.random.default_rng`` makes it:
     candidate features are replayed from its raw stream.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     rows = np.sort(np.asarray(rows, dtype=np.intp))
     if rows.size < 1:
         raise ValueError("need at least one row to grow a tree")
-    d = X.shape[1]
-    mf = _resolve_max_features(params.max_features, d)
-    draws = _CandidateDraws(rng)
-    X_list = X.tolist()
-    y_list = y.tolist()
-    nodes: list[list] = []
-    # Depth first, left before right, so nodes and rng draws come in preorder.
-    # An entry holds a node's sorted rows, its depth, and the split it is the
-    # right child of, if any.
-    stack: list[tuple[list[int], int, list | None]] = [(rows.tolist(), 0, None)]
-    while stack:
-        rows, depth, parent = stack.pop()
-        if parent is not None:
-            parent[2] = len(nodes)
-        mean, yc = _node_target(rows, y, y_list)
-        choice = None
-        if (yc is not None and len(rows) >= params.min_samples_split
-                and (params.max_depth is None or depth < params.max_depth)):
-            choice = _split_node(rows, X, X_list, yc, draws.sample(d, mf),
-                                 params.min_samples_leaf)
-        if choice is None:
-            nodes.append([-1, 0.0, -1, mean, len(rows)])
-            continue
-        f, t = choice.feature, choice.threshold
-        node = [f, t, -1, 0.0, 0]
-        nodes.append(node)
-        stack.append(([i for i in rows if X_list[i][f] > t], depth + 1, node))
-        stack.append(([i for i in rows if X_list[i][f] <= t], depth + 1, None))
-    draws.close()
-    return tree_from_nodes(nodes)
+    return _grow(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64), params,
+                 [(rows, rng)])[0]
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tree_index,)))
-
-
-def _fit_one_tree(args) -> tuple[Tree, np.ndarray | None]:
-    X, y, params, tree_index = args
-    rng = _tree_rng(params.seed, tree_index)
-    n = X.shape[0]
-    if params.bootstrap:
-        drawn = rng.integers(0, n, size=n)
-        rows = np.sort(drawn)
-        oob = np.ones(n, dtype=bool)
-        oob[drawn] = False
-    else:
-        rows = np.arange(n)
-        oob = None
-    return fit_tree(X, y, rows, params, rng), oob
 
 
 def _usable_cpus() -> int:
@@ -440,27 +430,34 @@ def fit_forest(X, y, params: ForestParams,
     if len(names) != d:
         raise DimensionMismatchError(f"expected {d} feature names, got {len(names)}")
 
-    tasks = [(X, y, resolved, t) for t in range(resolved.n_trees)]
-    # The pool starts all its processes at once, so it gets no more than can be busy.
+    # A tree's bootstrap comes first from its generator, its candidates after.
+    rngs = [_tree_rng(resolved.seed, t) for t in range(resolved.n_trees)]
+    roots = [(np.sort(rng.integers(0, n, size=n)) if resolved.bootstrap else np.arange(n), rng)
+             for rng in rngs]
+    # Each worker grows one contiguous block of trees.  The pool starts all
+    # its processes at once, so it gets no more than can be busy.
     pool_size = min(workers, resolved.n_trees, _usable_cpus())
-    if pool_size <= 1:
-        results = [_fit_one_tree(task) for task in tasks]
+    size = -(-resolved.n_trees // max(pool_size, 1))
+    blocks = [roots[i:i + size] for i in range(0, resolved.n_trees, size)]
+    if len(blocks) == 1:
+        trees = _grow(X, y, resolved, roots)
     else:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(_fit_one_tree, tasks))
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            trees = [tree for block in pool.map(partial(_grow, X, y, resolved), blocks)
+                     for tree in block]
+    oob_r2 = _oob_r2(X, y, trees, roots) if resolved.bootstrap else None
+    return ForestModel(trees=tuple(trees), params=resolved, feature_names=names, oob_r2=oob_r2)
 
-    trees = tuple(tree for tree, _ in results)
-    oob_r2 = _oob_r2(X, y, results) if resolved.bootstrap else None
-    return ForestModel(trees=trees, params=resolved, feature_names=names, oob_r2=oob_r2)
 
-
-def _oob_r2(X: np.ndarray, y: np.ndarray, results) -> float | None:
+def _oob_r2(X: np.ndarray, y: np.ndarray, trees, roots) -> float | None:
     """R² of each row's mean prediction over the trees that left it out, or
     None where ``r2_score`` finds it undefined (under two such rows, or a constant y)."""
+    oob = np.ones((len(trees), X.shape[0]), dtype=bool)
     sums = np.zeros(X.shape[0])
-    for tree, oob in results:
-        sums[oob] += predict_tree(tree, X[oob])
-    counts = np.sum([oob for _, oob in results], axis=0)
+    for tree, mask, (rows, _) in zip(trees, oob, roots):
+        mask[rows] = False
+        sums[mask] += predict_tree(tree, X[mask])
+    counts = oob.sum(axis=0)
     covered = counts > 0
     try:
         return r2_score(y[covered], sums[covered] / counts[covered])

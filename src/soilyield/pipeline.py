@@ -22,7 +22,9 @@ import numpy as np
 
 from . import synth
 from .dataset import (
+    CANONICAL_FEATURES,
     Dataset,
+    OPTIONAL_FEATURES,
     TARGET_COLUMN,
     drop_incomplete_rows,
     load_csv,
@@ -117,6 +119,10 @@ class RunConfig:
             )
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
+        if self.target_column in CANONICAL_FEATURES + OPTIONAL_FEATURES:
+            raise ValidationError(
+                f"--target {self.target_column!r} is a soil feature column, not a target"
+            )
 
     def forest_params(self) -> ForestParams:
         return ForestParams(
@@ -285,6 +291,11 @@ def run_evaluate(cfg: RunConfig, model_paths: Sequence[str]) -> tuple[Evaluation
     entries = []
     for model_path in model_paths:
         bundle = load_model(model_path)
+        if bundle.target_name != cfg.target_column:
+            raise ValidationError(
+                f"{model_path} predicts {bundle.target_name!r}, but --target is "
+                f"{cfg.target_column!r}"
+            )
         y_pred, _ = predict_bundle(bundle, test)
         entries.append(score_predictions(bundle.kind, y_true, y_pred))
 

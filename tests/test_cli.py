@@ -251,6 +251,25 @@ class TestEvaluate:
         assert (tmp_path / "a" / "comparison.csv").read_bytes() == \
                (tmp_path / "b" / "comparison.csv").read_bytes()
 
+    def test_model_for_another_target_exits_2(self, trained, tmp_path, capsys):
+        _, csv_path = trained
+        lines = csv_path.read_text().splitlines()
+        extra = tmp_path / "height.csv"
+        extra.write_text("\n".join([lines[0] + ",height"]
+                                   + [f"{r},{1.5 + i % 7 * 0.25}" for i, r in enumerate(lines[1:])])
+                         + "\n")
+        out = tmp_path / "out"
+        assert main(["train", "--input", str(extra), "--output-dir", str(out), "--seed", "3",
+                     "--model", "mlr", "--target", "height"]) == 0
+        code, stdout, err = run(["evaluate", str(out / "model_mlr.json"), "--input", str(extra),
+                                 "--output-dir", str(out), "--seed", "3"], capsys)
+        assert code == 2
+        assert err.count("\n") == 1 and "'height'" in err and "'yield'" in err
+        assert not (out / "comparison.csv").exists()
+        code, _, _ = run(["evaluate", str(out / "model_mlr.json"), "--input", str(extra),
+                          "--output-dir", str(out), "--seed", "3", "--target", "height"], capsys)
+        assert code == 0
+
     def test_zero_variance_test_target_exits_3(self, trained, tmp_path, capsys):
         out, csv_path = trained
         lines = csv_path.read_text().splitlines()
@@ -639,6 +658,17 @@ class TestConfigPrecedence:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and "2**63" in err
         assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "correlate"])
+    @pytest.mark.parametrize("target", ["pH", "N"])
+    def test_feature_as_target_exits_2(self, trained, tmp_path, capsys, command, target):
+        out, csv_path = trained
+        models = [str(out / "model_mlr.json")] if command == "evaluate" else []
+        code, _, err = run([command, *models, "--input", str(csv_path), "--target", target,
+                            "--output-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.count("\n") == 1 and "--target" in err and f"'{target}'" in err
+        assert not any(tmp_path.iterdir())
 
     def test_integer_for_float_field_still_accepted(self, tmp_path):
         csv_path = synth_csv(tmp_path, n=30, seed=4)

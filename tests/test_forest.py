@@ -2,6 +2,7 @@ import gc
 import hashlib
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,19 +12,21 @@ from hypothesis import strategies as st
 from soilyield.errors import DimensionMismatchError, TooFewRowsError
 from soilyield import forest
 from soilyield.forest import (
-    _SMALL_NODE,
     ForestModel,
     ForestParams,
     Tree,
+    _best_splits,
     _CandidateDraws,
+    _node_target,
     _pairwise_sum,
-    _scan_features_numpy,
+    _rank_tables,
+    _resolve_max_features,
+    _tree_rng,
     best_split,
     fit_forest,
     fit_tree,
     predict_forest,
     predict_tree,
-    tree_from_nodes,
 )
 from soilyield.metrics import r2_score
 from soilyield.synth import generate
@@ -171,12 +174,10 @@ class TestBestSplit:
             assert ours.impurity_decrease == pytest.approx(oracle[2], rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("m, min_leaf", [
-        (_SMALL_NODE - 1, 1), (_SMALL_NODE, 1), (_SMALL_NODE + 1, 1), (_SMALL_NODE, 5),
-        (2 * _SMALL_NODE, 1), (3 * _SMALL_NODE, 4),
+        (47, 1), (48, 1), (49, 1), (48, 5), (96, 1), (144, 4),
     ])
     def test_agrees_with_brute_force_either_side_of_small_node(self, m, min_leaf):
-        # Nodes under _SMALL_NODE rows are scanned in Python lists, the rest
-        # all candidate columns at once with numpy.
+        # Sizes either side of the 48-row scan width class and well past it.
         rng = np.random.default_rng(107 + m + min_leaf)
         instances = [random_split_instance(rng, n_min=m, n_max=m) for _ in range(20)]
         # Few distinct x and y values, so many rows tie on x and on (x, y).
@@ -196,19 +197,55 @@ class TestBestSplit:
     def test_fused_scan_matches_per_column_lexsort_bit_for_bit(self):
         # Tied x values with different targets: the order of the cumulative
         # sums, and so the last bits of each reduction, depends on the
-        # target being the second sort key.
+        # target being the second sort key.  One batch mixes every width
+        # class, tied x and (x, y) pairs and bootstrap duplicates.
         rng = np.random.default_rng(113)
-        for _ in range(200):
-            m = int(rng.integers(_SMALL_NODE, 3 * _SMALL_NODE))
-            X = rng.integers(0, 4, size=(m, 5)).astype(float)
-            y = rng.normal(size=m) * 10.0 ** rng.integers(-3, 4, size=m)
-            rows = np.sort(rng.integers(0, m, size=m))
-            features = sorted(rng.choice(5, size=int(rng.integers(1, 6)), replace=False).tolist())
-            yc = y[rows] - y[rows].mean()
-            sse_parent = float(np.sum(yc * yc)) - float(np.sum(yc)) ** 2 / m
-            min_leaf = int(rng.integers(1, 6))
-            fused = _scan_features_numpy(X[np.ix_(rows, features)], yc, sse_parent, min_leaf)
-            assert fused == [lexsort_scan(X[rows, f], yc, sse_parent, min_leaf) for f in features]
+        n = 150
+        X = rng.integers(0, 4, size=(n, 5)).astype(float)
+        X[:, 4] = rng.normal(size=n)
+        y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+        y[: n // 2] = np.round(y[: n // 2], 0)
+        tables = _rank_tables(X, y)
+        nodes, features = [], []
+        while len(nodes) < 120:
+            m = int(rng.integers(2, n + 1))
+            rows = np.sort(rng.integers(0, n, size=m)).tolist()
+            mean, sse_parent = _node_target(rows, y.tolist(), True)
+            if sse_parent is not None:
+                nodes.append((rows, mean, sse_parent))
+                features.append(sorted(rng.choice(5, size=3, replace=False).tolist()))
+        for min_leaf in range(1, 6):
+            choices = _best_splits(tables, nodes, np.array(features), min_leaf)
+            for (rows, mean, sse_parent), fs, choice in zip(nodes, features, choices):
+                # The per-column reference, then the documented tie rule across columns.
+                expected = None
+                for f in fs:
+                    found = lexsort_scan(X[rows, f], y[rows] - mean, sse_parent, min_leaf)
+                    if found is not None and (expected is None or found[1] > expected[2]
+                                              + 1e-9 * sse_parent / len(rows)):
+                        expected = (f, *found)
+                assert choice_bits(choice) == choice_bits(expected)
+
+    def test_node_result_independent_of_its_batch(self):
+        rng = np.random.default_rng(127)
+        n = 300
+        X = rng.integers(0, 6, size=(n, 4)).astype(float)
+        y = np.round(rng.normal(size=n), 1)
+        tables = _rank_tables(X, y)
+        nodes = []
+        for m in rng.integers(2, 200, size=60).tolist() + [3, 5, 8, 9, 47, 48, 49, 200]:
+            rows = np.sort(rng.integers(0, n, size=m)).tolist()
+            mean, sse_parent = _node_target(rows, y.tolist(), True)
+            if sse_parent is not None:
+                nodes.append((rows, mean, sse_parent))
+        features = np.array([sorted(rng.choice(4, size=2, replace=False)) for _ in nodes])
+        alone = [_best_splits(tables, [node], features[i:i + 1], 2)[0]
+                 for i, node in enumerate(nodes)]
+        assert sum(choice is not None for choice in alone) > len(nodes) // 2
+        for _ in range(3):
+            order = rng.permutation(len(nodes))[: int(rng.integers(2, len(nodes) + 1))]
+            choices = _best_splits(tables, [nodes[i] for i in order], features[order], 2)
+            assert list(map(choice_bits, choices)) == [choice_bits(alone[i]) for i in order]
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(103)
@@ -233,6 +270,11 @@ class TestBestSplit:
 def float_bits(value):
     """The float's eight bytes, so that -0.0 and 0.0 differ."""
     return struct.pack("<d", value)
+
+
+def choice_bits(choice):
+    """A split's feature and the bits of its threshold and reduction."""
+    return None if choice is None else (choice[0], *map(float_bits, choice[1:]))
 
 
 class TestPairwiseSum:
@@ -272,6 +314,17 @@ class TestCandidateDraws:
         draws.close()
         assert ours.bit_generator.state == reference.bit_generator.state
 
+    def test_keeps_one_chunk_of_words(self):
+        ours = np.random.default_rng(41)
+        reference = np.random.default_rng(41)
+        draws = _CandidateDraws(ours)
+        for _ in range(10_000):
+            expected = sorted(reference.choice(12, size=4, replace=False).tolist())
+            assert draws.sample(12, 4) == expected
+            assert len(draws._words) <= 2 * _CandidateDraws._CHUNK
+        draws.close()
+        assert ours.bit_generator.state == reference.bit_generator.state
+
     def test_rejected_word_is_drawn_again(self):
         # A buffered word of 0 lies below Lemire's rejection threshold for a
         # bound that is not a power of two, such as choice(12, 4)'s first, 9.
@@ -291,6 +344,11 @@ class TestCandidateDraws:
         rng = np.random.Generator(np.random.MT19937(0))
         with pytest.raises(ValueError, match="PCG64"):
             fit_tree(X, X.ravel(), np.arange(8), ForestParams(max_features=1), rng)
+
+
+def tree_from_nodes(nodes):
+    """A tree from preorder ``[feature, threshold, right, value, count]`` rows."""
+    return Tree(*(np.array(column) for column in zip(*nodes)))
 
 
 def leaf(value, count):
@@ -426,6 +484,27 @@ class TestFitForest:
         assert requested == ([] if pool_size is None else [pool_size])
         serial = fit_forest(X, y, params)
         assert predict_forest(model, X).tobytes() == predict_forest(serial, X).tobytes()
+
+    @pytest.mark.parametrize("rounded, params", [
+        (False, ForestParams(n_trees=6, seed=3)),
+        (False, ForestParams(n_trees=5, seed=4, bootstrap=False, max_features=12)),
+        (True, ForestParams(n_trees=6, seed=5, max_depth=4)),
+        (True, ForestParams(n_trees=6, seed=6, min_samples_leaf=3)),
+        (False, ForestParams(n_trees=6, seed=7, min_samples_leaf=5, max_features=1)),
+        (True, ForestParams(n_trees=4, seed=8, max_features=12, min_samples_split=6)),
+    ])
+    def test_trees_equal_one_tree_fits(self, rounded, params):
+        d = generate(160, seed=12)
+        X = d.matrix(d.feature_names)
+        y = d.matrix(("yield",)).ravel()
+        if rounded:
+            X, y = np.round(X, 0), np.round(y, 0)
+        model = fit_forest(X, y, params)
+        resolved = replace(params, max_features=_resolve_max_features(params.max_features, 12))
+        for t, tree in enumerate(model.trees):
+            rng = _tree_rng(params.seed, t)
+            rows = rng.integers(0, 160, size=160) if params.bootstrap else np.arange(160)
+            assert_same_tree(tree, fit_tree(X, y, rows, resolved, rng))
 
     def test_usable_cpus_within_machine(self):
         assert 1 <= forest._usable_cpus() <= (os.cpu_count() or 1)
