@@ -245,71 +245,152 @@ def best_split(rows, X, y, candidate_features: Sequence[int],
                         min_samples_leaf)[0]
 
 
+def _draw_bounds(d: int, k: int) -> np.ndarray:
+    """The bounds of the 32-bit draws one ``rng.choice(d, size=k, replace=False)`` makes, in
+    order: Floyd's ``j + 1`` for each j in range(d - k, d) but 0, then the shuffle's k, ..., 2."""
+    return np.array([j + 1 for j in range(d - k, d) if j] + list(range(k, 1, -1)), dtype=np.uint64)
+
+
+def _floyd_block(words: np.ndarray, d: int, k: int) -> np.ndarray | None:
+    """Each row's sorted ``rng.choice(d, size=k, replace=False)`` from its row of 32-bit
+    words, or None if Lemire's method rejects any word of the block.
+
+    Without a rejection a draw takes one word per bound of ``_draw_bounds``,
+    so the rows line up with the calls.
+    """
+    bounds = _draw_bounds(d, k)
+    m = words * bounds
+    if ((m & 0xFFFFFFFF) < (2**32 - bounds) % bounds).any():
+        return None
+    v = m >> 32
+    picks: list[np.ndarray] = []  # Floyd's picks so far, a column each
+    for i, j in enumerate(range(d - k, d)):
+        if not j:  # d == k: the first pick is 0, drawn from no word
+            picks.append(np.zeros(len(words), dtype=np.uint64))
+            continue
+        drawn = v[:, i - (d == k)]
+        if picks:
+            seen = picks[0] == drawn
+            for earlier in picks[1:]:
+                seen |= earlier == drawn
+            drawn = np.where(seen, j, drawn)
+        picks.append(drawn)
+    block = np.column_stack(picks)
+    block.sort(axis=1)
+    return block
+
+
 class _CandidateDraws:
-    """``sorted(rng.choice(d, size=k, replace=False).tolist())``, replayed in Python.
+    """``sorted(rng.choice(d, size=k, replace=False).tolist())``, replayed in numpy blocks.
 
     For d up to 10,000, numpy's ``choice`` is Floyd's sampling algorithm
     over Lemire's unbiased bounded draws from 32-bit words, followed by a
     shuffle that sorting discards.  This copy reads the same words from a
     PCG64 generator's raw 64-bit outputs, each output giving its low half
-    then its high half, and ``close`` leaves the generator exactly where
-    the ``choice`` calls would have.
+    then its high half, and computes ``_BLOCK`` draws at a time with
+    ``_floyd_block``; a block with a rejected word is drawn one word at a
+    time instead.  ``close`` leaves the generator exactly where the
+    ``choice`` calls would have.
     """
 
-    _CHUNK = 64  # raw outputs read at a time; ``close`` gives back the unused ones
+    # Draws computed at once, about what a tree grown on 400 rows makes; only the
+    # current block is kept.
+    _BLOCK = 256
 
     def __init__(self, rng: np.random.Generator):
         bitgen = rng.bit_generator
         if type(bitgen) is not np.random.PCG64:
             raise ValueError(f"trees draw from a PCG64 generator, got {type(bitgen).__name__}")
         self._bitgen = bitgen
-        self._start = bitgen.state
-        # A 32-bit draw made before (the bootstrap's, say) may have left
-        # the high half of an output buffered; it is the next word.
-        self._carry = self._start["has_uint32"]
-        # Only the current chunk is kept, as a block of trees grows at once.
-        self._words = array("Q", [self._start["uinteger"]] if self._carry else [])
-        self._pos = 0
-        self._read = 0  # words read from raw outputs, the current chunk's included
-
-    def _below(self, n: int) -> int:
-        """Lemire's unbiased draw from [0, n)."""
-        while True:
-            if self._pos == len(self._words):
-                raw = self._bitgen.random_raw(self._CHUNK)
-                self._words = array("Q", np.column_stack([raw & 0xFFFFFFFF, raw >> 32]).tobytes())
-                self._pos = 0
-                self._read += 2 * self._CHUNK
-            m = self._words[self._pos] * n
-            self._pos += 1
-            low = m & 0xFFFFFFFF
-            if low >= n or low >= (2**32 - n) % n:
-                return m >> 32
+        self._state = bitgen.state  # where the current block's words begin
+        self._shape = (0, 0)  # the current block's (d, k)
+        self._picks = array("B")  # the block's draws, one after another
+        self._next = 0  # where the next draw starts in ``_picks``
+        self._width = 0  # words per draw, without a rejection
+        self._ends: list[int] | None = None  # words used up to each draw, after a rejection
 
     def sample(self, d: int, k: int) -> list[int]:
-        picked: list[int] = []
-        for j in range(d - k, d):
-            v = self._below(j + 1) if j else 0
-            picked.append(j if v in picked else v)
-        for i in range(k, 1, -1):  # numpy's shuffle of the picks
-            self._below(i)
-        picked.sort()
-        return picked
+        i = self._next
+        if i == len(self._picks) or (d, k) != self._shape:
+            self._start_block(d, k)
+            i = 0
+        self._next = i + k
+        return self._picks[i:i + k].tolist()
+
+    def _drawn(self) -> int:
+        """Draws taken from the current block."""
+        return self._next // self._shape[1] if self._shape[1] else 0
+
+    def _start_block(self, d: int, k: int) -> None:
+        self.close()
+        size = self._BLOCK
+        state = self._state = self._bitgen.state
+        # A 32-bit draw made before (the bootstrap's, say) may have left the
+        # high half of an output buffered; it is the next word.
+        carry = [state["uinteger"]] if state["has_uint32"] else []
+        width = len(_draw_bounds(d, k))
+        raw = self._bitgen.random_raw((size * width - len(carry) + 1) // 2)
+        words = np.empty(len(carry) + 2 * raw.size, dtype=np.uint64)
+        words[:len(carry)] = carry
+        words[len(carry)::2] = raw & 0xFFFFFFFF
+        words[len(carry) + 1::2] = raw >> 32
+        block = _floyd_block(words[:size * width].reshape(size, width), d, k)
+        self._ends = None
+        if block is None:
+            block, self._ends = self._draw_one_word_at_a_time(words.tolist(), d, k)
+        # Picks lie in [0, d), so the narrowest unsigned type keeps the block small.
+        kind = np.min_scalar_type(d - 1)
+        self._picks = array(kind.char, block.astype(kind).tobytes())
+        self._shape, self._next, self._width = (d, k), 0, width
+
+    def _draw_one_word_at_a_time(self, words: list[int], d: int,
+                                 k: int) -> tuple[np.ndarray, list[int]]:
+        """A block of draws from ``words`` and the outputs after them, redrawing
+        each rejected word; also the words used up to the end of each draw."""
+        pos = 0
+
+        def below(n: int) -> int:  # Lemire's unbiased draw from [0, n)
+            nonlocal pos
+            while True:
+                if pos == len(words):
+                    raw = self._bitgen.random_raw()
+                    words.extend((raw & 0xFFFFFFFF, raw >> 32))
+                m = words[pos] * n
+                pos += 1
+                if (m & 0xFFFFFFFF) >= (2**32 - n) % n:
+                    return m >> 32
+
+        block, ends = np.empty((self._BLOCK, k), dtype=np.int64), []
+        for row in block:
+            picked: list[int] = []
+            for j in range(d - k, d):
+                v = below(j + 1) if j else 0
+                picked.append(j if v in picked else v)
+            for i in range(k, 1, -1):  # numpy's shuffle of the picks
+                below(i)
+            row[:] = sorted(picked)
+            ends.append(pos)
+        return block, ends
 
     def close(self) -> None:
         """Rewind the generator to just after the words drawn."""
-        used = self._read - len(self._words) + self._pos  # words taken from raw outputs
-        state = self._start
-        if used > 0:
-            self._bitgen.state = state
-            self._bitgen.advance((used + 1) // 2)
-            state = self._bitgen.state
-            state["has_uint32"] = used % 2
-            # The last output's high half, which the current chunk holds:
-            # the word after the last one drawn if that was a low half.
-            state["uinteger"] = self._words[self._pos - 1 + used % 2]
-        elif self._pos:  # only the buffered word was drawn
-            state = dict(state, has_uint32=0)
+        drawn = self._drawn()
+        if self._ends is None:
+            used = drawn * self._width
+        else:
+            used = self._ends[drawn - 1] if drawn else 0
+        state = self._state
+        if used:
+            used -= state["has_uint32"]  # words taken from raw outputs
+            if used:
+                self._bitgen.state = state
+                self._bitgen.advance((used - 1) // 2)
+                high = self._bitgen.random_raw() >> 32
+                state = self._bitgen.state
+                # numpy keeps the last output's high half, buffered if unused.
+                state["has_uint32"], state["uinteger"] = used % 2, high
+            else:  # only the buffered word was drawn
+                state = dict(state, has_uint32=0)
         self._bitgen.state = state
 
 

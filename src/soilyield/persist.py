@@ -42,13 +42,18 @@ class ModelBundle:
             raise ValueError(f"unknown model kind {self.kind!r}")
 
 
-def _encode_tree(tree: Tree) -> list[dict]:
-    """The tree's preorder node list."""
-    return [
-        {"f": f, "t": t} if f >= 0 else {"v": v, "n": n}
+def _tree_text(tree: Tree) -> str:
+    """The tree's preorder node list as the JSON text ``json.dumps`` would write.
+
+    A split is ``{"f":feature,"t":threshold}`` and a leaf ``{"n":count,"v":value}``,
+    keys sorted and floats in ``float.__repr__``, which is how the json module
+    writes them.
+    """
+    return "[" + ",".join(
+        f'{{"f":{f},"t":{t!r}}}' if f >= 0 else f'{{"n":{n},"v":{v!r}}}'
         for f, t, v, n in zip(tree.feature.tolist(), tree.threshold.tolist(),
                               tree.value.tolist(), tree.count.tolist())
-    ]
+    ) + "]"
 
 
 def _decode_tree(nodes: list, n_features: int, where: str) -> Tree:
@@ -211,7 +216,7 @@ def _payload(bundle: ModelBundle) -> dict:
             "bootstrap": model.params.bootstrap,
         },
         "oob_r2": model.oob_r2,
-        "trees": [_encode_tree(t) for t in model.trees],
+        "trees": [],  # save_model writes each tree's text here
     }
 
 
@@ -229,6 +234,16 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
         "payload": _payload(bundle),
     }
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    if isinstance(bundle.model, ForestModel):
+        # Strict JSON for the trees too: refuse a non-finite number before writing.
+        for i, tree in enumerate(bundle.model.trees):
+            if not np.isfinite(np.where(tree.feature >= 0, tree.threshold, tree.value)).all():
+                raise ValueError(f"tree {i} holds a non-finite threshold or leaf value, "
+                                 "which JSON cannot hold")
+        # Every key is fixed and every string escapes its quotes, so only the
+        # payload's own key can read '"trees":[]'.
+        head, _, tail = text.partition('"trees":[]')
+        text = head + '"trees":[' + ",".join(map(_tree_text, bundle.model.trees)) + "]" + tail
     Path(path).write_text(text, encoding="utf-8")
 
 

@@ -202,6 +202,16 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
 
     features = d.feature_names
     target = d.target_name
+    # Settings that only the data can rule out, refused before any model is written.
+    if "mlr" in kinds and len(split.train) <= len(features):
+        raise ValidationError(
+            f"mlr needs more training rows than features: test_ratio {cfg.test_ratio} leaves "
+            f"{len(split.train)} of {d.n_rows} rows for {len(features)} features"
+        )
+    if "forest" in kinds and (cfg.max_features or 0) > len(features):
+        raise ValidationError(
+            f"max_features must lie in [1, {len(features)}], got {cfg.max_features}"
+        )
     feature_scaler = fit_minmax(d, split.train, features)
     target_scaler = fit_minmax(d, split.train, (target,))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -568,6 +569,90 @@ class TestCsvIngestion:
             assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# Any JSON value, nested containers included; the ints stay small enough to train
+# quickly, or lie past what a field can hold.
+CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats()
+    | st.sampled_from([2**63, 2**64, -(2**63), 10**400, -(10**400), 1e300])
+    | st.text(max_size=3) | st.sampled_from(["all", "forest", "ridge", "yield", "pH", "0.2"]),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=4)
+# Values of each type a RunConfig annotation names, edges included; strings are
+# the few a field can take, or paths under the working directory.
+CONFIG_TYPED = {
+    "int": st.integers(-3, 30) | st.sampled_from([2**63 - 1, 2**63, 2**64]),
+    "float": st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0, 1e-300, 1e300, 2**63, -1]),
+    "bool": st.booleans(),
+    "None": st.none(),
+}
+CONFIG_STRINGS = {
+    "input_path": ["soil.csv", "missing.csv", ""],
+    "output_dir": ["out", "a/b", ""],
+    "model": ["all", "mlr", "ridge", "forest", "trees"],
+    "target_column": ["yield", "pH", "N", "Yield", ""],
+}
+
+
+@st.composite
+def config_objects(draw):
+    """A --config object of RunConfig keys, each value mostly of a type its field takes
+    and otherwise any JSON value, now and then with an unknown key."""
+    config = {}
+    fields = dataclasses.fields(RunConfig)
+    for f in draw(st.lists(st.sampled_from(fields), unique_by=lambda f: f.name, max_size=6)):
+        if draw(st.integers(0, 9)) == 9:
+            config[f.name] = draw(CONFIG_VALUES)
+            continue
+        kinds = f.type.split(" | ")
+        typed = [st.sampled_from(CONFIG_STRINGS[f.name]) if kind == "str" else CONFIG_TYPED[kind]
+                 for kind in kinds]
+        value = draw(st.one_of(typed))
+        if f.name == "trees" and isinstance(value, int) and value > 30:
+            value = 2**63  # past what ForestParams takes, rather than a forest that never ends
+        config[f.name] = value
+    if draw(st.integers(0, 4)) == 4:
+        config[draw(st.sampled_from(["tress", "", "Seed"]))] = draw(CONFIG_VALUES)
+    return config
+
+
+class TestConfigJson:
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=config_objects(), input_flag=st.booleans())
+    @example(config={"test_ratio": 0.65}, input_flag=False)  # 10 training rows for mlr
+    def test_any_config_exits_0_or_2(self, tmp_path, capsys, monkeypatch, config, input_flag):
+        # --input on the command line, unless the config names one and input_flag is set.
+        monkeypatch.chdir(tmp_path)
+        if not (tmp_path / "soil.csv").exists():
+            (tmp_path / "soil.csv").write_bytes(synth_csv(tmp_path / "synth", n=30).read_bytes())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = ["train", "--config", str(cfg)]
+        if "input_path" not in config or not input_flag:
+            args += ["--input", "soil.csv"]
+        if "trees" not in config:
+            args += ["--trees", "3"]
+        code, _, err = run(args, capsys)
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("model, code", [("all", 2), ("mlr", 2), ("ridge", 0), ("forest", 0)])
+    def test_split_too_small_for_mlr_exits_2(self, tmp_path, capsys, model, code):
+        # A test_ratio that leaves no more training rows than features used to exit 3.
+        csv_path = synth_csv(tmp_path, n=30, seed=4)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"test_ratio": 0.65, "model": model, "trees": 3}))
+        out = tmp_path / "out"
+        result, _, err = run(["train", "--input", str(csv_path), "--output-dir", str(out),
+                              "--config", str(cfg)], capsys)
+        assert result == code
+        if code == 2:
+            assert err.startswith("error: mlr needs more training rows than features")
+            assert err.count("\n") == 1 and not list(out.iterdir())
+
+
 class TestCorrelate:
     def test_csv_has_unit_diagonal(self, trained, tmp_path, capsys):
         _, csv_path = trained
@@ -658,6 +743,16 @@ class TestConfigPrecedence:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and "2**63" in err
         assert not out.exists() or not list(out.iterdir())
+
+    def test_max_features_past_feature_count_exits_2_before_writing(self, tmp_path, capsys):
+        # Checked only when the forest was fitted, after the linear models were saved.
+        csv_path = synth_csv(tmp_path, n=30, seed=4)
+        out = tmp_path / "out"
+        code, _, err = run(["train", "--input", str(csv_path), "--output-dir", str(out),
+                            "--trees", "3", "--max-features", "13"], capsys)
+        assert code == 2
+        assert err == "error: max_features must lie in [1, 12], got 13\n"
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "correlate"])
     @pytest.mark.parametrize("target", ["pH", "N"])

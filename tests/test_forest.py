@@ -17,6 +17,7 @@ from soilyield.forest import (
     Tree,
     _best_splits,
     _CandidateDraws,
+    _floyd_block,
     _node_target,
     _pairwise_sum,
     _rank_tables,
@@ -296,6 +297,27 @@ class TestPairwiseSum:
             assert float_bits(0.0 + _pairwise_sum(values.tolist())) == float_bits(expected)
 
 
+def sequential_choice(words, d, k):
+    """``sorted(rng.choice(d, size=k, replace=False))`` from one draw's 32-bit words, the
+    way numpy makes it, or None where Lemire's method would reject a word and draw again."""
+    words = iter(words)
+
+    def below(n):
+        m = next(words) * n
+        return None if m % 2**32 < (2**32 - n) % n else m >> 32
+
+    picked = []
+    for j in range(d - k, d):
+        v = below(j + 1) if j else 0
+        if v is None:
+            return None
+        picked.append(j if v in picked else v)
+    for i in range(k, 1, -1):  # the shuffle that sorting discards
+        if below(i) is None:
+            return None
+    return sorted(picked)
+
+
 class TestCandidateDraws:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), prior=st.integers(0, 9),
@@ -314,6 +336,56 @@ class TestCandidateDraws:
         draws.close()
         assert ours.bit_generator.state == reference.bit_generator.state
 
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), prior=st.integers(0, 9),
+           shape=st.integers(1, 14).flatmap(lambda d: st.tuples(
+               st.just(d), st.sampled_from(sorted({1, d, (d + 1) // 2})))),
+           count=st.integers(0, 700))
+    def test_replays_numpy_choice_across_blocks(self, seed, prior, shape, count):
+        # One (d, k) per example, as a tree draws; enough draws to cross blocks,
+        # d == k and k == 1 among the shapes, and no draw at all (a root leaf).
+        d, k = shape
+        ours = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        ours.integers(0, 400, size=prior)
+        reference.integers(0, 400, size=prior)
+        draws = _CandidateDraws(ours)
+        for _ in range(count):
+            assert draws.sample(d, k) == sorted(reference.choice(d, size=k, replace=False).tolist())
+        draws.close()
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+    def test_every_block_drawn_one_word_at_a_time_replays_numpy_choice(self, monkeypatch):
+        # As if each block held a rejected word: the sequential path alone.
+        monkeypatch.setattr(forest, "_floyd_block", lambda words, d, k: None)
+        ours = np.random.default_rng(8)
+        reference = np.random.default_rng(8)
+        ours.integers(0, 400, size=3)
+        reference.integers(0, 400, size=3)
+        draws = _CandidateDraws(ours)
+        for _ in range(2 * _CandidateDraws._BLOCK + 7):
+            expected = sorted(reference.choice(12, size=4, replace=False).tolist())
+            assert draws.sample(12, 4) == expected
+        draws.close()
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32), d=st.integers(1, 14), rows=st.integers(1, 40),
+           zeros=st.lists(st.integers(0, 10**6), max_size=3), data=st.data())
+    def test_block_step_matches_sequential_lemire_floyd(self, seed, d, rows, zeros, data):
+        k = data.draw(st.integers(1, d))
+        width = (k - (d == k)) + (k - 1)
+        words = np.random.default_rng(seed).integers(1, 2**32, size=(rows, width), dtype=np.uint64)
+        for z in zeros:  # a 0 is rejected unless its bound is a power of two
+            if words.size:
+                words.flat[z % words.size] = 0
+        expected = [sequential_choice(row, d, k) for row in words.tolist()]
+        picks = _floyd_block(words, d, k)
+        if None in expected:
+            assert picks is None
+        else:
+            assert picks is not None and picks.tolist() == expected
+
     def test_keeps_one_chunk_of_words(self):
         ours = np.random.default_rng(41)
         reference = np.random.default_rng(41)
@@ -321,7 +393,8 @@ class TestCandidateDraws:
         for _ in range(10_000):
             expected = sorted(reference.choice(12, size=4, replace=False).tolist())
             assert draws.sample(12, 4) == expected
-            assert len(draws._words) <= 2 * _CandidateDraws._CHUNK
+            # At most one block is held: its picks, and no words.
+            assert len(draws._picks) <= 4 * _CandidateDraws._BLOCK
         draws.close()
         assert ours.bit_generator.state == reference.bit_generator.state
 

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from soilyield.errors import SchemaViolationError, UnsupportedVersionError
-from soilyield.forest import ForestParams, fit_forest, predict_forest
+from soilyield.forest import ForestModel, ForestParams, Tree, fit_forest, predict_forest
 from soilyield.linear import fit_mlr, fit_ridge, predict_linear
 from soilyield.persist import ModelBundle, load_model, save_model
 from soilyield.preprocess import NormalizationParams
@@ -40,6 +42,48 @@ def make_bundle(kind, seed=5):
         target_scaler=scaler(("yield",), [y.min()], [y.max()]),
         model=model,
     ), X
+
+
+def encode_tree(tree):
+    """A tree's preorder node list as dicts, the reference for the text ``save_model`` writes."""
+    return [
+        {"f": f, "t": t} if f >= 0 else {"v": v, "n": n}
+        for f, t, v, n in zip(tree.feature.tolist(), tree.threshold.tolist(),
+                              tree.value.tolist(), tree.count.tolist())
+    ]
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-7, 1e16, -1e16, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@st.composite
+def trees(draw, n_features):
+    """A valid preorder tree whose numbers come from edge values and arbitrary finite ones."""
+    numbers = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    nodes, waiting, open_slots = [], [], 1
+    while open_slots:
+        if nodes and nodes[-1][0] < 0:
+            nodes[waiting.pop()][2] = len(nodes)
+        open_slots -= 1
+        if len(nodes) < 60 and draw(st.booleans()):
+            waiting.append(len(nodes))
+            nodes.append([draw(st.integers(0, n_features - 1)), draw(numbers), -1, 0.0, 0])
+            open_slots += 2
+        else:
+            count = draw(st.sampled_from([1, 2**63 - 1]) | st.integers(1, 2**63 - 1))
+            nodes.append([-1, 0.0, -1, draw(numbers), count])
+    return Tree(*(np.array(column) for column in zip(*nodes)))
+
+
+def forest_bundle(tree_list):
+    bundle, _ = make_bundle("mlr")
+    params = ForestParams(n_trees=len(tree_list), max_features=3)
+    model = ForestModel(trees=tuple(tree_list), params=params,
+                        feature_names=bundle.feature_names, oob_r2=None)
+    return ModelBundle(kind="forest", feature_names=bundle.feature_names, target_name="yield",
+                       feature_scaler=bundle.feature_scaler, target_scaler=bundle.target_scaler,
+                       model=model)
 
 
 def bundle_predict(bundle, X):
@@ -81,6 +125,32 @@ class TestRoundTrip:
         assert np.array_equal(loaded.feature_scaler.mins, bundle.feature_scaler.mins)
         assert np.array_equal(loaded.target_scaler.maxs, bundle.target_scaler.maxs)
         assert loaded.model.regularization_lambda == 1.5
+
+
+class TestTreeText:
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tree_list=st.lists(trees(12), min_size=1, max_size=4))
+    def test_bytes_equal_json_dumps_of_node_dicts(self, tmp_path, tree_list):
+        path = tmp_path / "forest.json"
+        save_model(forest_bundle(tree_list), path)
+        text = path.read_text(encoding="utf-8")
+        obj = json.loads(text)
+        obj["payload"]["trees"] = [encode_tree(t) for t in tree_list]
+        expected = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+        assert text == expected
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["threshold", "value"])
+    def test_non_finite_number_raises_before_writing(self, tmp_path, field, bad):
+        split_then_leaves = Tree(np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]),
+                                 np.array([2, -1, -1]), np.array([0.0, 1.0, 2.0]),
+                                 np.array([0, 3, 4]))
+        getattr(split_then_leaves, field)[0 if field == "threshold" else 2] = bad
+        path = tmp_path / "forest.json"
+        with pytest.raises(ValueError):
+            save_model(forest_bundle([split_then_leaves]), path)
+        assert not path.exists()
 
 
 class TestRejection:
