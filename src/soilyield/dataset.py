@@ -162,8 +162,9 @@ def load_csv(
     """Parse a UTF-8 comma-delimited file into a :class:`Dataset`.
 
     ``schema`` is the column list, or a function that builds it from the
-    header.  A leading byte-order mark and blank lines are skipped.  Each
-    schema column must appear in the header exactly once.  Empty or
+    header.  A leading byte-order mark, blank lines and data lines whose first
+    cell starts with ``#`` (such as a ``predictions.csv`` footer) are skipped.
+    Each schema column must appear in the header exactly once.  Empty or
     unparseable cells become NaN and the row is kept until cleaning.  Row
     order is preserved.
     """
@@ -191,6 +192,8 @@ def load_csv(
         positions = [header.index(c.name) for c in schema]
         rows = []
         for raw in records:
+            if raw[0].startswith("#"):
+                continue
             cells = []
             for pos in positions:
                 try:

@@ -40,6 +40,10 @@ _SCAN_CELLS = 8192
 # computed through different float paths differ by far less.
 REDUCTION_TIE_RTOL = 1e-9
 
+# Rows at a leaf keep stepping there in place; they leave the routing arrays
+# once every this many levels.
+_COMPACT_EVERY = 4
+
 
 class Tree(NamedTuple):
     """One regression tree as parallel arrays over its nodes in preorder.
@@ -546,22 +550,52 @@ def _oob_r2(X: np.ndarray, y: np.ndarray, trees, roots) -> float | None:
         return None
 
 
+def _sibling_order(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tree renumbered so that the split of preorder rank k has its children at
+    2k + 1 and 2k + 2, as (right child, feature, threshold, value) per new id.
+
+    A leaf is its own right child, with feature 0 and threshold NaN: no x is
+    <= NaN, so a row at a leaf steps to the same leaf.
+    """
+    split = tree.feature >= 0
+    at = np.flatnonzero(split)
+    left = np.arange(1, 2 * at.size, 2)
+    new = np.zeros(split.size, dtype=np.intp)  # each preorder node's new id
+    new[at + 1] = left
+    new[tree.right[at]] = left + 1
+    second = new.copy()
+    second[at] = left + 1
+    order = np.empty_like(new)
+    order[new] = np.arange(split.size)
+    return (second[order], np.where(split, tree.feature, 0)[order],
+            np.where(split, tree.threshold, np.nan)[order], tree.value[order])
+
+
 def predict_tree(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """The leaf value each row of ``X`` reaches, routing all rows one level per step."""
+    """The leaf value each row of ``X`` reaches, routing all rows one level per step.
+
+    A step reads each row's feature with one gather from the flat row-major
+    ``X``; a row at the split whose right child is r moves to r - 1 when
+    x <= threshold, else to r, so a NaN goes right as in a row-by-row walk.
+    """
+    X = np.ascontiguousarray(X)
+    flat = X.ravel()
+    second, feature, threshold, value = _sibling_order(tree)
     node = np.zeros(X.shape[0], dtype=np.intp)
-    rows = np.arange(X.shape[0])
+    rows = np.arange(X.shape[0] if second[0] else 0)  # a lone leaf routes no row
+    at, base = node[rows], rows * X.shape[1]
     while rows.size:
-        at = node[rows]
-        split = tree.feature[at] >= 0
-        rows, at = rows[split], at[split]
-        left = X[rows, tree.feature[at]] <= tree.threshold[at]
-        node[rows] = np.where(left, at + 1, tree.right[at])
-    return tree.value[node]
+        for _ in range(_COMPACT_EVERY):
+            at = second[at] - (flat[feature[at] + base] <= threshold[at])
+        node[rows] = at
+        live = second[at] != at
+        rows, at, base = rows[live], at[live], base[live]
+    return value[node]
 
 
 def predict_forest(m: ForestModel, X) -> np.ndarray:
     """Per row, the arithmetic mean of the routed leaf values."""
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)  # row-major once, not per tree
     if X.ndim != 2 or X.shape[1] != len(m.feature_names):
         raise DimensionMismatchError(
             f"expected shape (n, {len(m.feature_names)}), got {X.shape}"

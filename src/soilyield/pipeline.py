@@ -327,10 +327,11 @@ def run_predict(cfg: RunConfig, model_path: str) -> Path:
 
     path = out / PREDICTIONS_FILENAME
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(cleaned.column_names) + ["predicted_yield"])
-        for row, pred in zip(cleaned.rows, predictions.tolist()):
-            writer.writerow(row + [pred])
+        csv.writer(fh, lineterminator="\n").writerow(
+            list(cleaned.column_names) + ["predicted_yield"])
+        # The bytes csv.writer would write: it formats a float with repr.
+        fh.writelines(",".join(map(repr, row + [pred])) + "\n"
+                      for row, pred in zip(cleaned.rows, predictions.tolist()))
         dropped = cleaned.provenance.rows_dropped
         fh.write(f"# clamped_cells={clamped} rows_dropped={dropped}\n")
     return path

@@ -328,6 +328,19 @@ class TestPredict:
         expected, _ = predict_bundle(load_model(model_path), d)
         assert np.array_equal(written, expected)
 
+    def test_own_output_predicts_the_same_without_drops(self, trained, tmp_path, capsys):
+        # The footer of predictions.csv is a comment line, not a row with blank cells.
+        out, csv_path = trained
+        model_path = str(out / "model_forest.json")
+        first, second = tmp_path / "first" / "predictions.csv", tmp_path / "second"
+        assert run(["predict", model_path, "--input", str(csv_path),
+                    "--output-dir", str(first.parent)], capsys)[0] == 0
+        assert run(["predict", model_path, "--input", str(first),
+                    "--output-dir", str(second)], capsys)[0] == 0
+        again = (second / "predictions.csv").read_text()
+        assert again.splitlines()[-1].endswith(" rows_dropped=0")
+        assert again == first.read_text()
+
 
 # Any JSON value, with the integers too large for a float and the non-finite floats.
 JSON_VALUES = st.one_of(

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import os
 import struct
 from dataclasses import replace
@@ -613,6 +614,55 @@ class TestFitForest:
             fit_forest(np.array([[1.0]]), np.array([1.0]), ForestParams(n_trees=2))
 
 
+def route_level_by_level(tree: Tree, X):
+    """Reference router: the rows not yet at a leaf step one level, in preorder ids."""
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    rows = np.arange(X.shape[0])
+    while rows.size:
+        at = node[rows]
+        split = tree.feature[at] >= 0
+        rows, at = rows[split], at[split]
+        left = X[rows, tree.feature[at]] <= tree.threshold[at]
+        node[rows] = np.where(left, at + 1, tree.right[at])
+    return tree.value[node]
+
+
+@st.composite
+def routing_cases(draw):
+    """A few random valid preorder trees over d features and an X to route through them.
+
+    Thresholds come from the same finite values as X's cells, so that
+    ``x <= threshold`` ties occur; X also holds NaN, +-inf and -0.0, and is
+    C-ordered, Fortran-ordered or a strided column slice.
+    """
+    d = draw(st.integers(1, 4))
+    finite = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                           max_size=5)) + [0.0]
+    trees = []
+    for _ in range(draw(st.integers(1, 3))):
+        # Splits in preorder; a leading run of them makes a left spine deeper than 8.
+        decisions = iter([True] * draw(st.integers(0, 12))
+                         + draw(st.lists(st.booleans(), max_size=40)))
+        nodes, stack = [], [-1]  # the split whose right child comes next, or -1
+        while stack:
+            parent = stack.pop()
+            if parent >= 0:
+                nodes[parent][2] = len(nodes)
+            if next(decisions, False):
+                nodes.append(split(draw(st.integers(0, d - 1)), draw(st.sampled_from(finite)), -1))
+                stack += [len(nodes) - 1, -1]
+            else:
+                nodes.append(leaf(float(len(nodes)), 1))  # a distinct value per leaf
+        trees.append(tree_from_nodes(nodes))
+    n = draw(st.integers(0, 12))
+    cells = draw(st.lists(st.sampled_from(finite + [-0.0, math.nan, math.inf, -math.inf]),
+                          min_size=2 * n * d, max_size=2 * n * d))
+    wide = np.array(cells, dtype=np.float64).reshape(n, 2 * d)
+    X = draw(st.sampled_from([np.ascontiguousarray(wide[:, :d]), np.asfortranarray(wide[:, :d]),
+                              wide[:, ::2]]))
+    return trees, X
+
+
 class TestPredictForest:
     def test_mean_of_tree_predictions(self):
         model = ForestModel(
@@ -657,6 +707,17 @@ class TestPredictForest:
                     i = i + 1 if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
                 expected.append(tree.value[i])
             assert np.array_equal(predict_tree(tree, rows), expected)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(routing_cases())
+    def test_routes_like_level_by_level_walk(self, case):
+        trees, X = case
+        for tree in trees:
+            assert predict_tree(tree, X).tobytes() == route_level_by_level(tree, X).tobytes()
+        model = ForestModel(trees=tuple(trees), params=ForestParams(n_trees=len(trees)),
+                            feature_names=tuple(f"x{i}" for i in range(X.shape[1])), oob_r2=None)
+        expected = sum(route_level_by_level(tree, X) for tree in trees) / len(trees)
+        assert predict_forest(model, X).tobytes() == expected.tobytes()
 
     def test_dimension_mismatch(self):
         model = ForestModel(
