@@ -110,6 +110,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
         if not isinstance(payload, dict):
             raise ValidationError(f"{path}: config must be a JSON object")
         values.update(payload)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -190,23 +191,24 @@ def load_csv(
                 f"{path}: columns named more than once in header: {', '.join(repeated)}"
             )
         positions = [header.index(c.name) for c in schema]
-        rows = []
+        cells = array("d")  # row after row, so no list is held per row
+        append = cells.append
+        n_rows = 0
         for raw in records:
             if raw[0].startswith("#"):
                 continue
-            cells = []
+            n_rows += 1
             for pos in positions:
                 try:
-                    cells.append(float(raw[pos]))
+                    append(float(raw[pos]))
                 except (IndexError, ValueError):
-                    cells.append(math.nan)
-            rows.append(cells)
-    if not rows:
+                    append(math.nan)
+    if not n_rows:
         raise EmptyInputError(f"{path}: no data rows")
     return Dataset(
         schema=tuple(schema),
-        values=np.array(rows, dtype=np.float64),
-        provenance=Provenance(source=str(path), rows_read=len(rows)),
+        values=np.frombuffer(cells, dtype=np.float64).reshape(n_rows, len(positions)),
+        provenance=Provenance(source=str(path), rows_read=n_rows),
     )
 
 
@@ -216,6 +218,8 @@ def _records(fh, path: Path) -> Iterator[list[str]]:
         yield from (raw for raw in csv.reader(fh) if raw)
     except csv.Error as exc:
         raise ValidationError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:  # the file decodes as the reader reads it
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def save_csv(d: Dataset, path: str | Path) -> None:

@@ -248,40 +248,104 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ModelBundle:
+    """Read a model file, cutting a forest's trees out of the text where that is exact.
+
+    ``_load_cut`` parses and decodes one tree at a time, so a forest's nodes
+    are never all held as dicts at once.  Any file it declines, and any file
+    that fails on the way, is read whole: the whole-file reader's bundle or
+    error is the answer, so the cut changes neither.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaViolationError(f"{path}: not UTF-8 text ({exc})") from None
+    bundle = _load_cut(text, str(path))
+    return bundle if bundle is not None else _load_whole(text, str(path))
+
+
+_TREES = '"trees":['
+
+
+def _load_cut(text: str, where: str) -> ModelBundle | None:
+    """The bundle read with the trees array cut out of ``text``, or None.
+
+    With no backslash in the text every ``"`` delimits a string, so no key
+    is spelled with escapes.  The trees are parsed with the json module's own
+    scanner, each right after the last, so the cut span is the array a
+    whole-file parse reads there, and the text with ``[]`` in its place parses
+    to the same object but for the trees.  That array is the payload's
+    ``trees`` when ``"trees"`` occurs nowhere else and the payload's
+    ``trees`` reads ``[]``.
+    """
+    start = text.find(_TREES) + len(_TREES)
+    if start < len(_TREES) or "\\" in text:
+        return None
+    try:
+        raw_decode = json.JSONDecoder().raw_decode
+        trees, pos = [], start
+        while text[pos] != "]":
+            if trees:
+                if text[pos] != ",":
+                    return None
+                pos += 1
+            nodes, pos = raw_decode(text, pos)
+            # Feature indices are checked against the model's feature count below.
+            trees.append(_decode_tree(nodes, 2**63, where))
+        rest = text[:start] + text[pos:]
+        if rest.count('"trees"') != 1:
+            return None
+        obj = json.loads(rest)
+        if obj["payload"]["trees"] != []:
+            return None
+        bundle = _bundle(obj, where, trees)
+        if any(t.feature.max() >= len(bundle.feature_names) for t in trees):
+            return None
+        return bundle
+    except Exception:  # whatever failed, the whole-file reader gives the answer or the error
+        return None
+
+
+def _load_whole(text: str, where: str) -> ModelBundle:
+    try:
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SchemaViolationError(f"{path}: not valid JSON ({exc})") from None
+        raise SchemaViolationError(f"{where}: not valid JSON ({exc})") from None
+    return _bundle(obj, where)
+
+
+def _bundle(obj, where: str, trees: list[Tree] | None = None) -> ModelBundle:
+    """Check a parsed model file; ``trees``, if given, are a forest's trees decoded
+    already, with feature indices the caller checks."""
     if not isinstance(obj, dict):
-        raise SchemaViolationError(f"{path}: top level must be an object")
+        raise SchemaViolationError(f"{where}: top level must be an object")
     if "format_version" not in obj:
-        raise SchemaViolationError(f"{path}: missing format_version")
+        raise SchemaViolationError(f"{where}: missing format_version")
     if type(obj["format_version"]) is not int or obj["format_version"] != FORMAT_VERSION:
         raise UnsupportedVersionError(
-            f"{path}: format_version {obj['format_version']!r} not supported"
+            f"{where}: format_version {obj['format_version']!r} not supported"
         )
-    kind = _expect(obj, "model_kind", str, str(path))
+    kind = _expect(obj, "model_kind", str, where)
     if kind not in MODEL_KINDS:
-        raise SchemaViolationError(f"{path}: unknown model_kind {kind!r}")
-    feature_names = _strings(obj, "feature_names", str(path))
-    target_name = _expect(obj, "target_name", str, str(path))
-    feature_scaler = _scaler_from_obj(obj.get("feature_scaler"), f"{path}: feature_scaler")
-    target_scaler = _scaler_from_obj(obj.get("target_scaler"), f"{path}: target_scaler")
+        raise SchemaViolationError(f"{where}: unknown model_kind {kind!r}")
+    feature_names = _strings(obj, "feature_names", where)
+    target_name = _expect(obj, "target_name", str, where)
+    feature_scaler = _scaler_from_obj(obj.get("feature_scaler"), f"{where}: feature_scaler")
+    target_scaler = _scaler_from_obj(obj.get("target_scaler"), f"{where}: target_scaler")
     # Scalers apply by position, so their columns must be the model's, in its order.
     if feature_scaler.columns != feature_names:
-        raise SchemaViolationError(f"{path}: feature_scaler columns differ from feature_names")
+        raise SchemaViolationError(f"{where}: feature_scaler columns differ from feature_names")
     if target_scaler.columns != (target_name,):
-        raise SchemaViolationError(f"{path}: target_scaler columns differ from target_name")
-    if _expect(obj, "encodings", dict, str(path)):
-        raise SchemaViolationError(f"{path}: encodings must be empty; every column is numeric")
-    payload = _expect(obj, "payload", dict, str(path))
+        raise SchemaViolationError(f"{where}: target_scaler columns differ from target_name")
+    if _expect(obj, "encodings", dict, where):
+        raise SchemaViolationError(f"{where}: encodings must be empty; every column is numeric")
+    payload = _expect(obj, "payload", dict, where)
     if kind == "forest":
-        model = _forest_from_payload(payload, feature_names, str(path))
+        model = _forest_from_payload(payload, feature_names, where, trees)
     else:
-        model = _linear_from_payload(payload, feature_names, str(path))
+        model = _linear_from_payload(payload, feature_names, where)
     return ModelBundle(
         kind=kind,
         feature_names=feature_names,
@@ -320,7 +384,8 @@ def _linear_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
     )
 
 
-def _forest_from_payload(payload: dict, feature_names: tuple[str, ...], where: str) -> ForestModel:
+def _forest_from_payload(payload: dict, feature_names: tuple[str, ...], where: str,
+                         trees: list[Tree] | None = None) -> ForestModel:
     params_obj = _expect(payload, "params", dict, where)
     max_depth = (None if params_obj.get("max_depth", 0) is None
                  else _expect(params_obj, "max_depth", int, where))
@@ -340,16 +405,16 @@ def _forest_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
         raise SchemaViolationError(
             f"{where}: max_features {params.max_features} exceeds {len(feature_names)} features"
         )
-    trees_obj = _expect(payload, "trees", list, where)
+    trees_obj = _expect(payload, "trees", list, where) if trees is None else trees
     if len(trees_obj) != params.n_trees:
         raise SchemaViolationError(
             f"{where}: payload has {len(trees_obj)} trees, params say {params.n_trees}"
         )
-    trees = tuple(
-        _decode_tree(t, len(feature_names), f"{where}: tree {i}") for i, t in enumerate(trees_obj)
-    )
+    if trees is None:
+        trees = [_decode_tree(t, len(feature_names), f"{where}: tree {i}")
+                 for i, t in enumerate(trees_obj)]
     return ForestModel(
-        trees=trees,
+        trees=tuple(trees),
         params=params,
         feature_names=feature_names,
         oob_r2=_r2(payload, "oob_r2", where),

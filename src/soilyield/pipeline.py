@@ -67,6 +67,7 @@ COMPARISON_TXT_FILENAME = "comparison.txt"
 CORRELATION_CSV_FILENAME = "correlation.csv"
 HEATMAP_FILENAME = "correlation_heatmap.svg"
 PREDICTIONS_FILENAME = "predictions.csv"
+_WRITE_BLOCK = 1024  # predictions.csv rows formatted per step
 
 
 def _is_int(value) -> bool:
@@ -329,9 +330,12 @@ def run_predict(cfg: RunConfig, model_path: str) -> Path:
     with path.open("w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(
             list(cleaned.column_names) + ["predicted_yield"])
-        # The bytes csv.writer would write: it formats a float with repr.
-        fh.writelines(",".join(map(repr, row + [pred])) + "\n"
-                      for row, pred in zip(cleaned.rows, predictions.tolist()))
+        # The bytes csv.writer would write: it formats a float with repr.  Rows go
+        # out a block at a time, so no list is held per row of the whole table.
+        for i in range(0, cleaned.n_rows, _WRITE_BLOCK):
+            block = np.column_stack((cleaned.values[i:i + _WRITE_BLOCK],
+                                     predictions[i:i + _WRITE_BLOCK]))
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
         dropped = cleaned.provenance.rows_dropped
         fh.write(f"# clamped_cells={clamped} rows_dropped={dropped}\n")
     return path

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import soilyield
+from soilyield import persist
 from soilyield.cli import main
 from soilyield.persist import load_model, save_model
 from soilyield.pipeline import RunConfig
@@ -328,6 +331,26 @@ class TestPredict:
         expected, _ = predict_bundle(load_model(model_path), d)
         assert np.array_equal(written, expected)
 
+    def test_rows_past_one_write_block_are_csv_writer_bytes(self, trained, tmp_path, capsys):
+        from soilyield.dataset import drop_incomplete_rows, load_csv, soil_schema
+        from soilyield.pipeline import predict_bundle
+
+        out, _ = trained
+        model_path = out / "model_forest.json"
+        csv_path = synth_csv(tmp_path / "big", n=2500, seed=9)  # 1024-row blocks: 2 and a part
+        code, _, _ = run(["predict", str(model_path), "--input", str(csv_path),
+                          "--output-dir", str(tmp_path)], capsys)
+        assert code == 0
+
+        d = drop_incomplete_rows(load_csv(csv_path, soil_schema(FEATURES, target=None)))
+        predictions, clamped = predict_bundle(load_model(model_path), d)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(list(d.column_names) + ["predicted_yield"])
+        writer.writerows(row + [p] for row, p in zip(d.rows, predictions.tolist()))
+        expected.write(f"# clamped_cells={clamped} rows_dropped=0\n")
+        assert (tmp_path / "predictions.csv").read_text() == expected.getvalue()
+
     def test_own_output_predicts_the_same_without_drops(self, trained, tmp_path, capsys):
         # The footer of predictions.csv is a comment line, not a row with blank cells.
         out, csv_path = trained
@@ -340,6 +363,66 @@ class TestPredict:
         again = (second / "predictions.csv").read_text()
         assert again.splitlines()[-1].endswith(" rows_dropped=0")
         assert again == first.read_text()
+
+
+class TestModelFileReading:
+    """A forest file's trees are cut out of its text where that is provably exact; a file
+    the cut declines is read whole and predicts the same bytes."""
+
+    @staticmethod
+    def predict(model, csv_path, out, capsys):
+        assert run(["predict", str(model), "--input", str(csv_path), "--output-dir", str(out)],
+                   capsys)[0] == 0
+        return (out / "predictions.csv").read_bytes()
+
+    @pytest.mark.parametrize("variant", ["canonical", "trees-target", "indented", "escaped-key"])
+    def test_declined_files_predict_the_same(self, trained, tmp_path, capsys, monkeypatch,
+                                             variant):
+        out, csv_path = trained
+        canonical = out / "model_forest.json"
+        expected = self.predict(canonical, csv_path, tmp_path / "expected", capsys)
+        model = tmp_path / "model.json"
+        if variant == "canonical":
+            model = canonical
+        elif variant == "trees-target":  # "trees" is then also the target's name
+            header, rows = csv_path.read_text().split("\n", 1)
+            renamed = tmp_path / "renamed.csv"
+            renamed.write_text(header.replace("yield", "trees") + "\n" + rows)
+            assert run(["train", "--input", str(renamed), "--output-dir", str(tmp_path),
+                        "--seed", "3", "--trees", "20", "--model", "forest",
+                        "--target", "trees"]) == 0
+            model = tmp_path / "model_forest.json"
+        elif variant == "indented":
+            model.write_text(json.dumps(json.loads(canonical.read_text()), indent=1))
+        else:
+            model.write_text(canonical.read_text().replace('"trees"', '"\\u0074rees"'))
+
+        whole_file_reads = []
+        load_whole = persist._load_whole
+        monkeypatch.setattr(persist, "_load_whole", lambda text, where: (
+            whole_file_reads.append(where) or load_whole(text, where)))
+        assert self.predict(model, csv_path, tmp_path / "got", capsys) == expected
+        assert whole_file_reads == ([] if variant == "canonical" else [str(model)])
+
+
+class TestNonUtf8Files:
+    @pytest.mark.parametrize("kind", ["model", "csv", "config"])
+    def test_error_names_the_file(self, trained, tmp_path, capsys, kind):
+        out, csv_path = trained
+        files = {"model": out / "model_forest.json", "csv": csv_path}
+        if kind == "config":
+            files["config"] = tmp_path / "cfg.json"
+            files["config"].write_text("{}")
+        bad = tmp_path / f"bad-{kind}"
+        bad.write_bytes(b"\xff" + files[kind].read_bytes())
+        files[kind] = bad
+        argv = ["predict", str(files["model"]), "--input", str(files["csv"]),
+                "--output-dir", str(tmp_path / "out")]
+        if kind == "config":
+            argv += ["--config", str(files["config"])]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith(f"error: {bad}: not UTF-8 text (") and err.count("\n") == 1
 
 
 # Any JSON value, with the integers too large for a float and the non-finite floats.

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from soilyield.dataset import (
     CANONICAL_FEATURES,
@@ -14,6 +18,7 @@ from soilyield.dataset import (
     save_csv,
     soil_schema,
     train_test_split,
+    _records,
 )
 from soilyield.errors import (
     AllRowsDroppedError,
@@ -23,6 +28,7 @@ from soilyield.errors import (
     TooFewRowsError,
     ValidationError,
 )
+from soilyield.synth import generate
 
 CANONICAL_HEADER = CANONICAL_FEATURES + ("yield",)
 
@@ -116,6 +122,100 @@ class TestLoadCsv:
         save_csv(cleaned, out)
         reloaded = load_csv(out, schema)
         assert reloaded.rows == cleaned.rows
+
+
+def load_csv_by_rows(path, schema):
+    """``load_csv`` as it was with a list per row: the reference for the flat reader."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
+        records = _records(fh, path)
+        first = next(records, None)
+        if first is None:
+            raise EmptyInputError(f"{path}: file is empty")
+        header = [h.strip() for h in first]
+        if callable(schema):
+            schema = schema(header)
+        absent = [c.name for c in schema if c.name not in header]
+        if absent:
+            raise HeaderMismatchError(
+                f"{path}: columns not found in header: {', '.join(absent)}")
+        repeated = [c.name for c in schema if header.count(c.name) > 1]
+        if repeated:
+            raise HeaderMismatchError(
+                f"{path}: columns named more than once in header: {', '.join(repeated)}")
+        positions = [header.index(c.name) for c in schema]
+        rows = []
+        for raw in records:
+            if raw[0].startswith("#"):
+                continue
+            cells = []
+            for pos in positions:
+                try:
+                    cells.append(float(raw[pos]))
+                except (IndexError, ValueError):
+                    cells.append(math.nan)
+            rows.append(cells)
+    if not rows:
+        raise EmptyInputError(f"{path}: no data rows")
+    return Dataset(schema=tuple(schema), values=np.array(rows, dtype=np.float64),
+                   provenance=Provenance(source=str(path), rows_read=len(rows)))
+
+
+CSV_CELLS = (st.sampled_from(["", " ", "abc", "nan", "-nan", "-inf", "1e400", '"1,5"', '"4"',
+                              '" 7 "', "1_0", "#3", "-0.0", "5e-324"])
+             | st.floats(allow_nan=False).map(repr) | st.integers(-9, 99).map(str))
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text with ragged rows, comment and blank lines, a BOM, quoted commas and cells
+    that do not parse, under a header that may lack, repeat or add columns."""
+    header = draw(st.permutations(["a", "b", "c"]))
+    header = header[:draw(st.integers(1, 3))] + draw(st.lists(
+        st.sampled_from(["a", " b ", "junk", '"c,d"', ""]), max_size=2))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row", "row", "row", "comment", "blank"]))
+        if kind == "row":
+            lines.append(",".join(draw(st.lists(CSV_CELLS, max_size=5))))
+        else:
+            lines.append("# a comment, with commas" if kind == "comment" else "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return draw(st.sampled_from(["", "\ufeff"])) + newline.join(lines) + newline
+
+
+def dataset_outcome(load, path, schema):
+    """What ``load`` returns, as comparable values, or the type and message it raises."""
+    try:
+        d = load(path, schema)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return d.schema, d.values.shape, d.values.tobytes(), d.provenance
+
+
+class TestFlatReader:
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts(), columns=st.lists(st.sampled_from("abc"), min_size=1, unique=True))
+    def test_reads_like_a_list_per_row(self, tmp_path, text, columns):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        schema = tuple(ColumnSchema(c) for c in columns)
+        assert dataset_outcome(load_csv, path, schema) == dataset_outcome(
+            load_csv_by_rows, path, schema)
+
+    def test_load_peak_is_a_small_multiple_of_the_file(self, tmp_path):
+        # A list of Python floats per row peaked near 8 times the CSV's bytes.
+        path = tmp_path / "soil.csv"
+        save_csv(generate(3000, seed=5), path)
+        load_csv(path, soil_schema)  # imports and caches settle outside the measurement
+        tracemalloc.start()
+        try:
+            load_csv(path, soil_schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * path.stat().st_size
 
 
 class TestSoilSchema:

@@ -1,10 +1,13 @@
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from soilyield import persist
 from soilyield.errors import SchemaViolationError, UnsupportedVersionError
 from soilyield.forest import ForestModel, ForestParams, Tree, fit_forest, predict_forest
 from soilyield.linear import fit_mlr, fit_ridge, predict_linear
@@ -229,3 +232,152 @@ class TestRejection:
         path.write_text(json.dumps(obj))
         with pytest.raises(SchemaViolationError):
             load_model(path)
+
+
+def whole_file_load(path):
+    """The reference reader: ``json.loads`` of the whole text, then the bundle checks."""
+    text = path.read_text(encoding="utf-8")
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaViolationError(f"{path}: not valid JSON ({exc})") from None
+    return persist._bundle(obj, str(path))
+
+
+def assert_same_bundle(a, b):
+    assert (a.kind, a.feature_names, a.target_name) == (b.kind, b.feature_names, b.target_name)
+    for left, right in ((a.feature_scaler, b.feature_scaler), (a.target_scaler, b.target_scaler)):
+        assert left.columns == right.columns
+        assert left.mins.tobytes() == right.mins.tobytes()
+        assert left.maxs.tobytes() == right.maxs.tobytes()
+    assert (a.model.params, a.model.oob_r2) == (b.model.params, b.model.oob_r2)
+    assert len(a.model.trees) == len(b.model.trees)
+    for s, t in zip(a.model.trees, b.model.trees):
+        for field in ("feature", "threshold", "right", "value", "count"):
+            x, y = getattr(s, field), getattr(t, field)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def in_payload_last(text, member):
+    """``text`` with ``member`` added as the last member of a canonical file's payload."""
+    return text.replace(']]},"target_name"', ']],' + member + '},"target_name"', 1)
+
+
+def outcome(load, path):
+    """The bundle ``load`` returns, or the type and message of what it raises."""
+    try:
+        return load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def reordered(text):
+    """The same model with the keys of every object in reverse order, written compactly."""
+    def reverse(value):
+        if isinstance(value, dict):
+            return {k: reverse(value[k]) for k in reversed(list(value))}
+        if isinstance(value, list):
+            return [reverse(v) for v in value]
+        return value
+    return json.dumps(reverse(json.loads(text)), separators=(",", ":"))
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` edited in the ways that could fool a reader that cuts the trees out."""
+    if draw(st.booleans()):
+        text = reordered(text)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["last-key", "trees", "escape", "node-key", "space",
+                                      "cut", "flip"]))
+        pos = draw(st.integers(0, len(text)))
+        if edit == "space":
+            text = text[:pos] + draw(st.sampled_from([" ", "\n", "\t", "\r\n"])) + text[pos:]
+        elif edit == "escape":
+            key = draw(st.sampled_from(['"trees"', '"payload"', '"f"', '"n_trees"']))
+            text = text.replace(key, key[0] + "\\u%04x" % ord(key[1]) + key[2:], 1)
+        elif edit == "trees":
+            extra = draw(st.sampled_from(['"trees":[]', '"trees":[[{"v":1.0,"n":1}]]',
+                                          '"\\u0074rees":[]']))
+            at = draw(st.sampled_from(['"payload":{', '{"encodings"', '"params":{']))
+            text = (text.replace(at, at + extra + ",", 1) if at.endswith("{") else
+                    text.replace(at, "{" + extra + "," + at[1:], 1))
+        elif edit == "last-key":
+            text = in_payload_last(text, draw(st.sampled_from(
+                ['"trees":[]', '"\\u0074rees":[]', '"trees":[[{"v":1.0,"n":1}]]', '"x":1'])))
+        elif edit == "node-key":
+            extra = draw(st.sampled_from(['"x":"],[",', '"x":"]]",', '"x":[[1],[2]],',
+                                          '"trees":[],', '"x":"\\"],[",']))
+            at = draw(st.sampled_from(['{"f":', '{"n":', '{"t":', '{"v":']))
+            hit = text.find(at, pos)
+            if hit >= 0:
+                text = text[:hit + 1] + extra + text[hit + 1:]
+        elif edit == "cut":
+            text = text[:pos]
+        elif pos < len(text):
+            text = text[:pos] + draw(st.sampled_from('"\\[]{},:0 -.eNt')) + text[pos + 1:]
+    return text
+
+
+class TestCutReader:
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tree_list=st.lists(trees(12), min_size=1, max_size=4), data=st.data())
+    def test_loads_like_whole_file_reader(self, tmp_path, tree_list, data):
+        path = tmp_path / "forest.json"
+        save_model(forest_bundle(tree_list), path)
+        assert_same_bundle(load_model(path), whole_file_load(path))
+        path.write_text(data.draw(mutated(path.read_text(encoding="utf-8"))), encoding="utf-8")
+        got, expected = outcome(load_model, path), outcome(whole_file_load, path)
+        if isinstance(expected, ModelBundle):
+            assert_same_bundle(got, expected)
+        else:
+            assert got == expected
+
+    @pytest.mark.parametrize("edit", [
+        # A second key read as "trees", after the payload's own: the last one counts.
+        lambda text: in_payload_last(text, '"\\u0074rees":[]'),
+        lambda text: in_payload_last(text, '"trees":[]'),
+        # The only "trees" key is not the payload's.
+        lambda text: in_payload_last(text.replace('"trees":[', '"other":[', 1),
+                                     '"x":{"trees":[[{"v":1.0,"n":1}],[{"v":1.0,"n":1}]]}'),
+        # A feature index past the model's 12 features.
+        lambda text: re.sub(r'\{"f":\d+', '{"f":12', text, count=1),
+        # No comma between two trees.
+        lambda text: text.replace("],[", "]:[", 1),
+    ], ids=["escaped-second-trees-key", "second-trees-key", "trees-outside-payload",
+            "feature-index-past-end", "trees-not-comma-separated"])
+    def test_text_a_careless_cut_would_misread(self, tmp_path, edit):
+        path = tmp_path / "forest.json"
+        save_model(forest_bundle([make_bundle("forest")[0].model.trees[0]] * 2), path)
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        expected = outcome(whole_file_load, path)
+        assert not isinstance(expected, ModelBundle)
+        assert outcome(load_model, path) == expected
+
+    def test_trees_saved_by_save_model_are_cut(self, tmp_path, monkeypatch):
+        bundle, _ = make_bundle("forest")
+        path = tmp_path / "forest.json"
+        save_model(bundle, path)
+        monkeypatch.setattr(persist, "_load_whole", None)  # fails if called
+        assert_same_bundle(load_model(path), bundle)
+
+
+class TestLoadMemory:
+    def test_forest_load_peak_is_a_small_multiple_of_the_file(self, tmp_path):
+        # Parsing every node into a dict first peaked near 13 times the file's bytes.
+        d, X, y = training_data(n=100, seed=11)
+        model = fit_forest(X, y, ForestParams(n_trees=100, seed=3), d.feature_names)
+        bundle, _ = make_bundle("mlr")
+        path = tmp_path / "forest.json"
+        save_model(ModelBundle(kind="forest", feature_names=bundle.feature_names,
+                               target_name="yield", feature_scaler=bundle.feature_scaler,
+                               target_scaler=bundle.target_scaler, model=model), path)
+        load_model(path)  # imports and caches settle outside the measurement
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * path.stat().st_size
