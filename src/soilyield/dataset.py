@@ -13,7 +13,7 @@ import math
 from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -40,6 +40,7 @@ _CANONICAL_ORDER: tuple[str, ...] = (
     "pH", "EC", "OC", "N", "P", "K", "Ca", "Mg", "S", "Zn", "Fe", "Mn",
     "Cu", "B", TARGET_COLUMN,
 )
+_WRITE_BLOCK = 1024  # CSV rows formatted per step
 
 
 @dataclass(frozen=True)
@@ -224,11 +225,21 @@ def _records(fh, path: Path) -> Iterator[list[str]]:
 
 def save_csv(d: Dataset, path: str | Path) -> None:
     """Write the dataset back to CSV with shortest round-trip numbers."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(d.column_names)
-        writer.writerows(d.rows)
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        write_csv(fh, d.column_names, d.values)
+
+
+def write_csv(fh: TextIO, header: Sequence[str], *columns: np.ndarray) -> None:
+    """Write ``header`` and the rows of ``columns`` side by side (2-D blocks of columns
+    or 1-D single columns) to an open text file, in the bytes ``csv.writer`` would write.
+
+    ``csv.writer`` formats a float with ``repr``.  Rows go out ``_WRITE_BLOCK`` at a
+    time, so no list is held per row of the whole table.
+    """
+    csv.writer(fh, lineterminator="\n").writerow(header)
+    for i in range(0, len(columns[0]), _WRITE_BLOCK):
+        block = np.column_stack([c[i:i + _WRITE_BLOCK] for c in columns])
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
 
 
 def drop_incomplete_rows(d: Dataset) -> Dataset:

@@ -292,8 +292,8 @@ class _CandidateDraws:
     shuffle that sorting discards.  This copy reads the same words from a
     PCG64 generator's raw 64-bit outputs, each output giving its low half
     then its high half, and computes ``_BLOCK`` draws at a time with
-    ``_floyd_block``; a block with a rejected word is drawn one word at a
-    time instead.  ``close`` leaves the generator exactly where the
+    ``_floyd_block``; a block with a rejected word is drawn by ``choice``
+    itself instead.  ``close`` leaves the generator exactly where the
     ``choice`` calls would have.
     """
 
@@ -305,13 +305,14 @@ class _CandidateDraws:
         bitgen = rng.bit_generator
         if type(bitgen) is not np.random.PCG64:
             raise ValueError(f"trees draw from a PCG64 generator, got {type(bitgen).__name__}")
+        self._rng = rng
         self._bitgen = bitgen
         self._state = bitgen.state  # where the current block's words begin
         self._shape = (0, 0)  # the current block's (d, k)
         self._picks = array("B")  # the block's draws, one after another
         self._next = 0  # where the next draw starts in ``_picks``
         self._width = 0  # words per draw, without a rejection
-        self._ends: list[int] | None = None  # words used up to each draw, after a rejection
+        self._states: list[dict] | None = None  # the state after each draw, after a rejection
 
     def sample(self, d: int, k: int) -> list[int]:
         i = self._next
@@ -320,10 +321,6 @@ class _CandidateDraws:
             i = 0
         self._next = i + k
         return self._picks[i:i + k].tolist()
-
-    def _drawn(self) -> int:
-        """Draws taken from the current block."""
-        return self._next // self._shape[1] if self._shape[1] else 0
 
     def _start_block(self, d: int, k: int) -> None:
         self.close()
@@ -339,51 +336,27 @@ class _CandidateDraws:
         words[len(carry)::2] = raw & 0xFFFFFFFF
         words[len(carry) + 1::2] = raw >> 32
         block = _floyd_block(words[:size * width].reshape(size, width), d, k)
-        self._ends = None
+        self._states = None
         if block is None:
-            block, self._ends = self._draw_one_word_at_a_time(words.tolist(), d, k)
+            self._bitgen.state = state
+            rows, self._states = [], []
+            for _ in range(size):
+                rows.append(np.sort(self._rng.choice(d, size=k, replace=False)))
+                self._states.append(self._bitgen.state)
+            block = np.array(rows)
         # Picks lie in [0, d), so the narrowest unsigned type keeps the block small.
         kind = np.min_scalar_type(d - 1)
         self._picks = array(kind.char, block.astype(kind).tobytes())
         self._shape, self._next, self._width = (d, k), 0, width
 
-    def _draw_one_word_at_a_time(self, words: list[int], d: int,
-                                 k: int) -> tuple[np.ndarray, list[int]]:
-        """A block of draws from ``words`` and the outputs after them, redrawing
-        each rejected word; also the words used up to the end of each draw."""
-        pos = 0
-
-        def below(n: int) -> int:  # Lemire's unbiased draw from [0, n)
-            nonlocal pos
-            while True:
-                if pos == len(words):
-                    raw = self._bitgen.random_raw()
-                    words.extend((raw & 0xFFFFFFFF, raw >> 32))
-                m = words[pos] * n
-                pos += 1
-                if (m & 0xFFFFFFFF) >= (2**32 - n) % n:
-                    return m >> 32
-
-        block, ends = np.empty((self._BLOCK, k), dtype=np.int64), []
-        for row in block:
-            picked: list[int] = []
-            for j in range(d - k, d):
-                v = below(j + 1) if j else 0
-                picked.append(j if v in picked else v)
-            for i in range(k, 1, -1):  # numpy's shuffle of the picks
-                below(i)
-            row[:] = sorted(picked)
-            ends.append(pos)
-        return block, ends
-
     def close(self) -> None:
-        """Rewind the generator to just after the words drawn."""
-        drawn = self._drawn()
-        if self._ends is None:
-            used = drawn * self._width
-        else:
-            used = self._ends[drawn - 1] if drawn else 0
+        """Rewind the generator to just after the draws taken."""
+        drawn = self._next // self._shape[1] if self._shape[1] else 0
         state = self._state
+        if self._states is not None:
+            self._bitgen.state = self._states[drawn - 1] if drawn else state
+            return
+        used = drawn * self._width
         if used:
             used -= state["has_uint32"]  # words taken from raw outputs
             if used:

@@ -84,7 +84,9 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _solve_centered(X: np.ndarray, y: np.ndarray, lam: float) -> tuple[float, np.ndarray, float, str]:
+def _solve_centered(X: np.ndarray, y: np.ndarray, lam: float,
+                    feature_names: Sequence[str] | None) -> LinearModel:
+    """The model fitted on the centered system with penalty ``lam``."""
     x_mean = X.mean(axis=0)
     y_mean = float(y.mean())
     xc = X - x_mean
@@ -114,7 +116,13 @@ def _solve_centered(X: np.ndarray, y: np.ndarray, lam: float) -> tuple[float, np
                 "design matrix has no usable directions (all features constant)"
             )
     intercept = y_mean - float(beta @ x_mean)
-    return intercept, beta, cond, solver
+    return LinearModel(
+        intercept=intercept,
+        coefficients=beta,
+        feature_names=_names(feature_names, X.shape[1]),
+        regularization_lambda=lam,
+        diagnostics=FitDiagnostics(cond, _training_r2(X, y, intercept, beta), solver),
+    )
 
 
 def _training_r2(X: np.ndarray, y: np.ndarray, intercept: float, beta: np.ndarray) -> float | None:
@@ -132,14 +140,7 @@ def fit_mlr(X, y, feature_names: Sequence[str] | None = None) -> LinearModel:
     n, d = X.shape
     if n <= d:
         raise UnderdeterminedError(f"need more rows than features: n={n}, d={d}")
-    intercept, beta, cond, solver = _solve_centered(X, y, 0.0)
-    return LinearModel(
-        intercept=intercept,
-        coefficients=beta,
-        feature_names=_names(feature_names, d),
-        regularization_lambda=0.0,
-        diagnostics=FitDiagnostics(cond, _training_r2(X, y, intercept, beta), solver),
-    )
+    return _solve_centered(X, y, 0.0, feature_names)
 
 
 def fit_ridge(X, y, lam: float, feature_names: Sequence[str] | None = None) -> LinearModel:
@@ -149,15 +150,7 @@ def fit_ridge(X, y, lam: float, feature_names: Sequence[str] | None = None) -> L
     X, y = _as_xy(X, y)
     if X.shape[0] < 1 or X.shape[1] < 1:
         raise DimensionMismatchError(f"need at least one row and one feature, got {X.shape}")
-    lam = float(lam)
-    intercept, beta, cond, solver = _solve_centered(X, y, lam)
-    return LinearModel(
-        intercept=intercept,
-        coefficients=beta,
-        feature_names=_names(feature_names, X.shape[1]),
-        regularization_lambda=lam,
-        diagnostics=FitDiagnostics(cond, _training_r2(X, y, intercept, beta), solver),
-    )
+    return _solve_centered(X, y, float(lam), feature_names)
 
 
 def predict_linear(m: LinearModel, X) -> np.ndarray:

@@ -87,7 +87,7 @@ def _decode_tree(nodes: list, n_features: int, where: str) -> Tree:
                 raise SchemaViolationError(f"{where} node {pos}: feature index {f} out of range")
             t = entry.get("t")
             if type(t) is not float or not isfinite(t):
-                t = _finite(entry, "t", f"{where} node {pos}")
+                t = _number(entry, "t", f"{where} node {pos}")
             waiting.append(pos)
             feature.append(f)
             threshold.append(t)
@@ -100,7 +100,7 @@ def _decode_tree(nodes: list, n_features: int, where: str) -> Tree:
                 raise SchemaViolationError(f"{where} node {pos}: leaf count {n} out of range")
             v = entry.get("v")
             if type(v) is not float or not isfinite(v):
-                v = _finite(entry, "v", f"{where} node {pos}")
+                v = _number(entry, "v", f"{where} node {pos}")
             feature.append(-1)
             threshold.append(0.0)
             value.append(v)
@@ -124,40 +124,34 @@ def _expect(obj: dict, key: str, typ, where: str):
     return value
 
 
-def _number(obj: dict, key, where: str) -> float:
+def _number(obj: dict, key, where: str, finite: bool = True,
+            nullable: bool = False) -> float | None:
+    """The number at ``key`` as a float, finite unless ``finite`` is false; None
+    where ``nullable`` and the file holds null there."""
+    if nullable and obj.get(key, 0) is None:
+        return None
     value = _expect(obj, key, (int, float), where)
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         raise SchemaViolationError(f"{where}: key {key!r} is too large for a float") from None
-
-
-def _optional_number(obj: dict, key: str, where: str, null: float | None = None) -> float | None:
-    """The number at ``key``, or ``null`` where the file holds null there."""
-    if key not in obj:
-        raise SchemaViolationError(f"{where}: missing key {key!r}")
-    return null if obj[key] is None else _number(obj, key, where)
+    if finite and not math.isfinite(value):
+        raise SchemaViolationError(f"{where}: key {key!r} must be finite, got {value}")
+    return value
 
 
 def _r2(obj: dict, key: str, where: str) -> float | None:
     """An R² score, finite and at most 1, or None where the file holds null."""
-    value = _optional_number(obj, key, where)
+    value = _number(obj, key, where, finite=False, nullable=True)
     if value is not None and not (math.isfinite(value) and value <= 1.0):
         raise SchemaViolationError(f"{where}: key {key!r} must be a finite R² of at most 1, "
                                    f"got {value}")
     return value
 
 
-def _finite(obj: dict, key, where: str) -> float:
-    value = _number(obj, key, where)
-    if not math.isfinite(value):
-        raise SchemaViolationError(f"{where}: key {key!r} must be finite, got {value}")
-    return value
-
-
 def _finite_list(values: list, where: str) -> list[float]:
     indexed = dict(enumerate(values))
-    return [_finite(indexed, i, where) for i in indexed]
+    return [_number(indexed, i, where) for i in indexed]
 
 
 def _strings(obj: dict, key: str, where: str) -> tuple[str, ...]:
@@ -233,7 +227,10 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
         "encodings": {},
         "payload": _payload(bundle),
     }
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    # Names go out as UTF-8, not \u escapes, so a name free of quotes, backslashes
+    # and control characters leaves no backslash that would make _load_cut decline.
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                      ensure_ascii=False) + "\n"
     if isinstance(bundle.model, ForestModel):
         # Strict JSON for the trees too: refuse a non-finite number before writing.
         for i, tree in enumerate(bundle.model.trees):
@@ -364,7 +361,9 @@ def _linear_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
         )
     coefficients = _finite_list(coefficients, f"{where}: coefficients")
     diag_obj = _expect(payload, "diagnostics", dict, where)
-    condition = _optional_number(diag_obj, "condition_estimate", where, math.inf)
+    condition = _number(diag_obj, "condition_estimate", where, finite=False, nullable=True)
+    if condition is None:  # a singular Gram matrix's infinite estimate
+        condition = math.inf
     if not condition >= 1.0:
         raise SchemaViolationError(
             f"{where}: condition_estimate must be at least 1, got {condition}"
@@ -372,11 +371,11 @@ def _linear_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
     solver = _expect(diag_obj, "solver", str, where)
     if solver not in SOLVERS:
         raise SchemaViolationError(f"{where}: unknown solver {solver!r}")
-    lam = _finite(payload, "lambda", where)
+    lam = _number(payload, "lambda", where)
     if lam < 0:
         raise SchemaViolationError(f"{where}: lambda must be nonnegative, got {lam}")
     return LinearModel(
-        intercept=_finite(payload, "intercept", where),
+        intercept=_number(payload, "intercept", where),
         coefficients=np.asarray(coefficients),
         feature_names=feature_names,
         regularization_lambda=lam,

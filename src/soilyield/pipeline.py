@@ -31,6 +31,7 @@ from .dataset import (
     save_csv,
     soil_schema,
     train_test_split,
+    write_csv,
 )
 from .errors import DimensionMismatchError, ValidationError
 from .forest import ForestModel, ForestParams, fit_forest, predict_forest
@@ -67,7 +68,6 @@ COMPARISON_TXT_FILENAME = "comparison.txt"
 CORRELATION_CSV_FILENAME = "correlation.csv"
 HEATMAP_FILENAME = "correlation_heatmap.svg"
 PREDICTIONS_FILENAME = "predictions.csv"
-_WRITE_BLOCK = 1024  # predictions.csv rows formatted per step
 
 
 def _is_int(value) -> bool:
@@ -328,14 +328,7 @@ def run_predict(cfg: RunConfig, model_path: str) -> Path:
 
     path = out / PREDICTIONS_FILENAME
     with path.open("w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(
-            list(cleaned.column_names) + ["predicted_yield"])
-        # The bytes csv.writer would write: it formats a float with repr.  Rows go
-        # out a block at a time, so no list is held per row of the whole table.
-        for i in range(0, cleaned.n_rows, _WRITE_BLOCK):
-            block = np.column_stack((cleaned.values[i:i + _WRITE_BLOCK],
-                                     predictions[i:i + _WRITE_BLOCK]))
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
+        write_csv(fh, cleaned.column_names + ("predicted_yield",), cleaned.values, predictions)
         dropped = cleaned.provenance.rows_dropped
         fh.write(f"# clamped_cells={clamped} rows_dropped={dropped}\n")
     return path

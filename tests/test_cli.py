@@ -930,18 +930,26 @@ class TestExitCodes:
         assert "error" in err
 
 
+def run_python(*args, **kwargs):
+    """Run this interpreter on the same package as this test, installed or not."""
+    package_root = str(Path(soilyield.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        # The child process imports the same package as this test, installed or not.
-        package_root = str(Path(soilyield.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "soilyield", "synth", "--n", "10",
-             "--output-dir", str(tmp_path)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
+        result = run_python("-m", "soilyield", "synth", "--n", "10", "--output-dir", str(tmp_path))
         assert result.returncode == 0
         assert (tmp_path / "synthetic_soil.csv").exists()
+
+    def test_package_root_imports_nothing(self):
+        # Each command imports the modules it uses; the package itself loads none.
+        result = run_python("-c", "import sys, soilyield; print(soilyield.__version__); "
+                            "print(sorted(m for m in sys.modules if m.startswith(("
+                            "'soilyield.', 'numpy'))))", check=True)
+        assert result.stdout.splitlines() == ["0.1.0", "[]"]
 
     def test_run_config_is_frozen_dataclass(self):
         cfg = RunConfig(seed=1)

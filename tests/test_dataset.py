@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import tracemalloc
 from importlib import resources
@@ -216,6 +218,24 @@ class TestFlatReader:
         finally:
             tracemalloc.stop()
         assert peak < 3 * path.stat().st_size
+
+
+class TestSaveCsv:
+    def test_save_peak_is_under_the_file_and_bytes_are_csv_writer_bytes(self, tmp_path):
+        # A list of Python floats per row of the whole table peaked near 6 times the file.
+        d = generate(10_000, seed=5)
+        path = tmp_path / "soil.csv"
+        save_csv(d, path)  # imports and caches settle outside the measurement
+        tracemalloc.start()
+        try:
+            save_csv(d, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * path.stat().st_size
+        expected = io.StringIO(newline="")
+        csv.writer(expected, lineterminator="\n").writerows([d.column_names] + d.rows)
+        assert path.read_text(encoding="utf-8") == expected.getvalue()
 
 
 class TestSoilSchema:

@@ -356,8 +356,8 @@ class TestCandidateDraws:
         draws.close()
         assert ours.bit_generator.state == reference.bit_generator.state
 
-    def test_every_block_drawn_one_word_at_a_time_replays_numpy_choice(self, monkeypatch):
-        # As if each block held a rejected word: the sequential path alone.
+    def test_every_block_drawn_by_rng_choice_replays_numpy_choice(self, monkeypatch):
+        # As if each block held a rejected word: the fallback path alone.
         monkeypatch.setattr(forest, "_floyd_block", lambda words, d, k: None)
         ours = np.random.default_rng(8)
         reference = np.random.default_rng(8)
@@ -608,6 +608,20 @@ class TestFitForest:
         model = fit_forest(X, y, ForestParams(n_trees=20, seed=5))
         assert model.oob_r2 is not None
         assert fit_forest(X, y, ForestParams(n_trees=3, seed=5, bootstrap=False)).oob_r2 is None
+
+    def test_draw_fallback_grows_the_same_trees(self, monkeypatch):
+        # Every block drawn by rng.choice: an odd row count leaves the bootstrap's
+        # last word buffered, and 501 rows make each tree more than one block of draws.
+        d = generate(501, seed=3)
+        X = d.matrix(d.feature_names)
+        y = d.matrix(("yield",)).ravel()
+        params = ForestParams(n_trees=5, seed=13)
+        expected = fit_forest(X, y, params)
+        monkeypatch.setattr(forest, "_floyd_block", lambda words, d, k: None)
+        model = fit_forest(X, y, params)
+        for tree, reference in zip(model.trees, expected.trees, strict=True):
+            assert_same_tree(tree, reference)
+        assert model.oob_r2 == expected.oob_r2
 
     def test_too_few_rows(self):
         with pytest.raises(TooFewRowsError):

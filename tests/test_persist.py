@@ -363,21 +363,43 @@ class TestCutReader:
         assert_same_bundle(load_model(path), bundle)
 
 
+def forest_file(path, target_name):
+    """A 100-tree forest saved by ``save_model`` under ``target_name``."""
+    d, X, y = training_data(n=100, seed=11)
+    model = fit_forest(X, y, ForestParams(n_trees=100, seed=3), d.feature_names)
+    bundle, _ = make_bundle("mlr")
+    save_model(ModelBundle(kind="forest", feature_names=bundle.feature_names,
+                           target_name=target_name, feature_scaler=bundle.feature_scaler,
+                           target_scaler=scaler((target_name,), bundle.target_scaler.mins,
+                                                bundle.target_scaler.maxs),
+                           model=model), path)
+    return path
+
+
+def load_peak(path):
+    """The tracemalloc peak of one ``load_model`` call."""
+    load_model(path)  # imports and caches settle outside the measurement
+    tracemalloc.start()
+    try:
+        load_model(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestLoadMemory:
     def test_forest_load_peak_is_a_small_multiple_of_the_file(self, tmp_path):
         # Parsing every node into a dict first peaked near 13 times the file's bytes.
-        d, X, y = training_data(n=100, seed=11)
-        model = fit_forest(X, y, ForestParams(n_trees=100, seed=3), d.feature_names)
-        bundle, _ = make_bundle("mlr")
-        path = tmp_path / "forest.json"
-        save_model(ModelBundle(kind="forest", feature_names=bundle.feature_names,
-                               target_name="yield", feature_scaler=bundle.feature_scaler,
-                               target_scaler=bundle.target_scaler, model=model), path)
-        load_model(path)  # imports and caches settle outside the measurement
-        tracemalloc.start()
-        try:
-            load_model(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * path.stat().st_size
+        path = forest_file(tmp_path / "forest.json", "yield")
+        assert load_peak(path) < 6 * path.stat().st_size
+
+    def test_non_ascii_target_forest_is_cut(self, tmp_path, monkeypatch):
+        # Written as \u escapes, such a name sent the file to the whole-file reader.
+        path = forest_file(tmp_path / "forest.json", "récolte")
+        whole_file_reads = []
+        load_whole = persist._load_whole
+        monkeypatch.setattr(persist, "_load_whole", lambda text, where: (
+            whole_file_reads.append(where) or load_whole(text, where)))
+        assert load_model(path).target_name == "récolte"
+        assert load_peak(path) < 6 * path.stat().st_size
+        assert whole_file_reads == []
