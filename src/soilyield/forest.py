@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple, Sequence
@@ -500,6 +499,9 @@ def fit_forest(X, y, params: ForestParams,
     if len(blocks) == 1:
         trees = _grow(X, y, resolved, roots)
     else:
+        # Imported here: the pool's import brings multiprocessing and socket, which
+        # only a run with more than one worker uses.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             trees = [tree for block in pool.map(partial(_grow, X, y, resolved), blocks)
                      for tree in block]

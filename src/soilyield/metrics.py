@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
 from typing import Sequence
 
 import numpy as np
@@ -90,6 +89,8 @@ def default_nutrient_thresholds() -> dict[str, dict[str, float]]:
     defaults, not survey-calibrated values; pass explicit thresholds to
     :func:`classify_levels` for real assessments.
     """
+    from importlib import resources  # no command calls this, so no command imports it
+
     raw = resources.files("soilyield").joinpath("data/nutrient_thresholds.json")
     payload = json.loads(raw.read_text(encoding="utf-8"))
     return {k: v for k, v in payload.items() if not k.startswith("_")}

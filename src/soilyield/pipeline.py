@@ -290,6 +290,21 @@ def predict_bundle(bundle: ModelBundle, d: Dataset) -> tuple[np.ndarray, int]:
     return _target_vector(bundle.target_scaler, pred_norm, forward=False), clamped
 
 
+def _scalers_match(bundle: ModelBundle, d: Dataset, train_rows: Sequence[int]) -> bool:
+    """Whether the bundle's scalers are, bit for bit, the min and max of ``train_rows``.
+
+    Training fits them on its split's training rows, so a model trained on
+    another split (seed, test ratio or input) nearly always fails this.  It is
+    necessary, not sufficient: on tiny or duplicated data another split can
+    share the extremes.
+    """
+    return all(
+        np.array_equal(scaler.mins, refit.mins) and np.array_equal(scaler.maxs, refit.maxs)
+        for scaler in (bundle.feature_scaler, bundle.target_scaler)
+        for refit in [fit_minmax(d, train_rows, scaler.columns)]
+    )
+
+
 def run_evaluate(cfg: RunConfig, model_paths: Sequence[str]) -> tuple[EvaluationReport, dict[str, Path]]:
     """Score persisted models on the held-out split reconstructed from the seed."""
     input_path = _require_input(cfg)
@@ -307,8 +322,18 @@ def run_evaluate(cfg: RunConfig, model_paths: Sequence[str]) -> tuple[Evaluation
                 f"{model_path} predicts {bundle.target_name!r}, but --target is "
                 f"{cfg.target_column!r}"
             )
+        if any(e.model_name == bundle.kind for e in entries):
+            # The comparison names each model by its kind, and compare refuses a repeat.
+            raise ValidationError(f"{model_path}: a second {bundle.kind} model to evaluate")
         y_pred, _ = predict_bundle(bundle, test)
-        entries.append(score_predictions(bundle.kind, y_true, y_pred))
+        # A test split that cannot be scored (a constant target) is reported first.
+        score = score_predictions(bundle.kind, y_true, y_pred)
+        if not _scalers_match(bundle, d, split.train):
+            raise ValidationError(
+                f"{model_path}: model was not trained on this split "
+                "(seed/test_ratio/input differ)"
+            )
+        entries.append(score)
 
     report = build_report(entries)
     csv_path = out / COMPARISON_CSV_FILENAME

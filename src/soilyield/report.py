@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .dataset import _records
 from .errors import SchemaViolationError
 from .metrics import mae, r2_score, rmse
 from . import svgutil
@@ -62,32 +64,44 @@ def write_comparison_csv(report: EvaluationReport, path: str | Path) -> None:
 
 
 def read_comparison_csv(path: str | Path) -> EvaluationReport:
-    """Load a previously written comparison table (for re-rendering)."""
+    """Load a previously written comparison table (for re-rendering).
+
+    The file is read as ``load_csv`` reads one: UTF-8 with an optional
+    byte-order mark, blank lines skipped, a malformed or non-UTF-8 file
+    refused with its name.  Each model appears once, with an R² that is
+    finite and at most 1, finite non-negative errors and a non-negative
+    ``n_test``.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    entries = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    entries: dict[str, ModelScore] = {}
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
+        records = _records(fh, path)
+        header = next(records, None)
         if header is None or [h.strip() for h in header[:5]] != ["model", "r2", "rmse", "mae", "n_test"]:
             raise SchemaViolationError(f"{path}: expected header model,r2,rmse,mae,n_test")
-        for i, row in enumerate(reader):
+        for i, row in enumerate(records, start=1):
             if len(row) < 5:
-                raise SchemaViolationError(f"{path}: row {i + 1} has {len(row)} cells")
+                raise SchemaViolationError(f"{path}: row {i} has {len(row)} cells")
             try:
-                entries.append(ModelScore(
-                    model_name=row[0],
-                    r2=float(row[1]),
-                    rmse=float(row[2]),
-                    mae=float(row[3]),
-                    n_test=int(row[4]),
-                ))
+                e = ModelScore(model_name=row[0], r2=float(row[1]), rmse=float(row[2]),
+                               mae=float(row[3]), n_test=int(row[4]))
             except ValueError as exc:
-                raise SchemaViolationError(f"{path}: row {i + 1}: {exc}") from None
+                raise SchemaViolationError(f"{path}: row {i}: {exc}") from None
+            if not (-math.inf < e.r2 <= 1 and 0 <= e.rmse < math.inf and 0 <= e.mae < math.inf):
+                raise SchemaViolationError(
+                    f"{path}: row {i}: scores must be finite with r2 <= 1 and rmse, mae >= 0, "
+                    f"got r2={e.r2!r} rmse={e.rmse!r} mae={e.mae!r}"
+                )
+            if e.n_test < 0:
+                raise SchemaViolationError(f"{path}: row {i}: negative n_test {e.n_test}")
+            if e.model_name in entries:
+                raise SchemaViolationError(f"{path}: row {i}: model {e.model_name!r} listed twice")
+            entries[e.model_name] = e
     if not entries:
         raise SchemaViolationError(f"{path}: no model rows")
-    return build_report(entries)
+    return build_report(list(entries.values()))
 
 
 def format_comparison_table(report: EvaluationReport) -> str:

@@ -6,7 +6,12 @@ same inputs always produce byte-identical files.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+
+def escape(s: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, ``&`` first, as
+    ``xml.sax.saxutils.escape`` writes them; that module's import pulls in
+    the urllib, http and ssl stack, so it is not used here."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def num(v: float) -> str:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -40,6 +41,12 @@ GOLDEN_MODEL_DIGESTS = {
     "mlr": "6d37dd0ac039cc94f0f4cddf31c7d431873c65a87dfd5f5d6cb4a0824e41ed03",
     "ridge": "c631eacbd27d15a5d53a3807ed9555830b7c2dbea41984b391963f53a5b489b5",
     "forest": "fa596a243e0d397d8e25ccb5115e20e25cd42739f0e4f703d1faf529f606e4d8",
+}
+
+# SHA-256 of what ``evaluate`` writes for the ``trained`` fixture's three models at seed 3.
+GOLDEN_EVALUATE_DIGESTS = {
+    "comparison.csv": "67cd9428a991d8d91ae9cd259b2e14e41fb4bae7d551214cc20bdd178a28d2c3",
+    "comparison.svg": "d9a49c5d2bdf1750c5505e2588789b175a4ba2ff19db1241a0277f7940b44c43",
 }
 
 
@@ -273,6 +280,43 @@ class TestEvaluate:
         code, _, _ = run(["evaluate", str(out / "model_mlr.json"), "--input", str(extra),
                           "--output-dir", str(out), "--seed", "3", "--target", "height"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("change", ["seed", "test_ratio", "input"])
+    def test_model_from_another_split_exits_2(self, trained, tmp_path, capsys, change):
+        out, csv_path = trained
+        flags = {"seed": ["--seed", "8"], "test_ratio": ["--seed", "3", "--test-ratio", "0.3"],
+                 "input": ["--seed", "3"]}[change]
+        if change == "input":  # one row fewer: every row after it lands in another split
+            shorter = tmp_path / "shorter.csv"
+            shorter.write_text("\n".join(csv_path.read_text().splitlines()[:-1]) + "\n")
+            csv_path = shorter
+        models = [out / f"model_{k}.json" for k in ("forest", "ridge", "mlr")]
+        code, _, err = run(["evaluate", *map(str, models), "--input", str(csv_path),
+                            "--output-dir", str(tmp_path / "eval"), *flags], capsys)
+        assert code == 2
+        assert err == (f"error: {models[0]}: model was not trained on this split "
+                       "(seed/test_ratio/input differ)\n")
+        assert not (tmp_path / "eval" / "comparison.csv").exists()
+
+    def test_second_model_of_one_kind_exits_2(self, trained, tmp_path, capsys):
+        # comparison.csv names a model by its kind, and compare refuses a repeated one.
+        out, csv_path = trained
+        model = str(out / "model_forest.json")
+        code, _, err = run(["evaluate", model, model, "--input", str(csv_path),
+                            "--output-dir", str(tmp_path), "--seed", "3"], capsys)
+        assert code == 2
+        assert err == f"error: {model}: a second forest model to evaluate\n"
+        assert not (tmp_path / "comparison.csv").exists()
+
+    def test_same_split_scores_are_unchanged(self, trained, tmp_path, capsys):
+        out, csv_path = trained
+        models = [str(out / f"model_{k}.json") for k in ("forest", "ridge", "mlr")]
+        code, _, _ = run(["evaluate", *models, "--input", str(csv_path),
+                          "--output-dir", str(tmp_path), "--seed", "3"], capsys)
+        assert code == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("comparison.csv", "comparison.svg")}
+        assert digests == GOLDEN_EVALUATE_DIGESTS
 
     def test_zero_variance_test_target_exits_3(self, trained, tmp_path, capsys):
         out, csv_path = trained
@@ -781,6 +825,43 @@ class TestCorrelate:
         assert code == 2
 
 
+# A comparison table that test_any_metrics_csv_damage_exits_0_or_2 damages.
+COMPARISON_ROWS = [["model", "r2", "rmse", "mae", "n_test"], ["forest", "0.946", "1.0", "0.8", "40"],
+                   ["ridge", "0.794", "2.0", "1.5", "40"], ["mlr", "-0.7431", "2.1", "1.6", "40"]]
+COMPARISON_CELLS = ["", "nan", "inf", "-inf", "1e308", "-1e308", "-5", "0", "x", "forest",
+                    '"1,5"', '"unclosed', "\x00", "9" * 131073]
+
+
+@st.composite
+def damaged_comparisons(draw):
+    """Bytes of a comparison CSV with odd cells, ragged or repeated rows, blank lines,
+    a BOM, invalid UTF-8 or a cut."""
+    rows = [COMPARISON_ROWS[0]] + [
+        [cell if draw(st.integers(0, 11)) else draw(st.sampled_from(COMPARISON_CELLS))
+         for cell in row]
+        for row in COMPARISON_ROWS[1:]]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(1, len(rows) - 1))  # the header only by the byte edits below
+        edit = draw(st.sampled_from(["truncate", "extend", "blank", "repeat"]))
+        if edit == "truncate":
+            rows[i] = rows[i][:draw(st.integers(0, len(rows[i])))]
+        elif edit == "extend":
+            rows[i] = rows[i] + [draw(st.sampled_from(COMPARISON_CELLS))]
+        elif edit == "blank":
+            rows.insert(i, [])
+        else:
+            rows.insert(i, rows[i])
+    data = ("\n".join(",".join(r) for r in rows) + "\n").encode()
+    if draw(st.integers(0, 4)) == 0:
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.integers(0, 4)) == 0:
+        pos = draw(st.integers(0, len(data)))
+        data = data[:pos] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x00"])) + data[pos:]
+    if draw(st.integers(0, 6)) == 0:
+        data = data[:len(data) - draw(st.integers(0, len(data)))]
+    return data
+
+
 class TestCompare:
     def test_rerenders_from_metrics_csv(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.csv"
@@ -797,6 +878,46 @@ class TestCompare:
         assert table.splitlines()[1].split()[0] == "forest"
         svg = (tmp_path / "comparison.svg").read_text()
         assert ">0.95<" in svg and ">forest<" in svg
+
+    @pytest.mark.parametrize("rows, message", [
+        (b"forest,nan,1.0,0.8,40\n", "r2=nan"),
+        (b"forest,0.9,inf,0.8,40\n", "rmse=inf"),
+        (b"forest,0.9,1.0,-inf,40\n", "mae=-inf"),
+        (b"forest,0.9,1.0,0.8,-5\n", "negative n_test -5"),
+        (b"forest,0.9,1.0,0.8,40\nridge,0.8,2.0,1.5,40\nforest,0.7,1.0,0.8,40\n",
+         "row 3: model 'forest' listed twice"),
+        (b"forest," + b"9" * 131073 + b",1.0,0.8,40\n", "field larger than field limit"),
+        (b"\xff,0.9,1.0,0.8,40\n", "not UTF-8 text ("),
+    ], ids=["nan-r2", "inf-rmse", "inf-mae", "negative-n-test", "repeated-model",
+            "oversized-field", "not-utf8"])
+    def test_damaged_metrics_csv_exits_2(self, tmp_path, capsys, rows, message):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_bytes(b"model,r2,rmse,mae,n_test\n" + rows)
+        code, _, err = run(["compare", "--input", str(metrics),
+                            "--output-dir", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {metrics}: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "out" / "comparison.svg").exists()
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=damaged_comparisons())
+    def test_any_metrics_csv_damage_exits_0_or_2(self, tmp_path, capsys, data):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_bytes(data)
+        out = tmp_path / "out"
+        code, _, err = run(["compare", "--input", str(metrics), "--output-dir", str(out)], capsys)
+        assert code in (0, 2)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            models = [line.split()[0] for line in
+                      (out / "comparison.txt").read_text().splitlines()[1:]]
+            assert len(set(models)) == len(models)
+            geometry = re.findall(r' (?:x|y|width|height)="([^"]*)"',
+                                  (out / "comparison.svg").read_text())
+            assert geometry and all(math.isfinite(float(v)) for v in geometry)
 
 
 class TestConfigPrecedence:
@@ -950,6 +1071,16 @@ class TestEntryPoint:
                             "print(sorted(m for m in sys.modules if m.startswith(("
                             "'soilyield.', 'numpy'))))", check=True)
         assert result.stdout.splitlines() == ["0.1.0", "[]"]
+
+    def test_cli_import_loads_no_network_or_pool_stack(self):
+        # Modules the host's site may preload are already there before numpy's snapshot.
+        result = run_python("-c", "import json, sys, numpy; before = set(sys.modules); "
+                            "import soilyield.cli; print(json.dumps(sorted(set(sys.modules) - before)))",
+                            check=True)
+        added = json.loads(result.stdout)
+        assert "soilyield.pipeline" in added
+        stacks = {"xml", "urllib", "http", "email", "ssl", "concurrent", "multiprocessing"}
+        assert [m for m in added if m.split(".")[0] in stacks] == []
 
     def test_run_config_is_frozen_dataclass(self):
         cfg = RunConfig(seed=1)

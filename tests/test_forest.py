@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import hashlib
 import math
@@ -548,7 +549,8 @@ class TestFitForest:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(forest, "ProcessPoolExecutor", RecordingPool)
+        # fit_forest imports the pool only when it starts one, so it finds it here.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(forest, "_usable_cpus", lambda: cpus)
         rng = np.random.default_rng(17)
         X = rng.normal(size=(30, 3))

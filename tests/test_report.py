@@ -1,6 +1,11 @@
+from xml.sax import saxutils
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from soilyield import svgutil
 from soilyield.errors import SchemaViolationError
 from soilyield.report import (
     ModelScore,
@@ -118,3 +123,11 @@ class TestComparisonArtifacts:
         render_comparison_svg(report, a)
         render_comparison_svg(report, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestSvgEscape:
+    @settings(max_examples=300, derandomize=True)
+    @given(s=st.text(st.sampled_from(list("&<>\"';#amplgtquo é€😀\x00")) | st.characters()))
+    @example(s="&amp;&lt;<>\"'récolte ≤ 5")
+    def test_matches_saxutils_escape(self, s):
+        assert svgutil.escape(s) == saxutils.escape(s)
