@@ -18,6 +18,7 @@ import json
 import sys
 from pathlib import Path
 
+from .dataset import reading_text
 from .errors import SoilYieldError, ValidationError
 from .pipeline import (
     MODEL_CHOICES,
@@ -104,14 +105,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     config_path = getattr(args, "config", None)
     if config_path:
         path = Path(config_path)
-        if not path.exists():
-            raise FileNotFoundError(str(path))
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            with reading_text(path):
+                payload = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from None
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
         if not isinstance(payload, dict):
             raise ValidationError(f"{path}: config must be a JSON object")
         values.update(payload)
@@ -125,28 +123,21 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 def _dispatch(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     if args.command == "synth":
-        path = run_synth(cfg)
-        print(f"wrote {path}")
+        written = [run_synth(cfg)]
     elif args.command == "train":
-        paths = run_train(cfg)
-        for path in paths.values():
-            print(f"wrote {path}")
+        written = run_train(cfg).values()
     elif args.command == "evaluate":
         report, paths = run_evaluate(cfg, args.models)
         print(format_comparison_table(report), end="")
-        for path in paths.values():
-            print(f"wrote {path}")
+        written = paths.values()
     elif args.command == "predict":
-        path = run_predict(cfg, args.model_file)
-        print(f"wrote {path}")
+        written = [run_predict(cfg, args.model_file)]
     elif args.command == "correlate":
-        paths = run_correlate(cfg)
-        for path in paths.values():
-            print(f"wrote {path}")
-    elif args.command == "compare":
-        paths = run_compare(cfg)
-        for path in paths.values():
-            print(f"wrote {path}")
+        written = run_correlate(cfg).values()
+    else:
+        written = run_compare(cfg).values()
+    for path in written:
+        print(f"wrote {path}")
     return 0
 
 

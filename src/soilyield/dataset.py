@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO
@@ -109,16 +110,19 @@ class Dataset:
                 return c.name
         return None
 
+    @property
+    def model_columns(self) -> tuple[str, ...]:
+        """The features, then the target if any."""
+        target = self.target_name
+        return self.feature_names + (() if target is None else (target,))
+
     def matrix(self, columns: Sequence[str] | None = None) -> np.ndarray:
-        """The named columns (default: the features, then the target) as a
-        new C-ordered matrix.
+        """The named columns (default: ``model_columns``) as a new C-ordered matrix.
 
         Holds NaN for missing cells until the dataset is cleaned.
         """
         if columns is None:
-            columns = self.feature_names
-            if self.target_name is not None:
-                columns = columns + (self.target_name,)
+            columns = self.model_columns
         position = {c.name: i for i, c in enumerate(self.schema)}
         return self.values.take([position[c] for c in columns], axis=1)
 
@@ -129,8 +133,6 @@ class SplitIndices:
 
     train: tuple[int, ...]
     test: tuple[int, ...]
-    seed: int
-    test_ratio: float
 
 
 def soil_schema(header: Sequence[str], target: str | None = TARGET_COLUMN) -> tuple[ColumnSchema, ...]:
@@ -171,9 +173,7 @@ def load_csv(
     order is preserved.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    with path.open("r", encoding="utf-8-sig", newline="") as fh:
+    with reading_text(path), path.open("r", encoding="utf-8-sig", newline="") as fh:
         records = _records(fh, path)
         first = next(records, None)
         if first is None:
@@ -213,14 +213,25 @@ def load_csv(
     )
 
 
+@contextmanager
+def reading_text(path: Path) -> Iterator[None]:
+    """Wrap a block that reads the text file ``path``: FileNotFoundError if it is
+    absent, and a ValidationError naming it if the block meets bytes that are not
+    UTF-8."""
+    if not path.exists():
+        raise FileNotFoundError(str(path))
+    try:
+        yield
+    except UnicodeDecodeError as exc:  # a file decodes as it is read
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _records(fh, path: Path) -> Iterator[list[str]]:
     """The non-blank records of an open CSV file."""
     try:
         yield from (raw for raw in csv.reader(fh) if raw)
     except csv.Error as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    except UnicodeDecodeError as exc:  # the file decodes as the reader reads it
-        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def save_csv(d: Dataset, path: str | Path) -> None:
@@ -271,4 +282,4 @@ def train_test_split(d: Dataset, test_ratio: float, seed: int) -> SplitIndices:
     perm = np.random.default_rng(seed).permutation(n)
     test = tuple(sorted(int(i) for i in perm[:n_test]))
     train = tuple(sorted(int(i) for i in perm[n_test:]))
-    return SplitIndices(train=train, test=test, seed=seed, test_ratio=test_ratio)
+    return SplitIndices(train=train, test=test)

@@ -24,8 +24,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, LengthMismatchError, TooFewRowsError, ZeroVarianceError
-from .metrics import r2_score
+from .errors import TooFewRowsError
+from .linear import _as_xy, _check_rows, _names
+from .metrics import r2_if_defined
 
 # A scan call pads its nodes to the widest, so nodes of up to 8 rows, of up
 # to 48 and more go to separate calls, each of at most this many padded
@@ -86,6 +87,13 @@ class ForestParams:
                      "max_features"):
             if (getattr(self, name) or 0) >= 2**63:
                 raise ValueError(f"{name} must be below 2**63")
+
+    def resolved(self, d: int) -> ForestParams:
+        """These settings for ``d`` features, with max_features None as ceil(d / 3)."""
+        mf = math.ceil(d / 3) if self.max_features is None else self.max_features
+        if not 1 <= mf <= d:
+            raise ValueError(f"max_features must lie in [1, {d}], got {mf}")
+        return replace(self, max_features=mf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,13 +378,6 @@ class _CandidateDraws:
         self._bitgen.state = state
 
 
-def _resolve_max_features(max_features: int | None, d: int) -> int:
-    mf = math.ceil(d / 3) if max_features is None else max_features
-    if not 1 <= mf <= d:
-        raise ValueError(f"max_features must lie in [1, {d}], got {mf}")
-    return mf
-
-
 def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
           roots: list[tuple[np.ndarray, np.random.Generator]]) -> list[Tree]:
     """Grow one tree per (sorted rows, generator) pair of ``roots``, all in lockstep.
@@ -387,7 +388,7 @@ def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
     nodes and draws that growing it alone would give.
     """
     d = X.shape[1]
-    k = _resolve_max_features(params.max_features, d)
+    k = params.resolved(d).max_features
     max_depth = math.inf if params.max_depth is None else params.max_depth
     tables = _rank_tables(X, y)
     columns, y_list = X.T.tolist(), y.tolist()
@@ -469,23 +470,12 @@ def fit_forest(X, y, params: ForestParams,
     bit-identical for any worker count because each tree owns a derived
     generator.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or y.shape[0] != X.shape[0]:
-        raise DimensionMismatchError(
-            f"X must be (n, d) and y length n, got {X.shape} and {y.shape}"
-        )
+    X, y = _as_xy(X, y)
     n, d = X.shape
     if n < 2:
         raise TooFewRowsError(f"need at least 2 rows, got {n}")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("X and y must be finite")
-    resolved = replace(params, max_features=_resolve_max_features(params.max_features, d))
-    names = tuple(feature_names) if feature_names is not None else tuple(
-        f"x{i}" for i in range(d)
-    )
-    if len(names) != d:
-        raise DimensionMismatchError(f"expected {d} feature names, got {len(names)}")
+    resolved = params.resolved(d)
+    names = _names(feature_names, d)
 
     # A tree's bootstrap comes first from its generator, its candidates after.
     rngs = [_tree_rng(resolved.seed, t) for t in range(resolved.n_trees)]
@@ -511,7 +501,7 @@ def fit_forest(X, y, params: ForestParams,
 
 def _oob_r2(X: np.ndarray, y: np.ndarray, trees, roots) -> float | None:
     """R² of each row's mean prediction over the trees that left it out, or
-    None where ``r2_score`` finds it undefined (under two such rows, or a constant y)."""
+    None where it is undefined (under two such rows, or a constant y)."""
     oob = np.ones((len(trees), X.shape[0]), dtype=bool)
     sums = np.zeros(X.shape[0])
     for tree, mask, (rows, _) in zip(trees, oob, roots):
@@ -519,10 +509,7 @@ def _oob_r2(X: np.ndarray, y: np.ndarray, trees, roots) -> float | None:
         sums[mask] += predict_tree(tree, X[mask])
     counts = oob.sum(axis=0)
     covered = counts > 0
-    try:
-        return r2_score(y[covered], sums[covered] / counts[covered])
-    except (LengthMismatchError, ZeroVarianceError):
-        return None
+    return r2_if_defined(y[covered], sums[covered] / counts[covered])
 
 
 def _sibling_order(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -571,8 +558,5 @@ def predict_tree(tree: Tree, X: np.ndarray) -> np.ndarray:
 def predict_forest(m: ForestModel, X) -> np.ndarray:
     """Per row, the arithmetic mean of the routed leaf values."""
     X = np.ascontiguousarray(X, dtype=np.float64)  # row-major once, not per tree
-    if X.ndim != 2 or X.shape[1] != len(m.feature_names):
-        raise DimensionMismatchError(
-            f"expected shape (n, {len(m.feature_names)}), got {X.shape}"
-        )
+    _check_rows(X, len(m.feature_names))
     return sum(predict_tree(tree, X) for tree in m.trees) / len(m.trees)

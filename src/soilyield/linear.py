@@ -23,6 +23,7 @@ from .errors import (
     SingularSystemError,
     UnderdeterminedError,
 )
+from .metrics import r2_if_defined
 
 CONDITION_LIMIT = 1e12
 
@@ -44,9 +45,10 @@ class LinearModel:
 
     def __post_init__(self) -> None:
         if len(self.coefficients) != len(self.feature_names):
-            raise ValueError("one coefficient per feature name required")
+            raise ValueError(f"{len(self.coefficients)} coefficients for "
+                             f"{len(self.feature_names)} feature names")
         if self.regularization_lambda < 0:
-            raise ValueError("regularization_lambda must be nonnegative")
+            raise ValueError(f"lambda must be nonnegative, got {self.regularization_lambda}")
 
 
 def _as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -61,6 +63,11 @@ def _as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("X and y must be finite")
     return X, y
+
+
+def _check_rows(X: np.ndarray, d: int) -> None:
+    if X.ndim != 2 or X.shape[1] != d:
+        raise DimensionMismatchError(f"expected shape (n, {d}), got {X.shape}")
 
 
 def _names(feature_names: Sequence[str] | None, d: int) -> tuple[str, ...]:
@@ -121,17 +128,8 @@ def _solve_centered(X: np.ndarray, y: np.ndarray, lam: float,
         coefficients=beta,
         feature_names=_names(feature_names, X.shape[1]),
         regularization_lambda=lam,
-        diagnostics=FitDiagnostics(cond, _training_r2(X, y, intercept, beta), solver),
+        diagnostics=FitDiagnostics(cond, r2_if_defined(y, intercept + X @ beta), solver),
     )
-
-
-def _training_r2(X: np.ndarray, y: np.ndarray, intercept: float, beta: np.ndarray) -> float | None:
-    pred = intercept + X @ beta
-    tss = float(((y - y.mean()) ** 2).sum())
-    if tss == 0.0:
-        return None
-    rss = float(((y - pred) ** 2).sum())
-    return 1.0 - rss / tss
 
 
 def fit_mlr(X, y, feature_names: Sequence[str] | None = None) -> LinearModel:
@@ -156,8 +154,5 @@ def fit_ridge(X, y, lam: float, feature_names: Sequence[str] | None = None) -> L
 def predict_linear(m: LinearModel, X) -> np.ndarray:
     """Row-wise intercept + X . coefficients."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != len(m.coefficients):
-        raise DimensionMismatchError(
-            f"expected shape (n, {len(m.coefficients)}), got {X.shape}"
-        )
+    _check_rows(X, len(m.coefficients))
     return m.intercept + X @ m.coefficients

@@ -37,6 +37,14 @@ def r2_score(y_true, y_pred) -> float:
     return 1.0 - rss / tss
 
 
+def r2_if_defined(y_true, y_pred) -> float | None:
+    """``r2_score``, or None where it is undefined (under two values, or a constant y_true)."""
+    try:
+        return r2_score(y_true, y_pred)
+    except (LengthMismatchError, ZeroVarianceError):
+        return None
+
+
 def rmse(y_true, y_pred) -> float:
     yt, yp = _as_pair(y_true, y_pred, minimum=1)
     return float(np.sqrt(((yt - yp) ** 2).mean()))

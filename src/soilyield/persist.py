@@ -13,18 +13,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .dataset import reading_text
 from .errors import SchemaViolationError, UnsupportedVersionError
 from .forest import ForestModel, ForestParams, Tree
 from .linear import FitDiagnostics, LinearModel
 from .preprocess import NormalizationParams
 
 FORMAT_VERSION = 1
-MODEL_KINDS = ("mlr", "ridge", "forest")
+MODEL_KINDS = ("mlr", "ridge", "forest")  # the order train fits and logs "all" in
 SOLVERS = ("cholesky", "svd")
 
 
@@ -116,10 +117,8 @@ def _expect(obj: dict, key: str, typ, where: str):
     if key not in obj:
         raise SchemaViolationError(f"{where}: missing key {key!r}")
     value = obj[key]
-    name = typ.__name__ if isinstance(typ, type) else "number"
-    if isinstance(value, bool) and typ is not bool:
-        raise SchemaViolationError(f"{where}: key {key!r} must be {name}")
-    if not isinstance(value, typ):
+    if not isinstance(value, typ) or (isinstance(value, bool) and typ is not bool):
+        name = typ.__name__ if isinstance(typ, type) else "number"
         raise SchemaViolationError(f"{where}: key {key!r} must be {name}")
     return value
 
@@ -175,8 +174,6 @@ def _scaler_from_obj(obj, where: str) -> NormalizationParams:
     cols = _strings(obj, "columns", where)
     mins = _finite_list(_expect(obj, "min", list, where), f"{where}: min")
     maxs = _finite_list(_expect(obj, "max", list, where), f"{where}: max")
-    if not (len(cols) == len(mins) == len(maxs)):
-        raise SchemaViolationError(f"{where}: scaler arrays must have equal length")
     try:
         return NormalizationParams(columns=cols, mins=np.asarray(mins), maxs=np.asarray(maxs))
     except ValueError as exc:
@@ -200,15 +197,7 @@ def _payload(bundle: ModelBundle) -> dict:
             },
         }
     return {
-        "params": {
-            "n_trees": model.params.n_trees,
-            "max_depth": model.params.max_depth,
-            "min_samples_split": model.params.min_samples_split,
-            "min_samples_leaf": model.params.min_samples_leaf,
-            "max_features": model.params.max_features,
-            "seed": model.params.seed,
-            "bootstrap": model.params.bootstrap,
-        },
+        "params": asdict(model.params),
         "oob_r2": model.oob_r2,
         "trees": [],  # save_model writes each tree's text here
     }
@@ -253,12 +242,8 @@ def load_model(path: str | Path) -> ModelBundle:
     error is the answer, so the cut changes neither.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    try:
+    with reading_text(path):
         text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaViolationError(f"{path}: not UTF-8 text ({exc})") from None
     bundle = _load_cut(text, str(path))
     return bundle if bundle is not None else _load_whole(text, str(path))
 
@@ -354,12 +339,8 @@ def _bundle(obj, where: str, trees: list[Tree] | None = None) -> ModelBundle:
 
 
 def _linear_from_payload(payload: dict, feature_names: tuple[str, ...], where: str) -> LinearModel:
-    coefficients = _expect(payload, "coefficients", list, where)
-    if len(coefficients) != len(feature_names):
-        raise SchemaViolationError(
-            f"{where}: {len(coefficients)} coefficients for {len(feature_names)} features"
-        )
-    coefficients = _finite_list(coefficients, f"{where}: coefficients")
+    coefficients = _finite_list(_expect(payload, "coefficients", list, where),
+                                f"{where}: coefficients")
     diag_obj = _expect(payload, "diagnostics", dict, where)
     condition = _number(diag_obj, "condition_estimate", where, finite=False, nullable=True)
     if condition is None:  # a singular Gram matrix's infinite estimate
@@ -372,15 +353,14 @@ def _linear_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
     if solver not in SOLVERS:
         raise SchemaViolationError(f"{where}: unknown solver {solver!r}")
     lam = _number(payload, "lambda", where)
-    if lam < 0:
-        raise SchemaViolationError(f"{where}: lambda must be nonnegative, got {lam}")
-    return LinearModel(
-        intercept=_number(payload, "intercept", where),
-        coefficients=np.asarray(coefficients),
-        feature_names=feature_names,
-        regularization_lambda=lam,
-        diagnostics=FitDiagnostics(condition, _r2(diag_obj, "training_r2", where), solver),
-    )
+    intercept = _number(payload, "intercept", where)
+    diagnostics = FitDiagnostics(condition, _r2(diag_obj, "training_r2", where), solver)
+    try:
+        return LinearModel(intercept=intercept, coefficients=np.asarray(coefficients),
+                           feature_names=feature_names, regularization_lambda=lam,
+                           diagnostics=diagnostics)
+    except ValueError as exc:
+        raise SchemaViolationError(f"{where}: {exc}") from None
 
 
 def _forest_from_payload(payload: dict, feature_names: tuple[str, ...], where: str,
@@ -398,12 +378,9 @@ def _forest_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
             seed=_expect(params_obj, "seed", int, where),
             bootstrap=_expect(params_obj, "bootstrap", bool, where),
         )
+        params.resolved(len(feature_names))  # refuses more max_features than features
     except ValueError as exc:
         raise SchemaViolationError(f"{where}: {exc}") from None
-    if params.max_features > len(feature_names):
-        raise SchemaViolationError(
-            f"{where}: max_features {params.max_features} exceeds {len(feature_names)} features"
-        )
     trees_obj = _expect(payload, "trees", list, where) if trees is None else trees
     if len(trees_obj) != params.n_trees:
         raise SchemaViolationError(

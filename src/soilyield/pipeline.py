@@ -37,7 +37,7 @@ from .errors import DimensionMismatchError, ValidationError
 from .forest import ForestModel, ForestParams, fit_forest, predict_forest
 from .linear import LinearModel, fit_mlr, fit_ridge, predict_linear
 from .metrics import r2_score
-from .persist import ModelBundle, load_model, save_model
+from .persist import MODEL_KINDS, ModelBundle, load_model, save_model
 from .preprocess import (
     NormalizationParams,
     apply_minmax,
@@ -57,7 +57,7 @@ from .report import (
     write_comparison_csv,
 )
 
-MODEL_CHOICES = ("mlr", "ridge", "forest", "all")
+MODEL_CHOICES = MODEL_KINDS + ("all",)
 
 SYNTH_FILENAME = "synthetic_soil.csv"
 TRAIN_LOG_FILENAME = "train_log.txt"
@@ -164,10 +164,6 @@ def _load_cleaned(path: str, target: str | None) -> Dataset:
     return drop_incomplete_rows(load_csv(path, partial(soil_schema, target=target)))
 
 
-def _selected_kinds(model: str) -> tuple[str, ...]:
-    return ("mlr", "ridge", "forest") if model == "all" else (model,)
-
-
 def _target_vector(scaler: NormalizationParams, y: np.ndarray, forward: bool) -> np.ndarray:
     column = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     out = apply_minmax(scaler, column) if forward else invert_minmax(scaler, column)
@@ -194,7 +190,7 @@ def run_synth(cfg: RunConfig) -> Path:
 def run_train(cfg: RunConfig) -> dict[str, Path]:
     """Train the selected models and persist them with their scalers."""
     input_path = _require_input(cfg)
-    kinds = _selected_kinds(cfg.model)
+    kinds = MODEL_KINDS if cfg.model == "all" else (cfg.model,)
     if "forest" in kinds:
         cfg.forest_params()  # reject bad forest settings before any file is written
     out = _out_dir(cfg)
@@ -209,14 +205,12 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
             f"mlr needs more training rows than features: test_ratio {cfg.test_ratio} leaves "
             f"{len(split.train)} of {d.n_rows} rows for {len(features)} features"
         )
-    if "forest" in kinds and (cfg.max_features or 0) > len(features):
-        raise ValidationError(
-            f"max_features must lie in [1, {len(features)}], got {cfg.max_features}"
-        )
+    if "forest" in kinds:
+        cfg.forest_params().resolved(len(features))
     feature_scaler = fit_minmax(d, split.train, features)
     target_scaler = fit_minmax(d, split.train, (target,))
 
-    train = d.matrix()[list(split.train)]  # the features, then the target
+    train = d.matrix()[list(split.train)]  # in model_columns order: the target last
     x_train = apply_minmax(feature_scaler, train[:, :-1])
     y_train_raw = train[:, -1]
     y_train = _target_vector(target_scaler, y_train_raw, forward=True)

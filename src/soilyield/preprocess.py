@@ -47,13 +47,10 @@ def fit_minmax(d: Dataset, rows: Sequence[int],
     rows = list(rows)
     if not rows:
         raise EmptySelectionError("cannot fit normalization on an empty row selection")
-    if columns is None:
-        columns = d.feature_names
-        if d.target_name is not None:
-            columns = columns + (d.target_name,)
+    columns = d.model_columns if columns is None else tuple(columns)
     m = d.matrix(columns)[rows]
     return NormalizationParams(
-        columns=tuple(columns),
+        columns=columns,
         mins=m.min(axis=0),
         maxs=m.max(axis=0),
     )
@@ -95,18 +92,15 @@ def out_of_range_count(params: NormalizationParams, x) -> int:
     return int(np.count_nonzero((x < params.mins) | (x > params.maxs)))
 
 
-def pearson_correlation(d: Dataset, columns: Sequence[str] | None = None) -> CorrelationMatrix:
-    """Pearson coefficients between all numeric column pairs.
+def pearson_correlation(d: Dataset) -> CorrelationMatrix:
+    """Pearson coefficients between all pairs of ``d.model_columns``.
 
     A zero-variance column correlates 0 with every other column (the
     coefficient is undefined there) and 1 with itself.
     """
     if d.n_rows < 2:
         raise TooFewRowsError(f"need at least 2 rows, got {d.n_rows}")
-    if columns is None:
-        columns = d.feature_names
-        if d.target_name is not None:
-            columns = columns + (d.target_name,)
+    columns = d.model_columns
     m = d.matrix(columns)
     centered = m - m.mean(axis=0)
     sumsq = (centered * centered).sum(axis=0)

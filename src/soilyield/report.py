@@ -10,10 +10,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import _records
+from .dataset import _records, reading_text
 from .errors import SchemaViolationError
 from .metrics import mae, r2_score, rmse
 from . import svgutil
+
+
+_HEADER = ["model", "r2", "rmse", "mae", "n_test"]
+# mae <= rmse for any errors; computed, the two can differ in the last bits.
+_MAE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,7 @@ def build_report(entries: Sequence[ModelScore]) -> EvaluationReport:
 def write_comparison_csv(report: EvaluationReport, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model", "r2", "rmse", "mae", "n_test"])
+        writer.writerow(_HEADER)
         for e in report.entries:
             writer.writerow([e.model_name, repr(e.r2), repr(e.rmse), repr(e.mae), e.n_test])
 
@@ -69,18 +74,16 @@ def read_comparison_csv(path: str | Path) -> EvaluationReport:
     The file is read as ``load_csv`` reads one: UTF-8 with an optional
     byte-order mark, blank lines skipped, a malformed or non-UTF-8 file
     refused with its name.  Each model appears once, with an R² that is
-    finite and at most 1, finite non-negative errors and a non-negative
-    ``n_test``.
+    finite and at most 1, finite non-negative errors with ``mae`` at most
+    ``rmse``, and an ``n_test`` of at least 2, the fewest rows R² scores.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     entries: dict[str, ModelScore] = {}
-    with path.open("r", encoding="utf-8-sig", newline="") as fh:
+    with reading_text(path), path.open("r", encoding="utf-8-sig", newline="") as fh:
         records = _records(fh, path)
         header = next(records, None)
-        if header is None or [h.strip() for h in header[:5]] != ["model", "r2", "rmse", "mae", "n_test"]:
-            raise SchemaViolationError(f"{path}: expected header model,r2,rmse,mae,n_test")
+        if header is None or [h.strip() for h in header[:5]] != _HEADER:
+            raise SchemaViolationError(f"{path}: expected header {','.join(_HEADER)}")
         for i, row in enumerate(records, start=1):
             if len(row) < 5:
                 raise SchemaViolationError(f"{path}: row {i} has {len(row)} cells")
@@ -94,8 +97,11 @@ def read_comparison_csv(path: str | Path) -> EvaluationReport:
                     f"{path}: row {i}: scores must be finite with r2 <= 1 and rmse, mae >= 0, "
                     f"got r2={e.r2!r} rmse={e.rmse!r} mae={e.mae!r}"
                 )
-            if e.n_test < 0:
-                raise SchemaViolationError(f"{path}: row {i}: negative n_test {e.n_test}")
+            if e.mae > e.rmse * (1 + _MAE_RTOL):
+                raise SchemaViolationError(
+                    f"{path}: row {i}: mae {e.mae!r} exceeds rmse {e.rmse!r}")
+            if e.n_test < 2:
+                raise SchemaViolationError(f"{path}: row {i}: n_test {e.n_test} is under 2")
             if e.model_name in entries:
                 raise SchemaViolationError(f"{path}: row {i}: model {e.model_name!r} listed twice")
             entries[e.model_name] = e

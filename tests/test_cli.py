@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -17,10 +18,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import soilyield
-from soilyield import persist
+from soilyield import persist, pipeline
 from soilyield.cli import main
+from soilyield.metrics import mae, rmse
 from soilyield.persist import load_model, save_model
 from soilyield.pipeline import RunConfig
+from soilyield.report import ModelScore, build_report, write_comparison_csv
 
 GOLDEN_TRAIN_LOG = """\
 input: synthetic_soil.csv
@@ -576,6 +579,10 @@ class TestDamagedModelFiles:
         ("forest", ("payload", "params", "max_depth"), 10**400),
         ("forest", ("payload", "params", "min_samples_split"), 2**63),
         ("forest", ("payload", "params", "min_samples_leaf"), 10**400),
+        ("ridge", ("payload", "lambda"), -1.0),
+        ("ridge", ("payload", "coefficients"), [0.5]),
+        ("mlr", ("feature_scaler", "min", 0), 1e300),
+        ("forest", ("model_kind",), "svm"),
     ], ids=["feature-index-negative", "feature-index-past-end", "nan-threshold",
             "inf-leaf-value", "truncated-deep-chain", "inf-coefficient", "nan-intercept",
             "nan-scaler-min", "nonempty-encodings", "threshold-too-large-for-float",
@@ -589,11 +596,19 @@ class TestDamagedModelFiles:
             "training-r2-above-one", "missing-training-r2", "inf-oob-r2", "missing-oob-r2",
             "bool-max-depth", "missing-max-depth", "max-features-past-end",
             "max-depth-past-int64", "min-samples-split-past-int64",
-            "min-samples-leaf-past-int64"])
+            "min-samples-leaf-past-int64", "negative-lambda", "too-few-coefficients",
+            "scaler-min-above-max", "unknown-model-kind"])
     def test_predict_exits_2_with_one_line(self, trained, tmp_path, capsys, kind, path, value):
         code, _, err = predict_with_edited_model(trained, tmp_path, capsys, kind, path, value)
         assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {tmp_path / 'damaged.json'}: ") and err.count("\n") == 1
+
+    def test_top_level_array_names_the_file(self, trained, tmp_path, capsys):
+        out, _ = trained
+        code, _, err = predict_with_model([json.loads((out / "model_forest.json").read_text())],
+                                          tmp_path, capsys)
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path / 'damaged.json'}: ") and err.count("\n") == 1
 
     def test_deep_tree_loads_without_depth_cap(self, trained, tmp_path, capsys):
         code, _, _ = predict_with_edited_model(
@@ -778,6 +793,19 @@ class TestConfigJson:
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"],
+                             ids=["missing", "invalid-json", "array"])
+    def test_bad_config_file_exits_2_naming_it(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "out"
+        code, _, err = run(["synth", "--n", "10", "--output-dir", str(out),
+                            "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(cfg) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("model, code", [("all", 2), ("mlr", 2), ("ridge", 0), ("forest", 0)])
     def test_split_too_small_for_mlr_exits_2(self, tmp_path, capsys, model, code):
         # A test_ratio that leaves no more training rows than features used to exit 3.
@@ -883,13 +911,19 @@ class TestCompare:
         (b"forest,nan,1.0,0.8,40\n", "r2=nan"),
         (b"forest,0.9,inf,0.8,40\n", "rmse=inf"),
         (b"forest,0.9,1.0,-inf,40\n", "mae=-inf"),
-        (b"forest,0.9,1.0,0.8,-5\n", "negative n_test -5"),
+        (b"forest,0.9,1.0,0.8,-5\n", "n_test -5 is under 2"),
+        (b"forest,0.9,1.0,0.8,0\n", "n_test 0 is under 2"),
+        (b"forest,0.9,1.0,5.0,0\n", "mae 5.0 exceeds rmse 1.0"),
+        (b"forest,0.9,1.0,0.8,1\n", "n_test 1 is under 2"),
+        (b"forest,0.9,1.0,1.0000001,40\n", "mae 1.0000001 exceeds rmse 1.0"),
+        (b"", "no model rows"),
         (b"forest,0.9,1.0,0.8,40\nridge,0.8,2.0,1.5,40\nforest,0.7,1.0,0.8,40\n",
          "row 3: model 'forest' listed twice"),
         (b"forest," + b"9" * 131073 + b",1.0,0.8,40\n", "field larger than field limit"),
         (b"\xff,0.9,1.0,0.8,40\n", "not UTF-8 text ("),
-    ], ids=["nan-r2", "inf-rmse", "inf-mae", "negative-n-test", "repeated-model",
-            "oversized-field", "not-utf8"])
+    ], ids=["nan-r2", "inf-rmse", "inf-mae", "negative-n-test", "zero-n-test",
+            "mae-above-rmse", "one-row-n-test", "mae-just-above-rmse", "header-only",
+            "repeated-model", "oversized-field", "not-utf8"])
     def test_damaged_metrics_csv_exits_2(self, tmp_path, capsys, rows, message):
         metrics = tmp_path / "metrics.csv"
         metrics.write_bytes(b"model,r2,rmse,mae,n_test\n" + rows)
@@ -899,6 +933,18 @@ class TestCompare:
         assert err.startswith(f"error: {metrics}: ") and err.count("\n") == 1
         assert message in err
         assert not (tmp_path / "out" / "comparison.svg").exists()
+
+    def test_mae_rounded_past_rmse_is_accepted(self, tmp_path, capsys):
+        # 31 errors of +-123.456: the computed mae exceeds the computed rmse in the last bits.
+        errors = np.array([123.456, -123.456] * 15 + [123.456])
+        score = ModelScore("forest", 0.5, rmse(np.zeros(31), errors),
+                           mae(np.zeros(31), errors), 31)
+        assert score.mae > score.rmse
+        metrics = tmp_path / "metrics.csv"
+        write_comparison_csv(build_report([score]), metrics)
+        code, _, _ = run(["compare", "--input", str(metrics),
+                          "--output-dir", str(tmp_path / "out")], capsys)
+        assert code == 0
 
     @settings(max_examples=100, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1042,6 +1088,14 @@ class TestOptionalColumns:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [["train"], ["evaluate", "model.json"],
+                                      ["predict", "model.json"], ["correlate"], ["compare"]],
+                             ids=lambda argv: argv[0])
+    def test_command_without_input_exits_2(self, tmp_path, capsys, argv):
+        code, _, err = run(argv + ["--output-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--input" in err
+
     def test_unwritable_output_dir_exits_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("I am a file, not a directory")
@@ -1081,6 +1135,21 @@ class TestEntryPoint:
         assert "soilyield.pipeline" in added
         stacks = {"xml", "urllib", "http", "email", "ssl", "concurrent", "multiprocessing"}
         assert [m for m in added if m.split(".")[0] in stacks] == []
+
+    def test_benchmark_layers_name_traced_functions(self):
+        # The benchmark's tracer wraps what the pipeline imports from other soilyield
+        # modules, its run_* functions, Dataset.matrix and synth.generate; a per-layer
+        # timing or call count named after anything else would read 0.
+        traced = {"dataset.Dataset.matrix", "synth.generate"} | {
+            f"{value.__module__.rsplit('.', 1)[1]}.{attr}"
+            for attr, value in vars(pipeline).items()
+            if inspect.isfunction(value) and value.__module__.startswith("soilyield.")
+            and (value.__module__ != pipeline.__name__ or attr.startswith("run_"))
+        }
+        spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+        layers = {m["name"].rsplit(".", 1)[0] for m in spec["per_layer"]
+                  if m["name"].endswith((".total_s", ".self_s", ".calls"))}
+        assert layers and sorted(layers - traced) == []
 
     def test_run_config_is_frozen_dataclass(self):
         cfg = RunConfig(seed=1)

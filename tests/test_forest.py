@@ -4,7 +4,6 @@ import hashlib
 import math
 import os
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from soilyield.forest import (
     _node_target,
     _pairwise_sum,
     _rank_tables,
-    _resolve_max_features,
     _tree_rng,
     best_split,
     fit_forest,
@@ -576,7 +574,7 @@ class TestFitForest:
         if rounded:
             X, y = np.round(X, 0), np.round(y, 0)
         model = fit_forest(X, y, params)
-        resolved = replace(params, max_features=_resolve_max_features(params.max_features, 12))
+        resolved = params.resolved(12)
         for t, tree in enumerate(model.trees):
             rng = _tree_rng(params.seed, t)
             rows = rng.integers(0, 160, size=160) if params.bootstrap else np.arange(160)

@@ -7,7 +7,7 @@ from soilyield.errors import (
     SingularSystemError,
     UnderdeterminedError,
 )
-from soilyield.linear import fit_mlr, fit_ridge, predict_linear
+from soilyield.linear import CONDITION_LIMIT, fit_mlr, fit_ridge, predict_linear
 
 
 def pinv_oracle(X, y):
@@ -174,6 +174,18 @@ class TestFitRidge:
                      for lam in lambdas]
             for small, large in zip(norms, norms[1:]):
                 assert small >= large - 1e-12
+
+    def test_ill_conditioned_system_takes_svd_path(self):
+        # A constant column leaves only the tiny penalty on its direction of the Gram matrix.
+        rng = np.random.default_rng(73)
+        X = np.column_stack([rng.uniform(size=(40, 3)), np.full(40, 0.5)])
+        y = 1.0 + X[:, :3] @ np.array([1.0, -2.0, 0.5]) + rng.normal(scale=0.1, size=40)
+        m = fit_ridge(X, y, 1e-13)
+        assert m.diagnostics.solver == "svd"
+        assert m.diagnostics.condition_estimate > CONDITION_LIMIT
+        b0, beta = ridge_oracle(X, y, 1e-13)
+        assert abs(m.intercept - b0) < 1e-8
+        assert np.max(np.abs(m.coefficients - beta)) < 1e-8
 
     def test_negative_lambda(self):
         with pytest.raises(NegativeLambdaError):
