@@ -27,6 +27,7 @@ from .preprocess import NormalizationParams
 FORMAT_VERSION = 1
 MODEL_KINDS = ("mlr", "ridge", "forest")  # the order train fits and logs "all" in
 SOLVERS = ("cholesky", "svd")
+_TREES = '"trees":['  # a forest payload's trees array opens here, and only here
 
 
 @dataclass(frozen=True)
@@ -220,17 +221,20 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
     # and control characters leaves no backslash that would make _load_cut decline.
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
                       ensure_ascii=False) + "\n"
-    if isinstance(bundle.model, ForestModel):
-        # Strict JSON for the trees too: refuse a non-finite number before writing.
-        for i, tree in enumerate(bundle.model.trees):
-            if not np.isfinite(np.where(tree.feature >= 0, tree.threshold, tree.value)).all():
-                raise ValueError(f"tree {i} holds a non-finite threshold or leaf value, "
-                                 "which JSON cannot hold")
-        # Every key is fixed and every string escapes its quotes, so only the
-        # payload's own key can read '"trees":[]'.
-        head, _, tail = text.partition('"trees":[]')
-        text = head + '"trees":[' + ",".join(map(_tree_text, bundle.model.trees)) + "]" + tail
-    Path(path).write_text(text, encoding="utf-8")
+    trees = bundle.model.trees if isinstance(bundle.model, ForestModel) else ()
+    # Strict JSON for the trees too: refuse a non-finite number before the file is opened.
+    for i, tree in enumerate(trees):
+        if not np.isfinite(np.where(tree.feature >= 0, tree.threshold, tree.value)).all():
+            raise ValueError(f"tree {i} holds a non-finite threshold or leaf value, "
+                             "which JSON cannot hold")
+    # Every key is fixed and every string escapes its quotes, so only a forest payload's
+    # own key reads '"trees":['.  Trees go out one by one: the file is never held whole.
+    head, opening, tail = text.partition(_TREES)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head + opening)
+        for i, tree in enumerate(trees):
+            fh.write("," + _tree_text(tree) if i else _tree_text(tree))
+        fh.write(tail)
 
 
 def load_model(path: str | Path) -> ModelBundle:
@@ -246,9 +250,6 @@ def load_model(path: str | Path) -> ModelBundle:
         text = path.read_text(encoding="utf-8")
     bundle = _load_cut(text, str(path))
     return bundle if bundle is not None else _load_whole(text, str(path))
-
-
-_TREES = '"trees":['
 
 
 def _load_cut(text: str, where: str) -> ModelBundle | None:

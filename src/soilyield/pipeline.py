@@ -305,6 +305,9 @@ def run_evaluate(cfg: RunConfig, model_paths: Sequence[str]) -> tuple[Evaluation
     out = _out_dir(cfg)
     d = _load_cleaned(input_path, target=cfg.target_column)
     split = train_test_split(d, cfg.test_ratio, cfg.seed)
+    if len(split.test) < 2:
+        raise ValidationError(f"--test-ratio {cfg.test_ratio} leaves {len(split.test)} test row "
+                              f"of {d.n_rows}; scoring needs at least 2")
     test = replace(d, values=d.values[list(split.test)])
     y_true = test.matrix((cfg.target_column,)).ravel()
 

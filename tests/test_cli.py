@@ -321,6 +321,16 @@ class TestEvaluate:
                    for name in ("comparison.csv", "comparison.svg")}
         assert digests == GOLDEN_EVALUATE_DIGESTS
 
+    def test_one_row_test_split_exits_2_before_reading_a_model(self, tmp_path, capsys):
+        csv_path = synth_csv(tmp_path, n=10)
+        flags = ["--input", str(csv_path), "--output-dir", str(tmp_path), "--test-ratio", "0.1"]
+        assert main(["train", "--model", "forest", "--trees", "5", *flags]) == 0
+        for model in (tmp_path / "model_forest.json", tmp_path / "missing.json"):
+            code, _, err = run(["evaluate", str(model), *flags], capsys)
+            assert code == 2
+            assert err == "error: --test-ratio 0.1 leaves 1 test row of 10; scoring needs at least 2\n"
+        assert not (tmp_path / "comparison.csv").exists()
+
     def test_zero_variance_test_target_exits_3(self, trained, tmp_path, capsys):
         out, csv_path = trained
         lines = csv_path.read_text().splitlines()

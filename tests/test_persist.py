@@ -47,6 +47,24 @@ def make_bundle(kind, seed=5):
     ), X
 
 
+def whole_text(bundle):
+    """The forest file built as one string, the reference for the file ``save_model`` streams."""
+    obj = {
+        "format_version": persist.FORMAT_VERSION,
+        "model_kind": bundle.kind,
+        "feature_names": list(bundle.feature_names),
+        "target_name": bundle.target_name,
+        "feature_scaler": persist._scaler_to_obj(bundle.feature_scaler),
+        "target_scaler": persist._scaler_to_obj(bundle.target_scaler),
+        "encodings": {},
+        "payload": persist._payload(bundle),
+    }
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                      ensure_ascii=False) + "\n"
+    head, _, tail = text.partition('"trees":[]')
+    return head + '"trees":[' + ",".join(map(persist._tree_text, bundle.model.trees)) + "]" + tail
+
+
 def encode_tree(tree):
     """A tree's preorder node list as dicts, the reference for the text ``save_model`` writes."""
     return [
@@ -143,6 +161,12 @@ class TestTreeText:
         expected = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
         assert text == expected
 
+    @pytest.mark.parametrize("n_trees, target_name", [(1, "yield"), (100, "yield"),
+                                                      (100, "récolte")])
+    def test_streamed_file_equals_whole_text(self, tmp_path, n_trees, target_name):
+        path = forest_file(tmp_path / "forest.json", target_name, n_trees)
+        assert path.read_text(encoding="utf-8") == whole_text(load_model(path))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("field", ["threshold", "value"])
     def test_non_finite_number_raises_before_writing(self, tmp_path, field, bad):
@@ -154,6 +178,12 @@ class TestTreeText:
         with pytest.raises(ValueError):
             save_model(forest_bundle([split_then_leaves]), path)
         assert not path.exists()
+        # A refused save must not truncate a model already at the path either.
+        save_model(make_bundle("forest")[0], path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_model(forest_bundle([split_then_leaves]), path)
+        assert path.read_bytes() == before
 
 
 class TestRejection:
@@ -363,10 +393,10 @@ class TestCutReader:
         assert_same_bundle(load_model(path), bundle)
 
 
-def forest_file(path, target_name):
-    """A 100-tree forest saved by ``save_model`` under ``target_name``."""
+def forest_file(path, target_name, n_trees=100):
+    """A forest of ``n_trees`` trees saved by ``save_model`` under ``target_name``."""
     d, X, y = training_data(n=100, seed=11)
-    model = fit_forest(X, y, ForestParams(n_trees=100, seed=3), d.feature_names)
+    model = fit_forest(X, y, ForestParams(n_trees=n_trees, seed=3), d.feature_names)
     bundle, _ = make_bundle("mlr")
     save_model(ModelBundle(kind="forest", feature_names=bundle.feature_names,
                            target_name=target_name, feature_scaler=bundle.feature_scaler,
@@ -376,12 +406,12 @@ def forest_file(path, target_name):
     return path
 
 
-def load_peak(path):
-    """The tracemalloc peak of one ``load_model`` call."""
-    load_model(path)  # imports and caches settle outside the measurement
+def traced_peak(call):
+    """The tracemalloc peak of one ``call()``."""
+    call()  # imports and caches settle outside the measurement
     tracemalloc.start()
     try:
-        load_model(path)
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -391,7 +421,7 @@ class TestLoadMemory:
     def test_forest_load_peak_is_a_small_multiple_of_the_file(self, tmp_path):
         # Parsing every node into a dict first peaked near 13 times the file's bytes.
         path = forest_file(tmp_path / "forest.json", "yield")
-        assert load_peak(path) < 6 * path.stat().st_size
+        assert traced_peak(lambda: load_model(path)) < 6 * path.stat().st_size
 
     def test_non_ascii_target_forest_is_cut(self, tmp_path, monkeypatch):
         # Written as \u escapes, such a name sent the file to the whole-file reader.
@@ -401,5 +431,13 @@ class TestLoadMemory:
         monkeypatch.setattr(persist, "_load_whole", lambda text, where: (
             whole_file_reads.append(where) or load_whole(text, where)))
         assert load_model(path).target_name == "récolte"
-        assert load_peak(path) < 6 * path.stat().st_size
+        assert traced_peak(lambda: load_model(path)) < 6 * path.stat().st_size
         assert whole_file_reads == []
+
+
+class TestSaveMemory:
+    def test_forest_save_peak_is_a_small_fraction_of_the_file(self, tmp_path):
+        # Building the file as one string first peaked near twice its bytes.
+        path = forest_file(tmp_path / "forest.json", "yield")
+        bundle = load_model(path)
+        assert traced_peak(lambda: save_model(bundle, path)) <= 0.25 * path.stat().st_size
