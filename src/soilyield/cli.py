@@ -7,7 +7,7 @@ emits the correlation matrix and heatmap, and ``compare`` re-renders
 comparison artifacts from a metrics CSV.
 
 Exit codes: 0 success, 2 input/validation error, 3 numerical failure,
-4 I/O failure.  Flag precedence is CLI > --config file > defaults.
+4 I/O failure or out of memory.  Flag precedence is CLI > --config file > defaults.
 """
 
 from __future__ import annotations
@@ -157,6 +157,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 4
 
 

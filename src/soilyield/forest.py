@@ -46,17 +46,16 @@ _COMPACT_EVERY = 4
 
 
 class Tree(NamedTuple):
-    """One regression tree as parallel arrays over its nodes in preorder.
+    """One regression tree as parallel arrays over its nodes in preorder, as model files
+    store them.
 
-    Node 0 is the root and a split's left child is the node after it, the
-    order model files store.  Fields a node does not use hold -1 or 0.
+    Node 0 is the root, a split's left child is the node after it, and its
+    right child the node after its left subtree.
     """
 
     feature: np.ndarray  # -1 marks a leaf
-    threshold: np.ndarray  # a row goes left when x[feature] <= threshold
-    right: np.ndarray  # index of a split's right child
-    value: np.ndarray  # leaf prediction
-    count: np.ndarray  # training samples in a leaf
+    number: np.ndarray  # a split's threshold (x[feature] <= it goes left), a leaf's prediction
+    count: np.ndarray  # training samples in a leaf, 0 at a split
 
 
 @dataclass(frozen=True)
@@ -393,10 +392,10 @@ def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
     tables = _rank_tables(X, y)
     columns, y_list = X.T.tolist(), y.tolist()
     ids = list(range(X.shape[0]))  # the row lists hold these ints, not copies of them
-    # Per tree: a depth-first stack of (sorted rows, depth, index of the split
-    # whose right child it is or -1), left popped before right; the draws; and
-    # the preorder nodes, five float64s each in Tree's field order.
-    trees = [([(list(map(ids.__getitem__, rows.tolist())), 0, -1)], _CandidateDraws(rng),
+    # Per tree: a depth-first stack of (sorted rows, depth), left popped before
+    # right; the draws; and the preorder nodes, three float64s each in Tree's
+    # field order.
+    trees = [([(list(map(ids.__getitem__, rows.tolist())), 0)], _CandidateDraws(rng),
               array("d")) for rows, rng in roots]
     growing = trees
     while growing:
@@ -404,34 +403,31 @@ def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
         for tree in growing:
             stack, draws, nodes = tree
             while stack:
-                rows, depth, parent = stack.pop()
-                if parent >= 0:
-                    nodes[5 * parent + 2] = len(nodes) // 5
+                rows, depth = stack.pop()
                 may_split = len(rows) >= params.min_samples_split and depth < max_depth
                 mean, sse_parent = _node_target(rows, y_list, may_split)
                 if sse_parent is not None:
                     batch.append((tree, rows, depth, mean, sse_parent, draws.sample(d, k)))
                     break
-                nodes.extend((-1, 0.0, -1, mean, len(rows)))
+                nodes.extend((-1, mean, len(rows)))
         choices = _best_splits(tables, [(b[1], b[3], b[4]) for b in batch],
                                np.array([b[5] for b in batch]), params.min_samples_leaf)
         for ((stack, _, nodes), rows, depth, mean, _, _), choice in zip(batch, choices):
             if choice is None:
-                nodes.extend((-1, 0.0, -1, mean, len(rows)))
+                nodes.extend((-1, mean, len(rows)))
                 continue
             f, t, _ = choice
             column = columns[f]
-            stack.append(([i for i in rows if column[i] > t], depth + 1, len(nodes) // 5))
-            stack.append(([i for i in rows if column[i] <= t], depth + 1, -1))
-            nodes.extend((f, t, -1, 0.0, 0))
+            stack.append(([i for i in rows if column[i] > t], depth + 1))
+            stack.append(([i for i in rows if column[i] <= t], depth + 1))
+            nodes.extend((f, t, 0))
         growing = [b[0] for b in batch if b[0][0]]
     fitted = []
     for _, draws, nodes in trees:
         draws.close()
-        f, t, right, value, count = np.array(nodes).reshape(-1, 5).T
+        f, number, count = np.array(nodes).reshape(-1, 3).T
         del nodes[:]  # every tree's nodes are held at once, so free them as we go
-        fitted.append(Tree(f.astype(np.int64), t.copy(), right.astype(np.int64), value.copy(),
-                           count.astype(np.int64)))
+        fitted.append(Tree(f.astype(np.int64), number.copy(), count.astype(np.int64)))
     return fitted
 
 
@@ -517,20 +513,26 @@ def _sibling_order(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     2k + 1 and 2k + 2, as (right child, feature, threshold, value) per new id.
 
     A leaf is its own right child, with feature 0 and threshold NaN: no x is
-    <= NaN, so a row at a leaf steps to the same leaf.
+    <= NaN, so a row at a leaf steps to the same leaf.  A split's right child
+    is the next preorder node with as many subtrees open before it: the
+    nodes of its left subtree all have more.
     """
     split = tree.feature >= 0
     at = np.flatnonzero(split)
+    step = np.where(split, 1, -1)
+    level = np.argsort(np.cumsum(step) - step, kind="stable")  # by open subtrees, then preorder
+    following = np.empty_like(level)  # the next node with as many open, per node
+    following[level[:-1]] = level[1:]
     left = np.arange(1, 2 * at.size, 2)
     new = np.zeros(split.size, dtype=np.intp)  # each preorder node's new id
     new[at + 1] = left
-    new[tree.right[at]] = left + 1
+    new[following[at]] = left + 1
     second = new.copy()
     second[at] = left + 1
     order = np.empty_like(new)
     order[new] = np.arange(split.size)
     return (second[order], np.where(split, tree.feature, 0)[order],
-            np.where(split, tree.threshold, np.nan)[order], tree.value[order])
+            np.where(split, tree.number, np.nan)[order], tree.number[order])
 
 
 def predict_tree(tree: Tree, X: np.ndarray) -> np.ndarray:

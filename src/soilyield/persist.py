@@ -52,16 +52,15 @@ def _tree_text(tree: Tree) -> str:
     writes them.
     """
     return "[" + ",".join(
-        f'{{"f":{f},"t":{t!r}}}' if f >= 0 else f'{{"n":{n},"v":{v!r}}}'
-        for f, t, v, n in zip(tree.feature.tolist(), tree.threshold.tolist(),
-                              tree.value.tolist(), tree.count.tolist())
+        f'{{"f":{f},"t":{t!r}}}' if f >= 0 else f'{{"n":{n},"v":{t!r}}}'
+        for f, t, n in zip(tree.feature.tolist(), tree.number.tolist(), tree.count.tolist())
     ) + "]"
 
 
 def _decode_tree(nodes: list, n_features: int, where: str) -> Tree:
     """Read a tree from its preorder node list, in one pass without recursion.
 
-    ``waiting`` holds the splits still waiting for their right child; the
+    ``waiting`` counts the splits still waiting for their right child; the
     node after a leaf is the right child of the latest of them.  Values of
     the types ``save_model`` writes are checked inline; anything else goes
     through the general checks, which convert it or name what is wrong.
@@ -69,11 +68,9 @@ def _decode_tree(nodes: list, n_features: int, where: str) -> Tree:
     if not isinstance(nodes, list) or not nodes:
         raise SchemaViolationError(f"{where}: must be a non-empty node list")
     feature: list[int] = []
-    threshold: list[float] = []
-    right: list[int] = []
-    value: list[float] = []
+    number: list[float] = []
     count: list[int] = []
-    waiting: list[int] = []
+    waiting = 0
     isfinite = math.isfinite
     for pos, entry in enumerate(nodes):
         if type(entry) is not dict:
@@ -81,7 +78,7 @@ def _decode_tree(nodes: list, n_features: int, where: str) -> Tree:
         if pos and feature[-1] < 0:
             if not waiting:
                 raise SchemaViolationError(f"{where}: {len(nodes) - pos} trailing nodes")
-            right[waiting.pop()] = pos
+            waiting -= 1
         if "f" in entry:
             f = entry["f"]
             if type(f) is not int or not 0 <= f < n_features:
@@ -90,10 +87,9 @@ def _decode_tree(nodes: list, n_features: int, where: str) -> Tree:
             t = entry.get("t")
             if type(t) is not float or not isfinite(t):
                 t = _number(entry, "t", f"{where} node {pos}")
-            waiting.append(pos)
+            waiting += 1
             feature.append(f)
-            threshold.append(t)
-            value.append(0.0)
+            number.append(t)
             count.append(0)
         else:
             n = entry.get("n")
@@ -104,14 +100,11 @@ def _decode_tree(nodes: list, n_features: int, where: str) -> Tree:
             if type(v) is not float or not isfinite(v):
                 v = _number(entry, "v", f"{where} node {pos}")
             feature.append(-1)
-            threshold.append(0.0)
-            value.append(v)
+            number.append(v)
             count.append(n)
-        right.append(-1)
     if waiting:
         raise SchemaViolationError(f"{where}: ended before all children were read")
-    return Tree(np.array(feature), np.array(threshold), np.array(right), np.array(value),
-                np.array(count))
+    return Tree(np.array(feature), np.array(number), np.array(count))
 
 
 def _expect(obj: dict, key: str, typ, where: str):
@@ -224,7 +217,7 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
     trees = bundle.model.trees if isinstance(bundle.model, ForestModel) else ()
     # Strict JSON for the trees too: refuse a non-finite number before the file is opened.
     for i, tree in enumerate(trees):
-        if not np.isfinite(np.where(tree.feature >= 0, tree.threshold, tree.value)).all():
+        if not np.isfinite(tree.number).all():
             raise ValueError(f"tree {i} holds a non-finite threshold or leaf value, "
                              "which JSON cannot hold")
     # Every key is fixed and every string escapes its quotes, so only a forest payload's

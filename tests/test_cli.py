@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import soilyield
-from soilyield import persist, pipeline
+from soilyield import cli, persist, pipeline
 from soilyield.cli import main
 from soilyield.metrics import mae, rmse
 from soilyield.persist import load_model, save_model
@@ -1113,6 +1113,20 @@ class TestExitCodes:
                             "--output-dir", str(blocker / "sub")], capsys)
         assert code == 4
         assert "error" in err
+
+    @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 7.28 TiB")],
+                             ids=["bare", "numpy"])
+    def test_out_of_memory_exits_4(self, tmp_path, capsys, monkeypatch, exc):
+        # Stands in for `synth --n 1000000000000`, whose arrays numpy cannot allocate.
+        def run_synth(cfg):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_synth", run_synth)
+        code, out, err = run(["synth", "--n", "10", "--output-dir", str(tmp_path)], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert str(exc) in err
 
 
 def run_python(*args, **kwargs):

@@ -420,17 +420,29 @@ class TestCandidateDraws:
 
 
 def tree_from_nodes(nodes):
-    """A tree from preorder ``[feature, threshold, right, value, count]`` rows."""
+    """A tree from preorder ``[feature, number, count]`` rows."""
     return Tree(*(np.array(column) for column in zip(*nodes)))
 
 
 def leaf(value, count):
     """One leaf in the preorder rows ``tree_from_nodes`` takes."""
-    return [-1, 0.0, -1, value, count]
+    return [-1, value, count]
 
 
-def split(feature, threshold, right):
-    return [feature, threshold, right, 0.0, 0]
+def split(feature, threshold):
+    return [feature, threshold, 0]
+
+
+def right_children(tree: Tree) -> list[int]:
+    """Each node's right child, found by a walk with a stack of the splits waiting
+    for one (the node after a leaf is the latest one's); -1 at a leaf."""
+    right, waiting = [-1] * len(tree.feature), []
+    for i, f in enumerate(tree.feature.tolist()):
+        if i and tree.feature[i - 1] < 0:
+            right[waiting.pop()] = i
+        if f >= 0:
+            waiting.append(i)
+    return right
 
 
 def assert_same_tree(a: Tree, b: Tree):
@@ -479,7 +491,7 @@ class TestFitTree:
         y = np.array([0.0, 0.0, 10.0, 10.0])
         params = ForestParams(max_depth=1, max_features=1)
         tree = fit_tree(X, y, np.arange(4), params, np.random.default_rng(0))
-        expected = tree_from_nodes([split(0, 2.5, 2), leaf(0.0, 2), leaf(10.0, 2)])
+        expected = tree_from_nodes([split(0, 2.5), leaf(0.0, 2), leaf(10.0, 2)])
         assert_same_tree(tree, expected)
 
 
@@ -630,15 +642,16 @@ class TestFitForest:
 
 def route_level_by_level(tree: Tree, X):
     """Reference router: the rows not yet at a leaf step one level, in preorder ids."""
+    right = np.array(right_children(tree))
     node = np.zeros(X.shape[0], dtype=np.intp)
     rows = np.arange(X.shape[0])
     while rows.size:
         at = node[rows]
         split = tree.feature[at] >= 0
         rows, at = rows[split], at[split]
-        left = X[rows, tree.feature[at]] <= tree.threshold[at]
-        node[rows] = np.where(left, at + 1, tree.right[at])
-    return tree.value[node]
+        left = X[rows, tree.feature[at]] <= tree.number[at]
+        node[rows] = np.where(left, at + 1, right[at])
+    return tree.number[node]
 
 
 @st.composite
@@ -657,14 +670,12 @@ def routing_cases(draw):
         # Splits in preorder; a leading run of them makes a left spine deeper than 8.
         decisions = iter([True] * draw(st.integers(0, 12))
                          + draw(st.lists(st.booleans(), max_size=40)))
-        nodes, stack = [], [-1]  # the split whose right child comes next, or -1
-        while stack:
-            parent = stack.pop()
-            if parent >= 0:
-                nodes[parent][2] = len(nodes)
+        nodes, open_slots = [], 1  # the subtrees still to write
+        while open_slots:
+            open_slots -= 1
             if next(decisions, False):
-                nodes.append(split(draw(st.integers(0, d - 1)), draw(st.sampled_from(finite)), -1))
-                stack += [len(nodes) - 1, -1]
+                nodes.append(split(draw(st.integers(0, d - 1)), draw(st.sampled_from(finite))))
+                open_slots += 2
             else:
                 nodes.append(leaf(float(len(nodes)), 1))  # a distinct value per leaf
         trees.append(tree_from_nodes(nodes))
@@ -697,7 +708,7 @@ class TestPredictForest:
         assert np.all(predict_forest(model, [[-9.0], [0.0], [9.0]]) == 2.5)
 
     def test_value_at_threshold_routes_left(self):
-        tree = tree_from_nodes([split(0, 2.5, 2), leaf(-1.0, 1), leaf(1.0, 1)])
+        tree = tree_from_nodes([split(0, 2.5), leaf(-1.0, 1), leaf(1.0, 1)])
         model = ForestModel(
             trees=(tree,),
             params=ForestParams(n_trees=1, max_features=1),
@@ -714,12 +725,13 @@ class TestPredictForest:
         probe = np.random.default_rng(23).normal(scale=20.0, size=(60, X.shape[1]))
         rows = np.vstack([X, probe])
         for tree in model.trees:
+            right = right_children(tree)
             expected = []
             for x in rows:
                 i = 0
                 while tree.feature[i] >= 0:
-                    i = i + 1 if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
-                expected.append(tree.value[i])
+                    i = i + 1 if x[tree.feature[i]] <= tree.number[i] else right[i]
+                expected.append(tree.number[i])
             assert np.array_equal(predict_tree(tree, rows), expected)
 
     @settings(max_examples=300, derandomize=True, deadline=None)

@@ -68,9 +68,8 @@ def whole_text(bundle):
 def encode_tree(tree):
     """A tree's preorder node list as dicts, the reference for the text ``save_model`` writes."""
     return [
-        {"f": f, "t": t} if f >= 0 else {"v": v, "n": n}
-        for f, t, v, n in zip(tree.feature.tolist(), tree.threshold.tolist(),
-                              tree.value.tolist(), tree.count.tolist())
+        {"f": f, "t": x} if f >= 0 else {"v": x, "n": n}
+        for f, x, n in zip(tree.feature.tolist(), tree.number.tolist(), tree.count.tolist())
     ]
 
 
@@ -82,18 +81,15 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-7, 1e16, -1e16, 1.7976931348623157
 def trees(draw, n_features):
     """A valid preorder tree whose numbers come from edge values and arbitrary finite ones."""
     numbers = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
-    nodes, waiting, open_slots = [], [], 1
+    nodes, open_slots = [], 1
     while open_slots:
-        if nodes and nodes[-1][0] < 0:
-            nodes[waiting.pop()][2] = len(nodes)
         open_slots -= 1
         if len(nodes) < 60 and draw(st.booleans()):
-            waiting.append(len(nodes))
-            nodes.append([draw(st.integers(0, n_features - 1)), draw(numbers), -1, 0.0, 0])
+            nodes.append([draw(st.integers(0, n_features - 1)), draw(numbers), 0])
             open_slots += 2
         else:
             count = draw(st.sampled_from([1, 2**63 - 1]) | st.integers(1, 2**63 - 1))
-            nodes.append([-1, 0.0, -1, draw(numbers), count])
+            nodes.append([-1, draw(numbers), count])
     return Tree(*(np.array(column) for column in zip(*nodes)))
 
 
@@ -168,12 +164,11 @@ class TestTreeText:
         assert path.read_text(encoding="utf-8") == whole_text(load_model(path))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("field", ["threshold", "value"])
-    def test_non_finite_number_raises_before_writing(self, tmp_path, field, bad):
-        split_then_leaves = Tree(np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]),
-                                 np.array([2, -1, -1]), np.array([0.0, 1.0, 2.0]),
+    @pytest.mark.parametrize("node", [0, 2], ids=["threshold", "value"])
+    def test_non_finite_number_raises_before_writing(self, tmp_path, node, bad):
+        split_then_leaves = Tree(np.array([0, -1, -1]), np.array([0.5, 1.0, 2.0]),
                                  np.array([0, 3, 4]))
-        getattr(split_then_leaves, field)[0 if field == "threshold" else 2] = bad
+        split_then_leaves.number[node] = bad
         path = tmp_path / "forest.json"
         with pytest.raises(ValueError):
             save_model(forest_bundle([split_then_leaves]), path)
@@ -283,8 +278,7 @@ def assert_same_bundle(a, b):
     assert (a.model.params, a.model.oob_r2) == (b.model.params, b.model.oob_r2)
     assert len(a.model.trees) == len(b.model.trees)
     for s, t in zip(a.model.trees, b.model.trees):
-        for field in ("feature", "threshold", "right", "value", "count"):
-            x, y = getattr(s, field), getattr(t, field)
+        for x, y in zip(s, t, strict=True):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
@@ -433,6 +427,17 @@ class TestLoadMemory:
         assert load_model(path).target_name == "récolte"
         assert traced_peak(lambda: load_model(path)) < 6 * path.stat().st_size
         assert whole_file_reads == []
+
+
+class TestTreeMemory:
+    def test_fitted_and_loaded_trees_hold_24_bytes_per_node(self, tmp_path):
+        # Three 8-byte numbers per node: the feature, the threshold or leaf value, the count.
+        bundle, _ = make_bundle("forest")
+        path = tmp_path / "forest.json"
+        save_model(bundle, path)
+        for model in (bundle.model, load_model(path).model):
+            for tree in model.trees:
+                assert sum(a.nbytes for a in tree) == 24 * len(tree.feature)
 
 
 class TestSaveMemory:
