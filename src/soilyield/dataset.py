@@ -183,9 +183,7 @@ def load_csv(
             schema = schema(header)
         absent = [c.name for c in schema if c.name not in header]
         if absent:
-            raise HeaderMismatchError(
-                f"{path}: columns not found in header: {', '.join(absent)}"
-            )
+            raise HeaderMismatchError(f"{path}: columns not found in header: {', '.join(absent)}")
         repeated = [c.name for c in schema if header.count(c.name) > 1]
         if repeated:
             raise HeaderMismatchError(
@@ -206,11 +204,8 @@ def load_csv(
                     append(math.nan)
     if not n_rows:
         raise EmptyInputError(f"{path}: no data rows")
-    return Dataset(
-        schema=tuple(schema),
-        values=np.frombuffer(cells, dtype=np.float64).reshape(n_rows, len(positions)),
-        provenance=Provenance(source=str(path), rows_read=n_rows),
-    )
+    values = np.frombuffer(cells, dtype=np.float64).reshape(n_rows, len(positions))
+    return Dataset(tuple(schema), values, Provenance(str(path), rows_read=n_rows))
 
 
 @contextmanager
@@ -258,9 +253,7 @@ def drop_incomplete_rows(d: Dataset) -> Dataset:
     kept = d.values[np.isfinite(d.values).all(axis=1)]
     dropped = d.n_rows - kept.shape[0]
     if kept.shape[0] == 0:
-        raise AllRowsDroppedError(
-            f"all {d.n_rows} rows had missing or non-finite cells"
-        )
+        raise AllRowsDroppedError(f"all {d.n_rows} rows had missing or non-finite cells")
     provenance = replace(d.provenance, rows_dropped=d.provenance.rows_dropped + dropped)
     return Dataset(schema=d.schema, values=kept, provenance=provenance)
 

@@ -20,6 +20,7 @@ import os
 from array import array
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -169,19 +170,22 @@ def _rank_tables(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return ranks + (n + 1) * np.arange(d)[:, None], by_rank[0].ravel(), by_rank[1].ravel()
 
 
-def _best_splits(tables, nodes, features: np.ndarray, min_leaf: int) -> list[SplitChoice | None]:
-    """Each node's best split among its candidate features, or None, scanned in one batch.
+def _best_splits(tables, nodes, features: np.ndarray, min_leaf: int) -> list[tuple | None]:
+    """Each node's best (feature, threshold, reduction) among its candidates, or None, in one batch.
 
     ``nodes`` holds (rows, mean, sse_parent), ``features`` a sorted row of
     candidates per node.  A (node, feature) pair's rows are sorted by
     position, which is (x, y) order (rows that tie on both give equal terms),
-    and its prefix sums run along a padded row in the order a loop over the
+    and its prefix sums run down a padded column in the order a loop over the
     node would add them: a node's result depends on nothing else in the batch.
     """
+    if not nodes:
+        return []
     ranks, x_by_rank, y_by_rank = tables
-    k = features.shape[-1]  # an empty batch has shape (0,)
+    stride, k = ranks.shape[1], features.shape[1]
     order = sorted(range(len(nodes)), key=lambda i: len(nodes[i][0]))
     thresholds, reductions = np.empty((2, *features.shape))
+    bands = np.empty(len(nodes))
     while order:
         # One call takes nodes of one width class, padded to the widest.
         limit = next((w for w in _WIDTH_CLASSES if len(nodes[order[0]][0]) <= w), math.inf)
@@ -191,43 +195,55 @@ def _best_splits(tables, nodes, features: np.ndarray, min_leaf: int) -> list[Spl
             stop += 1
         chunk, order = order[:stop], order[stop:]
         rows, means, sse_parent = zip(*(nodes[i] for i in chunk))
-        m = np.array([len(r) for r in rows])[:, None, None]
+        m, sse_parent = np.array([len(r) for r in rows]), np.array(sse_parent)
+        bands[chunk] = REDUCTION_TIE_RTOL * sse_parent / m
         width = len(rows[-1])
-        padded = np.full((len(chunk), 1, width), ranks.shape[1] - 1)
-        padded[np.arange(width) < m] = [i for r in rows for i in r]
-        at = ranks[features[chunk][:, :, None], padded]
+        padded = np.full((len(chunk), width), stride - 1)
+        padded[np.arange(width) < m[:, None]] = np.fromiter(chain.from_iterable(rows), np.intp,
+                                                             m.sum())
+        at = np.take(ranks, (features[chunk] * stride)[:, :, None] + padded[:, None])
         at.sort(axis=2)
+        # Positions down axis 0 and one (node, candidate) pair per column: the gathers
+        # below write C-ordered arrays, so each later step is a pass over whole rows.
+        at = at.reshape(-1, width).T
+        col = np.arange(at.shape[1])
+        m = np.repeat(m, k)
         xs = np.take(x_by_rank, at)
-        ys = np.take(y_by_rank, at) - np.array(means)[:, None, None]
-        cs, cq = np.cumsum(ys, axis=2), np.cumsum(ys * ys, axis=2)
-        cell = np.arange(len(chunk) * k).reshape(len(chunk), k, 1)
-        row = cell * width  # where each (node, candidate) row starts in xs, cs and cq
-        s_t, q_t = np.take(cs, row + (m - 1)), np.take(cq, row + (m - 1))
-        s_l, q_l = cs[:, :, :-1], cq[:, :, :-1]
-        p = np.arange(1.0, width)
+        ys = np.take(y_by_rank, at) - np.repeat(means, k)
+        cs, cq = np.cumsum(ys, axis=0), np.cumsum(ys * ys, axis=0)
+        s_t, q_t = cs[m - 1, col], cq[m - 1, col]
+        s_l, q_l = cs[:-1], cq[:-1]
+        p = np.arange(1.0, width)[:, None]
         n_r = m - p
         sse_l = q_l - s_l * s_l / p
         # Past a node's last row the right side is empty; those cells are masked.
         sse_r = (q_t - q_l) - (s_t - s_l) ** 2 / np.maximum(n_r, 1.0)
-        reduction = (np.array(sse_parent)[:, None, None] - sse_l - sse_r) / m
-        valid = (xs[:, :, :-1] != xs[:, :, 1:]) & ((p >= min_leaf) & (n_r >= min_leaf))
+        reduction = (np.repeat(sse_parent, k) - sse_l - sse_r) / m
+        valid = (xs[:-1] != xs[1:]) & ((p >= min_leaf) & (n_r >= min_leaf))
         reduction = np.where(valid, reduction, -np.inf)
-        j = reduction.argmax(axis=2)[:, :, None]  # first max = lowest threshold
-        reductions[chunk] = np.take(reduction, cell * (width - 1) + j)[:, :, 0]
-        lo, hi = np.take(xs, row + j)[:, :, 0], np.take(xs, row + j + 1)[:, :, 0]
+        j = reduction.argmax(axis=0)  # first max = lowest threshold
+        reductions[chunk] = reduction[j, col].reshape(-1, k)
+        lo, hi = xs[j, col], xs[j + 1, col]
         threshold = 0.5 * (lo + hi)
         # Adjacent floats: keep the <= rule partition intact.
-        thresholds[chunk] = np.where(threshold == hi, lo, threshold)
-    choices = []
-    for (rows, _, sse_parent), fs, ts, rs in zip(nodes, features.tolist(), thresholds.tolist(),
-                                                 reductions.tolist()):
-        tie_band = REDUCTION_TIE_RTOL * sse_parent / len(rows)
-        best = -1
-        for c, r in enumerate(rs):
-            if r > 0.0 and (best < 0 or r > rs[best] + tie_band):
-                best = c
-        choices.append(SplitChoice(fs[best], ts[best], rs[best]) if best >= 0 else None)
-    return choices
+        thresholds[chunk] = np.where(threshold == hi, lo, threshold).reshape(-1, k)
+    best = _resolve_ties(reductions, bands)
+    pick = np.arange(len(nodes)), best
+    return [(f, t, r) if c >= 0 else None
+            for c, f, t, r in zip(best.tolist(), features[pick].tolist(),
+                                  thresholds[pick].tolist(), reductions[pick].tolist())]
+
+
+def _resolve_ties(reductions: np.ndarray, bands: np.ndarray) -> np.ndarray:
+    """Per row, the candidate that a walk in order holds at the end, or -1 for none: a
+    positive reduction displaces the one held when larger by more than the row's band."""
+    best = np.full(len(reductions), -1)
+    bar = np.zeros(len(reductions))  # 0, then the reduction held plus the band (if above 0)
+    for c, r in enumerate(reductions.T):
+        take = r > bar
+        best[take] = c
+        np.maximum(r + bands, 0.0, out=bar, where=take)
+    return best
 
 
 def best_split(rows, X, y, candidate_features: Sequence[int],
@@ -251,8 +267,9 @@ def best_split(rows, X, y, candidate_features: Sequence[int],
     if sse_parent is None:
         return None
     features = np.array([sorted(int(f) for f in candidate_features)])
-    return _best_splits(_rank_tables(X, y), [(rows, mean, sse_parent)], features,
-                        min_samples_leaf)[0]
+    choice = _best_splits(_rank_tables(X, y), [(rows, mean, sse_parent)], features,
+                          min_samples_leaf)[0]
+    return None if choice is None else SplitChoice(*choice)
 
 
 def _draw_bounds(d: int, k: int) -> np.ndarray:
@@ -389,6 +406,7 @@ def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
     d = X.shape[1]
     k = params.resolved(d).max_features
     max_depth = math.inf if params.max_depth is None else params.max_depth
+    min_split = params.min_samples_split
     tables = _rank_tables(X, y)
     columns, y_list = X.T.tolist(), y.tolist()
     ids = list(range(X.shape[0]))  # the row lists hold these ints, not copies of them
@@ -404,7 +422,7 @@ def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
             stack, draws, nodes = tree
             while stack:
                 rows, depth = stack.pop()
-                may_split = len(rows) >= params.min_samples_split and depth < max_depth
+                may_split = len(rows) >= min_split and depth < max_depth
                 mean, sse_parent = _node_target(rows, y_list, may_split)
                 if sse_parent is not None:
                     batch.append((tree, rows, depth, mean, sse_parent, draws.sample(d, k)))

@@ -28,6 +28,7 @@ FORMAT_VERSION = 1
 MODEL_KINDS = ("mlr", "ridge", "forest")  # the order train fits and logs "all" in
 SOLVERS = ("cholesky", "svd")
 _TREES = '"trees":['  # a forest payload's trees array opens here, and only here
+_LEAF_REPRS = 4096  # about 130 bytes each with its float, so a save keeps at most ~0.5 MB
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,18 @@ class ModelBundle:
             raise ValueError(f"unknown model kind {self.kind!r}")
 
 
-def _tree_text(tree: Tree) -> str:
+class _LeafReprs(dict):
+    """The ``repr`` of the first ``_LEAF_REPRS`` leaf values met, as a forest's leaves share
+    few values; not of 0.0 or -0.0, which are equal keys with different text."""
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value and len(self) < _LEAF_REPRS:
+            self[value] = text
+        return text
+
+
+def _tree_text(tree: Tree, leaf_reprs: _LeafReprs) -> str:
     """The tree's preorder node list as the JSON text ``json.dumps`` would write.
 
     A split is ``{"f":feature,"t":threshold}`` and a leaf ``{"n":count,"v":value}``,
@@ -52,7 +64,7 @@ def _tree_text(tree: Tree) -> str:
     writes them.
     """
     return "[" + ",".join(
-        f'{{"f":{f},"t":{t!r}}}' if f >= 0 else f'{{"n":{n},"v":{t!r}}}'
+        f'{{"f":{f},"t":{t!r}}}' if f >= 0 else f'{{"n":{n},"v":{leaf_reprs[t]}}}'
         for f, t, n in zip(tree.feature.tolist(), tree.number.tolist(), tree.count.tolist())
     ) + "]"
 
@@ -225,8 +237,9 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
     head, opening, tail = text.partition(_TREES)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head + opening)
+        leaf_reprs = _LeafReprs()
         for i, tree in enumerate(trees):
-            fh.write("," + _tree_text(tree) if i else _tree_text(tree))
+            fh.write(("," if i else "") + _tree_text(tree, leaf_reprs))
         fh.write(tail)
 
 
@@ -322,14 +335,7 @@ def _bundle(obj, where: str, trees: list[Tree] | None = None) -> ModelBundle:
         model = _forest_from_payload(payload, feature_names, where, trees)
     else:
         model = _linear_from_payload(payload, feature_names, where)
-    return ModelBundle(
-        kind=kind,
-        feature_names=feature_names,
-        target_name=target_name,
-        feature_scaler=feature_scaler,
-        target_scaler=target_scaler,
-        model=model,
-    )
+    return ModelBundle(kind, feature_names, target_name, feature_scaler, target_scaler, model)
 
 
 def _linear_from_payload(payload: dict, feature_names: tuple[str, ...], where: str) -> LinearModel:
@@ -383,9 +389,4 @@ def _forest_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
     if trees is None:
         trees = [_decode_tree(t, len(feature_names), f"{where}: tree {i}")
                  for i, t in enumerate(trees_obj)]
-    return ForestModel(
-        trees=tuple(trees),
-        params=params,
-        feature_names=feature_names,
-        oob_r2=_r2(payload, "oob_r2", where),
-    )
+    return ForestModel(tuple(trees), params, feature_names, _r2(payload, "oob_r2", where))

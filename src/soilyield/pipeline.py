@@ -214,6 +214,9 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
     x_train = apply_minmax(feature_scaler, train[:, :-1])
     y_train_raw = train[:, -1]
     y_train = _target_vector(target_scaler, y_train_raw, forward=True)
+    # Each model's log line reports its training R²: refuse a target that leaves it
+    # undefined (a constant one exits 3) with r2_score's own check, before any model is written.
+    r2_score(y_train_raw, y_train_raw)
 
     log_lines = [
         f"input: {Path(input_path).name}",
@@ -228,14 +231,7 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
     paths: dict[str, Path] = {}
     for kind in kinds:
         model = _fit_kind(kind, cfg, x_train, y_train, features)
-        bundle = ModelBundle(
-            kind=kind,
-            feature_names=features,
-            target_name=target,
-            feature_scaler=feature_scaler,
-            target_scaler=target_scaler,
-            model=model,
-        )
+        bundle = ModelBundle(kind, features, target, feature_scaler, target_scaler, model)
         path = out / model_filename(kind)
         save_model(bundle, path)
         paths[kind] = path

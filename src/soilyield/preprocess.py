@@ -30,6 +30,10 @@ class NormalizationParams:
             raise ValueError("columns, mins, and maxs must have equal length")
         if np.any(self.mins > self.maxs):
             raise ValueError("per-column min must not exceed max")
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(self.maxs - self.mins)
+        if not finite.all():  # (x - min) / (max - min) would give NaN or inf
+            raise ValueError(f"column {self.columns[finite.argmin()]!r}: max - min overflows")
 
     def __len__(self) -> int:
         return len(self.columns)

@@ -40,13 +40,7 @@ def score_predictions(model_name: str, y_true, y_pred) -> ModelScore:
     """Score one model on held-out data."""
     yt = np.asarray(y_true, dtype=np.float64)
     yp = np.asarray(y_pred, dtype=np.float64)
-    return ModelScore(
-        model_name=model_name,
-        r2=r2_score(yt, yp),
-        rmse=rmse(yt, yp),
-        mae=mae(yt, yp),
-        n_test=int(yt.shape[0]),
-    )
+    return ModelScore(model_name, r2_score(yt, yp), rmse(yt, yp), mae(yt, yp), int(yt.shape[0]))
 
 
 def build_report(entries: Sequence[ModelScore]) -> EvaluationReport:
@@ -54,10 +48,7 @@ def build_report(entries: Sequence[ModelScore]) -> EvaluationReport:
     if not entries:
         raise ValueError("need at least one model entry")
     ordered = sorted(entries, key=lambda e: (-e.r2, e.model_name))
-    return EvaluationReport(
-        entries=tuple(ordered),
-        ranking=tuple(e.model_name for e in ordered),
-    )
+    return EvaluationReport(tuple(ordered), tuple(e.model_name for e in ordered))
 
 
 def write_comparison_csv(report: EvaluationReport, path: str | Path) -> None:

@@ -67,6 +67,17 @@ def synth_csv(directory: Path, n=50, seed=3) -> Path:
     return directory / "synthetic_soil.csv"
 
 
+def with_column(csv_path: Path, path: Path, column: str, value) -> Path:
+    """A copy of ``csv_path`` at ``path`` whose ``column`` holds ``value(i)`` in data row i."""
+    lines = csv_path.read_text().splitlines()
+    at = lines[0].split(",").index(column)
+    rows = [line.split(",") for line in lines[1:]]
+    for i, cells in enumerate(rows):
+        cells[at] = value(i)
+    path.write_text("\n".join([lines[0]] + [",".join(cells) for cells in rows]) + "\n")
+    return path
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A shared synth + train run used by the read-only command tests."""
@@ -220,6 +231,29 @@ class TestTrain:
         code, _, _ = run(["predict", str(model_path), "--input", str(flat),
                           "--output-dir", str(tmp_path / "pred")], capsys)
         assert code == 0
+
+    def test_constant_target_exits_3_before_writing(self, tmp_path, capsys):
+        # Training R² is undefined for a constant target; the first model used to be
+        # saved before its log line found that out.
+        flat = with_column(synth_csv(tmp_path, n=40), tmp_path / "flat.csv", "yield",
+                           lambda i: "2.5")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code, stdout, err = run(["train", "--input", str(flat), "--output-dir", str(out),
+                                 "--trees", "3"], capsys)
+        assert code == 3
+        assert stdout == "" and err.count("\n") == 1 and "constant" in err
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_column_whose_spread_overflows_exits_2_naming_it(self, tmp_path, capsys):
+        # Both bounds are finite but max - min is not: scaling would turn rows into NaN.
+        huge = with_column(synth_csv(tmp_path, n=40), tmp_path / "huge.csv", "pH",
+                           lambda i: "1e308" if i % 2 else "-1e308")
+        out = tmp_path / "out"
+        code, _, err = run(["train", "--input", str(huge), "--output-dir", str(out)], capsys)
+        assert code == 2
+        assert err == "error: column 'pH': max - min overflows\n"
+        assert not out.exists() or not list(out.iterdir())
 
     def test_single_model_selection(self, tmp_path):
         csv_path = synth_csv(tmp_path, n=30, seed=2)
@@ -612,6 +646,19 @@ class TestDamagedModelFiles:
         code, _, err = predict_with_edited_model(trained, tmp_path, capsys, kind, path, value)
         assert code == 2
         assert err.startswith(f"error: {tmp_path / 'damaged.json'}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["mlr", "forest"])
+    def test_target_scaler_spread_overflow_exits_2_naming_the_file(self, trained, tmp_path,
+                                                                   capsys, kind):
+        # Predictions used to come out as inf, with an overflow warning.
+        out, _ = trained
+        obj = json.loads((out / f"model_{kind}.json").read_text())
+        obj["target_scaler"].update(min=[-1e308], max=[1e308])
+        code, stdout, err = predict_with_model(obj, tmp_path, capsys)
+        assert code == 2
+        assert stdout == "" and err.count("\n") == 1
+        assert "damaged.json: target_scaler: column 'yield': max - min overflows" in err
+        assert not (tmp_path / "predictions.csv").exists()
 
     def test_top_level_array_names_the_file(self, trained, tmp_path, capsys):
         out, _ = trained

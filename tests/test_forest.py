@@ -22,6 +22,7 @@ from soilyield.forest import (
     _node_target,
     _pairwise_sum,
     _rank_tables,
+    _resolve_ties,
     _tree_rng,
     best_split,
     fit_forest,
@@ -243,10 +244,36 @@ class TestBestSplit:
         alone = [_best_splits(tables, [node], features[i:i + 1], 2)[0]
                  for i, node in enumerate(nodes)]
         assert sum(choice is not None for choice in alone) > len(nodes) // 2
-        for _ in range(3):
-            order = rng.permutation(len(nodes))[: int(rng.integers(2, len(nodes) + 1))]
+        # Three random sub-batches, then one batch of every node: all three width classes.
+        orders = [rng.permutation(len(nodes))[: int(rng.integers(2, len(nodes) + 1))]
+                  for _ in range(3)] + [rng.permutation(len(nodes))]
+        assert {min(i for i, w in enumerate((8, 48, math.inf)) if len(rows) <= w)
+                for rows, _, _ in nodes} == {0, 1, 2}
+        for order in orders:
             choices = _best_splits(tables, [nodes[i] for i in order], features[order], 2)
             assert list(map(choice_bits, choices)) == [choice_bits(alone[i]) for i in order]
+
+    def test_tie_band_is_measured_from_the_candidate_held(self):
+        # The second candidate beats the first by more than the band, the third beats
+        # the second by less: the walk keeps the second where an argmax takes the third.
+        r0, band = 0.25, 1e-3
+        reductions = np.array([[r0, r0 + 1.5 * band, r0 + 2 * band]])
+        assert _resolve_ties(reductions, np.array([band])).tolist() == [1]
+        assert reductions.argmax() == 2
+
+    def test_tie_walk_matches_a_loop_over_each_node(self):
+        rng = np.random.default_rng(131)
+        reductions = rng.choice([-np.inf, np.nan, -1.0, 0.0, 0.5, 1.0, 1.0 + 1e-10, 1.0 + 3e-9,
+                                 2.0, np.inf], size=(500, 4))
+        bands = rng.choice([0.0, 1e-9, 1.0, -1e-9, -1.0], size=500)  # sse_parent may round below 0
+        expected = []
+        for rs, band in zip(reductions.tolist(), bands.tolist()):
+            best = -1
+            for c, r in enumerate(rs):
+                if r > 0.0 and (best < 0 or r > rs[best] + band):
+                    best = c
+            expected.append(best)
+        assert _resolve_ties(reductions, bands).tolist() == expected
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(103)
@@ -276,6 +303,33 @@ def float_bits(value):
 def choice_bits(choice):
     """A split's feature and the bits of its threshold and reduction."""
     return None if choice is None else (choice[0], *map(float_bits, choice[1:]))
+
+
+class TestNodeTarget:
+    @pytest.mark.parametrize("m", [1, 2, 127, 128, 129, 300])
+    def test_bit_equal_to_numpy_either_side_of_128_rows(self, m):
+        # _pairwise_sum adds up to 128 values in eight lanes and splits longer runs in two.
+        rng = np.random.default_rng(m)
+        y = rng.normal(size=400) * 10.0 ** rng.integers(-8, 9, size=400)
+        for _ in range(20):
+            rows = np.sort(rng.integers(0, 400, size=m)).tolist()
+            ys = y[rows]
+            mean = float(np.sum(ys)) / m
+            yc = ys - mean
+            s = float(np.sum(yc))
+            constant = bool((ys == ys[0]).all())
+            expected = (mean, None if constant else float(np.sum(yc * yc)) - s * s / m)
+            got = _node_target(rows, y.tolist(), True)
+            assert [float_bits(v) for v in got if v is not None] == \
+                [float_bits(v) for v in expected if v is not None]
+            assert _node_target(rows, y.tolist(), False) == (got[0], None)
+
+    def test_constant_node_has_no_sum_of_squares(self):
+        y = np.array([-0.0, 0.0, 1.5])
+        for rows in ([0, 1], [0, 1] * 100, [2] * 129):
+            mean, sse = _node_target(rows, y.tolist(), True)
+            assert sse is None
+            assert float_bits(mean) == float_bits(float(np.sum(y[rows])) / len(rows))
 
 
 class TestPairwiseSum:

@@ -62,7 +62,9 @@ def whole_text(bundle):
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
                       ensure_ascii=False) + "\n"
     head, _, tail = text.partition('"trees":[]')
-    return head + '"trees":[' + ",".join(map(persist._tree_text, bundle.model.trees)) + "]" + tail
+    # A fresh leaf-repr dict per tree, where save_model shares one across the forest.
+    trees = [persist._tree_text(tree, persist._LeafReprs()) for tree in bundle.model.trees]
+    return head + '"trees":[' + ",".join(trees) + "]" + tail
 
 
 def encode_tree(tree):
@@ -156,6 +158,26 @@ class TestTreeText:
         obj["payload"]["trees"] = [encode_tree(t) for t in tree_list]
         expected = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
         assert text == expected
+
+    def test_shared_leaf_reprs_keep_each_zero_and_repeat_values(self):
+        # 0.0 == -0.0 as dict keys, so a forest-wide cache must not hand one the other's text.
+        leaves = [[0.0, 0.1], [-0.0, 0.1], [0.1, 0.0], [1 / 3, -0.0]]
+        leaf_reprs = persist._LeafReprs()
+        for values in leaves:
+            tree = Tree(np.array([0, -1, -1]), np.array([0.5, *values]), np.array([0, 2, 3]))
+            expected = json.dumps(encode_tree(tree), sort_keys=True, separators=(",", ":"))
+            assert persist._tree_text(tree, leaf_reprs) == expected
+        assert sorted(leaf_reprs) == [0.1, 1 / 3]
+
+    def test_leaf_reprs_past_the_cap_are_written_uncached(self, monkeypatch):
+        monkeypatch.setattr(persist, "_LEAF_REPRS", 2)
+        values = [0.1, 0.2, 0.3, 0.1, 0.3]
+        tree = Tree(np.array([0, 0, 0, 0, -1, -1, -1, -1, -1]),
+                    np.array([0.5] * 4 + values), np.array([0] * 4 + [1] * 5))
+        leaf_reprs = persist._LeafReprs()
+        expected = json.dumps(encode_tree(tree), sort_keys=True, separators=(",", ":"))
+        assert persist._tree_text(tree, leaf_reprs) == expected
+        assert sorted(leaf_reprs) == [0.1, 0.2]
 
     @pytest.mark.parametrize("n_trees, target_name", [(1, "yield"), (100, "yield"),
                                                       (100, "récolte")])
