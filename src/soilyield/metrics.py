@@ -8,7 +8,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatchError, ZeroTotalError, ZeroVarianceError
+from .errors import LengthMismatchError, NumericalError, ZeroTotalError, ZeroVarianceError
+
+
+_FLOAT = np.finfo(np.float64)
 
 
 def _as_pair(y_true, y_pred, minimum: int) -> tuple[np.ndarray, np.ndarray]:
@@ -23,6 +26,16 @@ def _as_pair(y_true, y_pred, minimum: int) -> tuple[np.ndarray, np.ndarray]:
     return yt, yp
 
 
+def _sum_of_squares(d: np.ndarray, floor: float = _FLOAT.tiny) -> float:
+    """``(d ** 2).sum()``, refused on overflow or when a nonzero ``d`` sums below ``floor``
+    (default: the smallest normal float).  Call it under np.errstate, as ``d`` is made."""
+    s = float((d ** 2).sum())
+    if not s <= _FLOAT.max or (s < floor and d.any()):
+        raise NumericalError("the sums of squares overflow or underflow float64; "
+                             "rescale the values")
+    return s
+
+
 def r2_score(y_true, y_pred) -> float:
     """Coefficient of determination, 1 - RSS/TSS.
 
@@ -30,10 +43,11 @@ def r2_score(y_true, y_pred) -> float:
     y_true makes the score undefined (TSS = 0) and raises.
     """
     yt, yp = _as_pair(y_true, y_pred, minimum=2)
-    tss = float(((yt - yt.mean()) ** 2).sum())
-    if tss == 0.0:
+    if yt.min() == yt.max():  # a rounded mean can leave a TSS just above 0
         raise ZeroVarianceError("y_true is constant, R^2 is undefined (TSS = 0)")
-    rss = float(((yt - yp) ** 2).sum())
+    with np.errstate(all="ignore"):
+        tss = _sum_of_squares(yt - yt.mean())
+        rss = _sum_of_squares(yt - yp, floor=0.0)  # under a normal TSS, an underflow is noise
     return 1.0 - rss / tss
 
 
@@ -47,7 +61,8 @@ def r2_if_defined(y_true, y_pred) -> float | None:
 
 def rmse(y_true, y_pred) -> float:
     yt, yp = _as_pair(y_true, y_pred, minimum=1)
-    return float(np.sqrt(((yt - yp) ** 2).mean()))
+    with np.errstate(all="ignore"):
+        return float(np.sqrt(_sum_of_squares(yt - yp) / len(yt)))
 
 
 def mae(y_true, y_pred) -> float:

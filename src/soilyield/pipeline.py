@@ -33,13 +33,12 @@ from .dataset import (
     train_test_split,
     write_csv,
 )
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, ValidationError, ZeroVarianceError
 from .forest import ForestModel, ForestParams, fit_forest, predict_forest
-from .linear import LinearModel, fit_mlr, fit_ridge, predict_linear
+from .linear import fit_mlr, fit_ridge, predict_linear
 from .metrics import r2_score
 from .persist import MODEL_KINDS, ModelBundle, load_model, save_model
 from .preprocess import (
-    NormalizationParams,
     apply_minmax,
     fit_minmax,
     invert_minmax,
@@ -125,17 +124,6 @@ class RunConfig:
                 f"--target {self.target_column!r} is a soil feature column, not a target"
             )
 
-    def forest_params(self) -> ForestParams:
-        return ForestParams(
-            n_trees=self.trees,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_leaf,
-            max_features=self.max_features,
-            seed=self.seed,
-            bootstrap=self.bootstrap,
-        )
-
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
 
@@ -164,60 +152,40 @@ def _load_cleaned(path: str, target: str | None) -> Dataset:
     return drop_incomplete_rows(load_csv(path, partial(soil_schema, target=target)))
 
 
-def _target_vector(scaler: NormalizationParams, y: np.ndarray, forward: bool) -> np.ndarray:
-    column = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    out = apply_minmax(scaler, column) if forward else invert_minmax(scaler, column)
-    return out.ravel()
-
-
-def _fit_kind(kind: str, cfg: RunConfig, X: np.ndarray, y: np.ndarray,
-              feature_names: tuple[str, ...]) -> LinearModel | ForestModel:
-    if kind == "forest":
-        return fit_forest(X, y, cfg.forest_params(), feature_names, workers=cfg.workers)
-    if kind == "ridge":
-        return fit_ridge(X, y, cfg.ridge_lambda, feature_names)
-    return fit_mlr(X, y, feature_names)
-
-
 def run_synth(cfg: RunConfig) -> Path:
-    out = _out_dir(cfg)
     d = synth.generate(cfg.n, cfg.seed)
-    path = out / SYNTH_FILENAME
+    path = _out_dir(cfg) / SYNTH_FILENAME
     save_csv(d, path)
     return path
 
 
 def run_train(cfg: RunConfig) -> dict[str, Path]:
-    """Train the selected models and persist them with their scalers."""
+    """Train the selected models, then persist them with their scalers: nothing is
+    written until every model is fitted and scored, so a refused run leaves no output."""
     input_path = _require_input(cfg)
     kinds = MODEL_KINDS if cfg.model == "all" else (cfg.model,)
-    if "forest" in kinds:
-        cfg.forest_params()  # reject bad forest settings before any file is written
-    out = _out_dir(cfg)
     d = _load_cleaned(input_path, target=cfg.target_column)
     split = train_test_split(d, cfg.test_ratio, cfg.seed)
 
     features = d.feature_names
     target = d.target_name
-    # Settings that only the data can rule out, refused before any model is written.
+    if len(split.train) < 2:
+        raise ValidationError(f"--test-ratio {cfg.test_ratio} leaves {len(split.train)} training "
+                              f"row of {d.n_rows}; training needs at least 2")
     if "mlr" in kinds and len(split.train) <= len(features):
         raise ValidationError(
             f"mlr needs more training rows than features: test_ratio {cfg.test_ratio} leaves "
             f"{len(split.train)} of {d.n_rows} rows for {len(features)} features"
         )
-    if "forest" in kinds:
-        cfg.forest_params().resolved(len(features))
     feature_scaler = fit_minmax(d, split.train, features)
     target_scaler = fit_minmax(d, split.train, (target,))
+    if target_scaler.mins[0] == target_scaler.maxs[0]:  # each model logs an undefined R²
+        raise ZeroVarianceError(f"target column {target!r} of {Path(input_path).name} is "
+                                f"constant over its {len(split.train)} training rows")
 
     train = d.matrix()[list(split.train)]  # in model_columns order: the target last
     x_train = apply_minmax(feature_scaler, train[:, :-1])
-    y_train_raw = train[:, -1]
-    y_train = _target_vector(target_scaler, y_train_raw, forward=True)
-    # Each model's log line reports its training R²: refuse a target that leaves it
-    # undefined (a constant one exits 3) with r2_score's own check, before any model is written.
-    r2_score(y_train_raw, y_train_raw)
-
+    y_train = apply_minmax(target_scaler, train[:, -1:]).ravel()
     log_lines = [
         f"input: {Path(input_path).name}",
         f"rows_read: {d.provenance.rows_read}",
@@ -228,38 +196,38 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
         f"seed: {cfg.seed}",
         f"test_ratio: {cfg.test_ratio}",
     ]
-    paths: dict[str, Path] = {}
+    bundles = []
     for kind in kinds:
-        model = _fit_kind(kind, cfg, x_train, y_train, features)
-        bundle = ModelBundle(kind, features, target, feature_scaler, target_scaler, model)
-        path = out / model_filename(kind)
-        save_model(bundle, path)
-        paths[kind] = path
-
-        train_pred = _bundle_predict_normalized(bundle, x_train)
-        r2 = r2_score(y_train_raw, _target_vector(target_scaler, train_pred, forward=False))
-        detail = f"model {kind}: training_r2={r2:.6f}"
-        if kind == "ridge":
-            detail += f" lambda={cfg.ridge_lambda}"
         if kind == "forest":
+            params = ForestParams(n_trees=cfg.trees, max_depth=cfg.max_depth,
+                                  min_samples_split=cfg.min_samples_split,
+                                  min_samples_leaf=cfg.min_leaf, max_features=cfg.max_features,
+                                  seed=cfg.seed, bootstrap=cfg.bootstrap)
+            model = fit_forest(x_train, y_train, params, features, workers=cfg.workers)
+            train_pred = predict_forest(model, x_train)
             oob = model.oob_r2
-            detail += f" trees={cfg.trees} oob_r2=" + ("n/a" if oob is None else f"{oob:.6f}")
-        if isinstance(model, LinearModel):
-            detail += f" solver={model.diagnostics.solver}"
-        detail += f" file={path.name}"
-        log_lines.append(detail)
+            fields = f"trees={cfg.trees} oob_r2=" + ("n/a" if oob is None else f"{oob:.6f}")
+        else:
+            ridge = kind == "ridge"
+            model = (fit_ridge(x_train, y_train, cfg.ridge_lambda, features) if ridge
+                     else fit_mlr(x_train, y_train, features))
+            train_pred = predict_linear(model, x_train)
+            lam = f"lambda={cfg.ridge_lambda} " if ridge else ""
+            fields = f"{lam}solver={model.diagnostics.solver}"
+        r2 = r2_score(train[:, -1], invert_minmax(target_scaler, train_pred[:, None]).ravel())
+        log_lines.append(f"model {kind}: training_r2={r2:.6f} {fields} file={model_filename(kind)}")
+        bundles.append(ModelBundle(kind, features, target, feature_scaler, target_scaler, model))
 
+    out = _out_dir(cfg)
+    paths: dict[str, Path] = {}
+    for bundle in bundles:
+        paths[bundle.kind] = out / model_filename(bundle.kind)
+        save_model(bundle, paths[bundle.kind])
     log_path = out / TRAIN_LOG_FILENAME
     log_path.write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     paths["log"] = log_path
     (out / CONFIG_ECHO_FILENAME).write_text(cfg.to_json(), encoding="utf-8")
     return paths
-
-
-def _bundle_predict_normalized(bundle: ModelBundle, x_norm: np.ndarray) -> np.ndarray:
-    if isinstance(bundle.model, ForestModel):
-        return predict_forest(bundle.model, x_norm)
-    return predict_linear(bundle.model, x_norm)
 
 
 def predict_bundle(bundle: ModelBundle, d: Dataset) -> tuple[np.ndarray, int]:
@@ -276,8 +244,9 @@ def predict_bundle(bundle: ModelBundle, d: Dataset) -> tuple[np.ndarray, int]:
     x_raw = d.matrix(bundle.feature_names)
     clamped = out_of_range_count(bundle.feature_scaler, x_raw)
     x_norm = apply_minmax(bundle.feature_scaler, x_raw)
-    pred_norm = _bundle_predict_normalized(bundle, x_norm)
-    return _target_vector(bundle.target_scaler, pred_norm, forward=False), clamped
+    predict = predict_forest if isinstance(bundle.model, ForestModel) else predict_linear
+    pred_norm = predict(bundle.model, x_norm)
+    return invert_minmax(bundle.target_scaler, pred_norm[:, None]).ravel(), clamped
 
 
 def _scalers_match(bundle: ModelBundle, d: Dataset, train_rows: Sequence[int]) -> bool:
@@ -298,7 +267,6 @@ def _scalers_match(bundle: ModelBundle, d: Dataset, train_rows: Sequence[int]) -
 def run_evaluate(cfg: RunConfig, model_paths: Sequence[str]) -> tuple[EvaluationReport, dict[str, Path]]:
     """Score persisted models on the held-out split reconstructed from the seed."""
     input_path = _require_input(cfg)
-    out = _out_dir(cfg)
     d = _load_cleaned(input_path, target=cfg.target_column)
     split = train_test_split(d, cfg.test_ratio, cfg.seed)
     if len(split.test) < 2:
@@ -329,6 +297,7 @@ def run_evaluate(cfg: RunConfig, model_paths: Sequence[str]) -> tuple[Evaluation
         entries.append(score)
 
     report = build_report(entries)
+    out = _out_dir(cfg)
     csv_path = out / COMPARISON_CSV_FILENAME
     svg_path = out / COMPARISON_SVG_FILENAME
     write_comparison_csv(report, csv_path)
@@ -339,12 +308,11 @@ def run_evaluate(cfg: RunConfig, model_paths: Sequence[str]) -> tuple[Evaluation
 def run_predict(cfg: RunConfig, model_path: str) -> Path:
     """Write input rows plus a predicted_yield column in original units."""
     input_path = _require_input(cfg)
-    out = _out_dir(cfg)
     bundle = load_model(model_path)
     cleaned = _load_cleaned(input_path, target=None)
     predictions, clamped = predict_bundle(bundle, cleaned)
 
-    path = out / PREDICTIONS_FILENAME
+    path = _out_dir(cfg) / PREDICTIONS_FILENAME
     with path.open("w", encoding="utf-8", newline="") as fh:
         write_csv(fh, cleaned.column_names + ("predicted_yield",), cleaned.values, predictions)
         dropped = cleaned.provenance.rows_dropped
@@ -355,12 +323,12 @@ def run_predict(cfg: RunConfig, model_path: str) -> Path:
 def run_correlate(cfg: RunConfig) -> dict[str, Path]:
     """Emit the attribute correlation matrix as CSV plus a heatmap SVG."""
     input_path = _require_input(cfg)
-    out = _out_dir(cfg)
     target = cfg.target_column
     d = drop_incomplete_rows(load_csv(
         input_path, lambda header: soil_schema(header, target if target in header else None)))
     corr = pearson_correlation(d)
 
+    out = _out_dir(cfg)
     csv_path = out / CORRELATION_CSV_FILENAME
     with csv_path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -375,8 +343,8 @@ def run_correlate(cfg: RunConfig) -> dict[str, Path]:
 def run_compare(cfg: RunConfig) -> dict[str, Path]:
     """Re-render comparison artifacts from a metrics CSV."""
     input_path = _require_input(cfg)
-    out = _out_dir(cfg)
     report = read_comparison_csv(input_path)
+    out = _out_dir(cfg)
     txt_path = out / COMPARISON_TXT_FILENAME
     txt_path.write_text(format_comparison_table(report), encoding="utf-8")
     svg_path = out / COMPARISON_SVG_FILENAME

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DimensionMismatchError, EmptySelectionError, TooFewRowsError
+from .errors import DimensionMismatchError, EmptySelectionError, TooFewRowsError, ValidationError
 from . import svgutil
 
 
@@ -100,19 +100,35 @@ def pearson_correlation(d: Dataset) -> CorrelationMatrix:
     """Pearson coefficients between all pairs of ``d.model_columns``.
 
     A zero-variance column correlates 0 with every other column (the
-    coefficient is undefined there) and 1 with itself.
+    coefficient is undefined there) and 1 with itself.  A column whose centred
+    sum of squares leaves float64's normal range is refused, as is a pair of
+    varying columns whose two sums multiply out of it; each names its columns.
     """
     if d.n_rows < 2:
         raise TooFewRowsError(f"need at least 2 rows, got {d.n_rows}")
     columns = d.model_columns
     m = d.matrix(columns)
-    centered = m - m.mean(axis=0)
-    sumsq = (centered * centered).sum(axis=0)
+    with np.errstate(all="ignore"):  # out-of-range sums are refused below
+        centered = m - m.mean(axis=0)
+        sumsq = (centered * centered).sum(axis=0)
+        denoms = np.outer(sumsq, sumsq)
+    tiny = np.finfo(np.float64).tiny
+    varies = m.min(axis=0) < m.max(axis=0)
+    bad = ~np.isfinite(sumsq) | varies & (sumsq < tiny)
+    if bad.any():
+        raise ValidationError(f"column {columns[bad.argmax()]!r}: its sum of squares overflows "
+                              "or underflows float64")
+    in_range = (tiny <= denoms) & np.isfinite(denoms)
+    pairs = np.argwhere(np.triu(np.outer(varies, varies) & ~in_range, 1))
+    if pairs.size:
+        a, b = (columns[i] for i in pairs[0])
+        raise ValidationError(f"columns {a!r} and {b!r}: the product of their sums of "
+                              "squares overflows or underflows float64")
     k = len(columns)
     values = np.eye(k)
     for i in range(k):
         for j in range(i + 1, k):
-            denom = sumsq[i] * sumsq[j]
+            denom = denoms[i, j]
             if denom > 0:
                 r = float((centered[:, i] * centered[:, j]).sum() / np.sqrt(denom))
             else:

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -75,6 +76,17 @@ def with_column(csv_path: Path, path: Path, column: str, value) -> Path:
     for i, cells in enumerate(rows):
         cells[at] = value(i)
     path.write_text("\n".join([lines[0]] + [",".join(cells) for cells in rows]) + "\n")
+    return path
+
+
+def scale_columns(csv_path: Path, path: Path, powers: dict) -> Path:
+    """A copy of ``csv_path`` at ``path`` with each column ``c`` of ``powers`` times 10**powers[c]."""
+    lines = csv_path.read_text().splitlines()
+    header = lines[0].split(",")
+    factors = [10.0 ** powers.get(name, 0) for name in header]
+    rows = [",".join(repr(float(v) * f) for v, f in zip(line.split(","), factors))
+            for line in lines[1:]]
+    path.write_text("\n".join([lines[0]] + rows) + "\n")
     return path
 
 
@@ -232,6 +244,53 @@ class TestTrain:
                           "--output-dir", str(tmp_path / "pred")], capsys)
         assert code == 0
 
+    def test_constant_target_names_the_column_and_file(self, tmp_path, capsys):
+        # The mean of forty 7.77s is not 7.77: R² used to log 1.000000 for a constant target.
+        flat = with_column(synth_csv(tmp_path, n=40), tmp_path / "flat.csv", "yield",
+                           lambda i: "7.77")
+        out = tmp_path / "out"
+        code, _, err = run(["train", "--input", str(flat), "--output-dir", str(out)], capsys)
+        assert code == 3
+        assert err == ("error: target column 'yield' of flat.csv is constant over its "
+                       "32 training rows\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["all", "ridge", "forest"])
+    def test_split_under_two_training_rows_exits_2_naming_test_ratio(self, tmp_path, capsys,
+                                                                     model):
+        csv_path = synth_csv(tmp_path, n=10)
+        out = tmp_path / "out"
+        code, _, err = run(["train", "--input", str(csv_path), "--output-dir", str(out),
+                            "--test-ratio", "0.9", "--model", model], capsys)
+        assert code == 2
+        assert err == ("error: --test-ratio 0.9 leaves 1 training row of 10; "
+                       "training needs at least 2\n")
+        assert not out.exists()
+
+    def test_negative_lambda_exits_2_before_writing(self, tmp_path, capsys):
+        # The ridge fit refuses it after the mlr model used to be saved.
+        csv_path = synth_csv(tmp_path, n=30)
+        out = tmp_path / "out"
+        code, _, err = run(["train", "--input", str(csv_path), "--output-dir", str(out),
+                            "--lambda", "-1", "--trees", "3"], capsys)
+        assert code == 2
+        assert err.startswith("error: lambda must be a nonnegative real") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("power", [200, -200], ids=["overflow", "underflow"])
+    def test_target_whose_sums_of_squares_leave_float_range_exits_3(self, tmp_path, capsys,
+                                                                   power):
+        # Training R² used to log nan (overflow) or call the target constant (underflow).
+        scaled = scale_columns(synth_csv(tmp_path, n=40), tmp_path / "scaled.csv",
+                               {"yield": power})
+        out = tmp_path / "out"
+        code, _, err = run(["train", "--input", str(scaled), "--output-dir", str(out),
+                            "--trees", "3"], capsys)
+        assert code == 3
+        assert err == ("error: the sums of squares overflow or underflow float64; "
+                       "rescale the values\n")
+        assert not out.exists()
+
     def test_constant_target_exits_3_before_writing(self, tmp_path, capsys):
         # Training R² is undefined for a constant target; the first model used to be
         # saved before its log line found that out.
@@ -243,7 +302,7 @@ class TestTrain:
                                  "--trees", "3"], capsys)
         assert code == 3
         assert stdout == "" and err.count("\n") == 1 and "constant" in err
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     def test_column_whose_spread_overflows_exits_2_naming_it(self, tmp_path, capsys):
         # Both bounds are finite but max - min is not: scaling would turn rows into NaN.
@@ -253,7 +312,7 @@ class TestTrain:
         code, _, err = run(["train", "--input", str(huge), "--output-dir", str(out)], capsys)
         assert code == 2
         assert err == "error: column 'pH': max - min overflows\n"
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     def test_single_model_selection(self, tmp_path):
         csv_path = synth_csv(tmp_path, n=30, seed=2)
@@ -875,7 +934,7 @@ class TestConfigJson:
         assert result == code
         if code == 2:
             assert err.startswith("error: mlr needs more training rows than features")
-            assert err.count("\n") == 1 and not list(out.iterdir())
+            assert err.count("\n") == 1 and not out.exists()
 
 
 class TestCorrelate:
@@ -899,6 +958,28 @@ class TestCorrelate:
         digest = hashlib.sha256((tmp_path / "correlation_heatmap.svg").read_bytes()).hexdigest()
         # Frozen after visual review of the rendered file.
         assert digest == "8bfbddb93611e259b7a07ece4c864baae3787f0bddbda250ece67873eb2ea5de"
+
+    def test_column_whose_sum_of_squares_overflows_exits_2_naming_it(self, tmp_path, capsys):
+        # It used to write nan into 13 cells of correlation.csv.
+        huge = with_column(synth_csv(tmp_path, n=40), tmp_path / "huge.csv", "pH",
+                           lambda i: "1e308" if i % 2 else "-1e308")
+        out = tmp_path / "out"
+        code, _, err = run(["correlate", "--input", str(huge), "--output-dir", str(out)], capsys)
+        assert code == 2
+        assert err == "error: column 'pH': its sum of squares overflows or underflows float64\n"
+        assert not out.exists()
+
+    def test_pair_whose_sums_multiply_past_float_exits_2_naming_it(self, tmp_path, capsys):
+        # pH and EC scaled alike: their product of sums overflowed and r was written as 0.0.
+        scaled = scale_columns(synth_csv(tmp_path, n=40), tmp_path / "scaled.csv",
+                               {"pH": 100, "EC": 100})
+        out = tmp_path / "out"
+        code, _, err = run(["correlate", "--input", str(scaled), "--output-dir", str(out)],
+                           capsys)
+        assert code == 2
+        assert err == ("error: columns 'pH' and 'EC': the product of their sums of squares "
+                       "overflows or underflows float64\n")
+        assert not out.exists()
 
     def test_single_row_exits_2(self, tmp_path, capsys):
         csv_path = synth_csv(tmp_path, n=20, seed=2)
@@ -1062,17 +1143,18 @@ class TestConfigPrecedence:
                             "--config", str(cfg)], capsys)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and "2**63" in err
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     def test_max_features_past_feature_count_exits_2_before_writing(self, tmp_path, capsys):
-        # Checked only when the forest was fitted, after the linear models were saved.
+        # Checked only when the forest is fitted, after the linear models, which used
+        # to be saved by then.
         csv_path = synth_csv(tmp_path, n=30, seed=4)
         out = tmp_path / "out"
         code, _, err = run(["train", "--input", str(csv_path), "--output-dir", str(out),
                             "--trees", "3", "--max-features", "13"], capsys)
         assert code == 2
         assert err == "error: max_features must lie in [1, 12], got 13\n"
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "correlate"])
     @pytest.mark.parametrize("target", ["pH", "N"])
@@ -1153,6 +1235,32 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and "--input" in err
 
+    @pytest.mark.parametrize("command", ["synth", "train", "evaluate", "predict", "correlate",
+                                         "compare"])
+    def test_refusal_leaves_no_output_dir(self, trained, tmp_path, capsys, command):
+        # Each refusal here comes after the command has read its input.
+        models, csv_path = trained
+        header_only = tmp_path / "header_only.csv"
+        header_only.write_text(csv_path.read_text().splitlines()[0] + "\n")
+        one_row = tmp_path / "one_row.csv"
+        one_row.write_text("\n".join(csv_path.read_text().splitlines()[:2]) + "\n")
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("model,r2,rmse,mae,n_test\nforest,0.9,1.0,5.0,40\n")
+        argv = {
+            "synth": ["synth", "--n", "5"],
+            "train": ["train", "--input", str(csv_path), "--trees", "3", "--max-features", "13"],
+            "evaluate": ["evaluate", str(models / "model_mlr.json"), "--input", str(csv_path),
+                         "--seed", "4"],  # trained at seed 3
+            "predict": ["predict", str(models / "model_mlr.json"), "--input", str(header_only)],
+            "correlate": ["correlate", "--input", str(one_row)],
+            "compare": ["compare", "--input", str(metrics)],
+        }[command]
+        out = tmp_path / "out"
+        code, stdout, err = run(argv + ["--output-dir", str(out)], capsys)
+        assert code == 2
+        assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unwritable_output_dir_exits_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("I am a file, not a directory")
@@ -1174,6 +1282,62 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert str(exc) in err
+
+
+# A number as a text file may hold it, or a word Python reads as a non-finite float.
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf(?:inity)?)\b",
+                    re.IGNORECASE)
+
+
+class TestExtremeScales:
+    """Finite inputs whose arithmetic leaves float64's range: each command either
+    writes finite numbers or refuses with exit 2 or 3 and writes nothing."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(powers=st.dictionaries(st.sampled_from(FEATURES + ["yield"]),
+                                  st.integers(-300, 300), min_size=1, max_size=4))
+    @example(powers={"yield": 200})
+    @example(powers={"yield": -200})
+    @example(powers={"pH": 100, "EC": 100})
+    @example(powers={"pH": -100, "EC": -100, "yield": 150})
+    def test_every_command_writes_finite_numbers_or_nothing(self, tmp_path, capsys, powers):
+        base = tmp_path / "synthetic_soil.csv"
+        if not base.exists():
+            synth_csv(tmp_path, n=40)
+        # Not a random name: run_config.json holds the paths, and "tmp1e400x" reads as inf.
+        work = tmp_path / f"case{len(list(tmp_path.glob('case*')))}"
+        work.mkdir()
+        soil = str(scale_columns(base, work / "soil.csv", powers))
+        out = {name: work / name for name in ("train", "correlate", "evaluate", "compare",
+                                               "mlr", "ridge", "forest")}
+        codes = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes["train"] = main(["train", "--input", soil, "--trees", "3",
+                                   "--output-dir", str(out["train"])])
+            codes["correlate"] = main(["correlate", "--input", soil,
+                                       "--output-dir", str(out["correlate"])])
+            if codes["train"] == 0:
+                models = [str(out["train"] / f"model_{kind}.json")
+                          for kind in ("mlr", "ridge", "forest")]
+                codes["evaluate"] = main(["evaluate", *models, "--input", soil,
+                                          "--output-dir", str(out["evaluate"])])
+                for kind, model in zip(("mlr", "ridge", "forest"), models):
+                    codes[kind] = main(["predict", model, "--input", soil,
+                                        "--output-dir", str(out[kind])])
+            if codes.get("evaluate") == 0:
+                codes["compare"] = main(["compare", "--output-dir", str(out["compare"]),
+                                         "--input", str(out["evaluate"] / "comparison.csv")])
+        capsys.readouterr()
+        for name, code in codes.items():
+            assert code in (0, 2, 3), name
+            if code:
+                assert not out[name].exists(), name
+                continue
+            for path in out[name].iterdir():
+                for token in NUMBER.findall(path.read_text()):
+                    assert math.isfinite(float(token)), (name, path.name, token)
 
 
 def run_python(*args, **kwargs):

@@ -1,7 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from soilyield.errors import LengthMismatchError, ZeroTotalError, ZeroVarianceError
+from soilyield.errors import (
+    LengthMismatchError,
+    NumericalError,
+    ZeroTotalError,
+    ZeroVarianceError,
+)
 from soilyield.metrics import (
     NutrientCounts,
     classify_levels,
@@ -31,6 +38,12 @@ class TestR2Score:
     def test_constant_target_raises(self):
         with pytest.raises(ZeroVarianceError):
             r2_score([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
+
+    def test_constant_target_with_a_rounded_mean_raises(self):
+        # The mean of five 7.77s is not 7.77, so TSS comes out near 4e-30, not 0.
+        assert np.mean([7.77] * 5) != 7.77
+        with pytest.raises(ZeroVarianceError):
+            r2_score([7.77] * 5, [7.0, 7.5, 7.77, 8.0, 9.0])
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
@@ -84,6 +97,42 @@ class TestRmseMae:
             rmse([1.0], [1.0, 2.0])
         with pytest.raises(LengthMismatchError):
             mae([], [])
+
+
+class TestSumsOutOfFloatRange:
+    """Scores whose sums of squares overflow to inf or underflow to 0 are refused."""
+
+    Y = np.array([1.0, 2.0, 4.0, 7.0, 3.0])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["overflow", "underflow"])
+    def test_r2_refuses(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflow or underflow"):
+                r2_score(self.Y * scale, self.Y * scale * 0.9)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["overflow", "underflow"])
+    def test_rmse_refuses(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflow or underflow"):
+                rmse(self.Y * scale, self.Y * scale * 0.5)
+
+    def test_exact_predictions_of_tiny_values_are_not_an_underflow(self):
+        assert rmse(self.Y * 1e-200, self.Y * 1e-200) == 0.0
+
+    def test_rss_that_underflows_beside_a_normal_tss_scores(self):
+        # Errors of about 1e-165 square to 0, a loss far below the TSS of about 1e-299.
+        y = self.Y * 1e-150
+        assert np.all(y + 1e-165 != y)
+        assert r2_score(y, y + 1e-165) == 1.0
+        with pytest.raises(NumericalError, match="overflow or underflow"):
+            rmse(y, y + 1e-165)
+
+    def test_largest_sums_in_range_still_score(self):
+        y = self.Y * 1e150
+        assert r2_score(y, y) == 1.0
+        assert rmse(y, y * 0.5) == pytest.approx(0.5 * np.sqrt(np.mean(self.Y ** 2)) * 1e150)
 
 
 class TestNutrientIndex:

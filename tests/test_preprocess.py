@@ -1,3 +1,4 @@
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from soilyield.errors import (
     DimensionMismatchError,
     EmptySelectionError,
     TooFewRowsError,
+    ValidationError,
 )
 from soilyield.preprocess import (
     CorrelationMatrix,
@@ -151,6 +153,37 @@ class TestPearsonCorrelation:
         d = numeric_dataset([[1.0, 2.0]])
         with pytest.raises(TooFewRowsError):
             pearson_correlation(d)
+
+    def test_column_whose_sum_of_squares_overflows_is_refused_by_name(self):
+        d = numeric_dataset([[1.0, 1e308], [2.0, -1e308], [4.0, 1e308]], names=["EC", "pH"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="column 'pH': its sum of squares overflows"):
+                pearson_correlation(d)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100], ids=["overflow", "underflow"])
+    def test_pair_whose_product_of_sums_leaves_float_range_is_refused(self, scale):
+        # r is about 1; the product of the two sums of squares is inf or 0, which gave 0.
+        x = np.array([1.0, 2.0, 4.0, 7.0])
+        d = numeric_dataset(np.column_stack([x, x + 0.5, x]) * [scale, scale, 1.0],
+                            names=["pH", "EC", "OC"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="columns 'pH' and 'EC': the product"):
+                pearson_correlation(d)
+        assert pearson_correlation(numeric_dataset(d.values[:, [0, 2]])).values[0, 1] == \
+            pytest.approx(1.0)
+
+    def test_column_whose_sum_of_squares_underflows_is_refused_by_name(self):
+        # Squares of about 1e-400 sum to 0, which read as a constant column and gave r = 0.
+        d = numeric_dataset([[1.0, 1e-200], [2.0, 3e-200], [4.0, 2e-200]], names=["EC", "Zn"])
+        with pytest.raises(ValidationError, match="column 'Zn': its sum of squares overflows "
+                                                  "or underflows"):
+            pearson_correlation(d)
+
+    def test_constant_column_beside_a_large_one_still_correlates_0(self):
+        d = numeric_dataset([[1e150, 5.0], [2e150, 5.0], [4e150, 5.0]])
+        assert pearson_correlation(d).values[0, 1] == 0.0
 
     def test_matrix_invariants_on_random_data(self):
         rng = np.random.default_rng(42)
