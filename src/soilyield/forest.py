@@ -312,12 +312,12 @@ class _CandidateDraws:
 
     For d up to 10,000, numpy's ``choice`` is Floyd's sampling algorithm
     over Lemire's unbiased bounded draws from 32-bit words, followed by a
-    shuffle that sorting discards.  This copy reads the same words from a
-    PCG64 generator's raw 64-bit outputs, each output giving its low half
-    then its high half, and computes ``_BLOCK`` draws at a time with
-    ``_floyd_block``; a block with a rejected word is drawn by ``choice``
-    itself instead.  ``close`` leaves the generator exactly where the
-    ``choice`` calls would have.
+    shuffle that sorting discards.  This copy reads the same words with
+    ``rng.integers(0, 2**32, dtype=np.uint32)``, which takes them one by one
+    as ``choice`` does, and computes ``_BLOCK`` draws at a time with
+    ``_floyd_block``; where a block holds a rejected word, ``choice`` itself
+    makes the next draw instead.  ``close`` leaves the generator exactly
+    where the ``choice`` calls would have, for any numpy bit generator.
     """
 
     # Draws computed at once, about what a tree grown on 400 rows makes; only the
@@ -325,17 +325,12 @@ class _CandidateDraws:
     _BLOCK = 256
 
     def __init__(self, rng: np.random.Generator):
-        bitgen = rng.bit_generator
-        if type(bitgen) is not np.random.PCG64:
-            raise ValueError(f"trees draw from a PCG64 generator, got {type(bitgen).__name__}")
         self._rng = rng
-        self._bitgen = bitgen
-        self._state = bitgen.state  # where the current block's words begin
+        self._state = rng.bit_generator.state  # where the current block's words begin
         self._shape = (0, 0)  # the current block's (d, k)
         self._picks = array("B")  # the block's draws, one after another
         self._next = 0  # where the next draw starts in ``_picks``
         self._width = 0  # words per draw, without a rejection
-        self._states: list[dict] | None = None  # the state after each draw, after a rejection
 
     def sample(self, d: int, k: int) -> list[int]:
         i = self._next
@@ -347,51 +342,25 @@ class _CandidateDraws:
 
     def _start_block(self, d: int, k: int) -> None:
         self.close()
-        size = self._BLOCK
-        state = self._state = self._bitgen.state
-        # A 32-bit draw made before (the bootstrap's, say) may have left the
-        # high half of an output buffered; it is the next word.
-        carry = [state["uinteger"]] if state["has_uint32"] else []
+        rng = self._rng
+        self._state = rng.bit_generator.state
         width = len(_draw_bounds(d, k))
-        raw = self._bitgen.random_raw((size * width - len(carry) + 1) // 2)
-        words = np.empty(len(carry) + 2 * raw.size, dtype=np.uint64)
-        words[:len(carry)] = carry
-        words[len(carry)::2] = raw & 0xFFFFFFFF
-        words[len(carry) + 1::2] = raw >> 32
-        block = _floyd_block(words[:size * width].reshape(size, width), d, k)
-        self._states = None
+        words = rng.integers(0, 2**32, size=(self._BLOCK, width), dtype=np.uint32)
+        block = _floyd_block(words, d, k)
         if block is None:
-            self._bitgen.state = state
-            rows, self._states = [], []
-            for _ in range(size):
-                rows.append(np.sort(self._rng.choice(d, size=k, replace=False)))
-                self._states.append(self._bitgen.state)
-            block = np.array(rows)
+            rng.bit_generator.state = self._state
+            block = np.sort(rng.choice(d, size=k, replace=False))
         # Picks lie in [0, d), so the narrowest unsigned type keeps the block small.
         kind = np.min_scalar_type(d - 1)
         self._picks = array(kind.char, block.astype(kind).tobytes())
         self._shape, self._next, self._width = (d, k), 0, width
 
     def close(self) -> None:
-        """Rewind the generator to just after the draws taken."""
-        drawn = self._next // self._shape[1] if self._shape[1] else 0
-        state = self._state
-        if self._states is not None:
-            self._bitgen.state = self._states[drawn - 1] if drawn else state
-            return
-        used = drawn * self._width
-        if used:
-            used -= state["has_uint32"]  # words taken from raw outputs
-            if used:
-                self._bitgen.state = state
-                self._bitgen.advance((used - 1) // 2)
-                high = self._bitgen.random_raw() >> 32
-                state = self._bitgen.state
-                # numpy keeps the last output's high half, buffered if unused.
-                state["has_uint32"], state["uinteger"] = used % 2, high
-            else:  # only the buffered word was drawn
-                state = dict(state, has_uint32=0)
-        self._bitgen.state = state
+        """Set the generator just after the draws taken."""
+        if self._next < len(self._picks):  # a block used whole left it there already
+            self._rng.bit_generator.state = self._state
+            drawn = self._next // self._shape[1]
+            self._rng.integers(0, 2**32, size=drawn * self._width, dtype=np.uint32)
 
 
 def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
@@ -450,11 +419,7 @@ def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
 
 
 def fit_tree(X, y, rows, params: ForestParams, rng: np.random.Generator) -> Tree:
-    """Grow one regression tree over the given (multiset of) row indices.
-
-    ``rng`` must be PCG64-backed, as ``np.random.default_rng`` makes it:
-    candidate features are replayed from its raw stream.
-    """
+    """Grow one regression tree over the given (multiset of) row indices."""
     rows = np.sort(np.asarray(rows, dtype=np.intp))
     if rows.size < 1:
         raise ValueError("need at least one row to grow a tree")

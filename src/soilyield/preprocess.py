@@ -99,7 +99,7 @@ def out_of_range_count(params: NormalizationParams, x) -> int:
 def pearson_correlation(d: Dataset) -> CorrelationMatrix:
     """Pearson coefficients between all pairs of ``d.model_columns``.
 
-    A zero-variance column correlates 0 with every other column (the
+    A constant column correlates exactly 0 with every other column (the
     coefficient is undefined there) and 1 with itself.  A column whose centred
     sum of squares leaves float64's normal range is refused, as is a pair of
     varying columns whose two sums multiply out of it; each names its columns.
@@ -128,13 +128,9 @@ def pearson_correlation(d: Dataset) -> CorrelationMatrix:
     values = np.eye(k)
     for i in range(k):
         for j in range(i + 1, k):
-            denom = denoms[i, j]
-            if denom > 0:
-                r = float((centered[:, i] * centered[:, j]).sum() / np.sqrt(denom))
-            else:
-                r = 0.0
-            values[i, j] = r
-            values[j, i] = r
+            if varies[i] and varies[j]:
+                r = float((centered[:, i] * centered[:, j]).sum() / np.sqrt(denoms[i, j]))
+                values[i, j] = values[j, i] = r
     return CorrelationMatrix(labels=tuple(columns), values=values)
 
 

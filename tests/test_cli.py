@@ -394,6 +394,25 @@ class TestEvaluate:
                        "(seed/test_ratio/input differ)\n")
         assert not (tmp_path / "eval" / "comparison.csv").exists()
 
+    def test_split_check_is_necessary_not_sufficient(self, tmp_path, capsys):
+        # On distinct rows no other seed's split shares the training extremes; with
+        # every row written twice one can, and its model is scored as if it fit.
+        csv_path = synth_csv(tmp_path, n=40, seed=7)
+        doubled = tmp_path / "doubled.csv"
+        lines = csv_path.read_text().splitlines()
+        twice = [row for row in lines[1:] for _ in range(2)]
+        doubled.write_text("\n".join([lines[0]] + twice) + "\n")
+        refused = "model was not trained on this split (seed/test_ratio/input differ)\n"
+        for data, trained_at, others, code in ((csv_path, 0, range(1, 31), 2),
+                                               (doubled, 2, [3], 0)):
+            out = tmp_path / data.stem
+            flags = ["--input", str(data), "--output-dir", str(out)]
+            assert main(["train", *flags, "--model", "mlr", "--seed", str(trained_at)]) == 0
+            for t in others:
+                got, _, err = run(["evaluate", str(out / "model_mlr.json"), *flags,
+                                   "--seed", str(t)], capsys)
+                assert (got, err.endswith(refused)) == (code, code == 2), t
+
     def test_second_model_of_one_kind_exits_2(self, trained, tmp_path, capsys):
         # comparison.csv names a model by its kind, and compare refuses a repeated one.
         out, csv_path = trained
@@ -980,6 +999,19 @@ class TestCorrelate:
         assert err == ("error: columns 'pH' and 'EC': the product of their sums of squares "
                        "overflows or underflows float64\n")
         assert not out.exists()
+
+    def test_constant_column_correlates_exactly_0(self, tmp_path, capsys):
+        # 7.77's mean over 40 rows does not round back to 7.77: Cu's cells were noise.
+        flat = with_column(synth_csv(tmp_path, n=40, seed=7), tmp_path / "flat.csv", "Cu",
+                           lambda i: "7.77")
+        code, _, _ = run(["correlate", "--input", str(flat), "--output-dir", str(tmp_path)],
+                         capsys)
+        assert code == 0
+        rows = [line.split(",") for line in (tmp_path / "correlation.csv").read_text().splitlines()]
+        at = rows[0].index("Cu")
+        expected = [float(i == at) for i in range(1, len(rows))]
+        assert [float(row[at]) for row in rows[1:]] == expected
+        assert [float(cell) for cell in rows[at][1:]] == expected
 
     def test_single_row_exits_2(self, tmp_path, capsys):
         csv_path = synth_csv(tmp_path, n=20, seed=2)

@@ -466,11 +466,29 @@ class TestCandidateDraws:
         draws.close()
         assert ours.bit_generator.state == reference.bit_generator.state
 
-    def test_fit_tree_needs_pcg64(self):
-        X = np.arange(8.0).reshape(-1, 1)
-        rng = np.random.Generator(np.random.MT19937(0))
-        with pytest.raises(ValueError, match="PCG64"):
-            fit_tree(X, X.ravel(), np.arange(8), ForestParams(max_features=1), rng)
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.MT19937,
+                                               np.random.Philox, np.random.SFC64])
+    @pytest.mark.parametrize("seed, shapes", [
+        (3, [(12, 4)] * (2 * _CandidateDraws._BLOCK + 7)),
+        (4, [(14, 5)] * _CandidateDraws._BLOCK),
+        (5, [(7, 7)] * 300 + [(1, 1)] * 3 + [(9, 1)] * 40),
+        (6, [(12, 4), (5, 2), (5, 2), (13, 13)] * 70),
+    ])
+    def test_replays_numpy_choice_for_any_bit_generator(self, bit_generator, seed, shapes):
+        # An odd number of prior 32-bit draws leaves half a 64-bit output buffered.
+        ours = np.random.Generator(bit_generator(seed))
+        reference = np.random.Generator(bit_generator(seed))
+        ours.integers(0, 400, size=3)
+        reference.integers(0, 400, size=3)
+        draws = _CandidateDraws(ours)
+        for d, k in shapes:
+            assert draws.sample(d, k) == sorted(reference.choice(d, size=k, replace=False).tolist())
+        draws.close()
+        # MT19937's state holds an array, so the streams after it are compared instead:
+        # 32-bit words first, which take a buffered half-output, then raw outputs.
+        for read in (lambda rng: rng.integers(0, 2**32, size=3, dtype=np.uint32),
+                     lambda rng: rng.bit_generator.random_raw(4)):
+            assert read(ours).tolist() == read(reference).tolist()
 
 
 def tree_from_nodes(nodes):
@@ -539,6 +557,21 @@ class TestFitTree:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_any_bit_generator_grows_the_tree_choice_draws(self, monkeypatch):
+        # MT19937 makes 32-bit words natively; with every block refused, each node's
+        # candidates come from rng.choice itself.  500 rows make over one block of draws.
+        d = generate(500, seed=12)
+        X = d.matrix(d.feature_names)
+        y = d.matrix(("yield",)).ravel()
+        rows = np.random.default_rng(2).integers(0, 500, size=500)
+        rng = np.random.Generator(np.random.MT19937(9))
+        tree = fit_tree(X, y, rows, ForestParams(max_features=4), rng)
+        monkeypatch.setattr(forest, "_floyd_block", lambda words, d, k: None)
+        reference = np.random.Generator(np.random.MT19937(9))
+        assert_same_tree(tree, fit_tree(X, y, rows, ForestParams(max_features=4), reference))
+        assert rng.bit_generator.random_raw(4).tolist() == \
+            reference.bit_generator.random_raw(4).tolist()
 
     def test_depth_one_tree_structure(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])

@@ -149,6 +149,14 @@ class TestPearsonCorrelation:
         assert c.values[0, 1] == 0.0
         assert c.values[1, 1] == 1.0
 
+    def test_constant_column_whose_mean_rounds_off_correlates_exactly_0(self):
+        # The mean of 40 cells of 7.77 is 7.77 - 8.9e-16, so the centred column is not 0;
+        # it used to correlate as rounding noise of up to 1.2e-15.
+        x = np.random.default_rng(7).normal(size=(40, 3))
+        d = numeric_dataset(np.column_stack([x[:, :2], np.full(40, 7.77), x[:, 2]]))
+        values = pearson_correlation(d).values
+        assert values[2].tolist() == values[:, 2].tolist() == [0.0, 0.0, 1.0, 0.0]
+
     def test_too_few_rows(self):
         d = numeric_dataset([[1.0, 2.0]])
         with pytest.raises(TooFewRowsError):
