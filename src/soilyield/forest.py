@@ -102,6 +102,8 @@ class ForestModel:
     params: ForestParams
     feature_names: tuple[str, ...]
     oob_r2: float | None
+    # Each training row's prediction, from the fit; not saved, so None once loaded.
+    training_predictions: np.ndarray | None = None
 
 
 class SplitChoice(NamedTuple):
@@ -183,55 +185,75 @@ def _best_splits(tables, nodes, features: np.ndarray, min_leaf: int) -> list[tup
         return []
     ranks, x_by_rank, y_by_rank = tables
     stride, k = ranks.shape[1], features.shape[1]
+    # Everything per node or per (node, candidate) column is laid out once, by size.
     order = sorted(range(len(nodes)), key=lambda i: len(nodes[i][0]))
-    thresholds, reductions = np.empty((2, *features.shape))
-    bands = np.empty(len(nodes))
-    while order:
+    rows, means, sse_parent = zip(*map(nodes.__getitem__, order))
+    widths = list(map(len, rows))
+    m, sse_parent = np.array(widths), np.array(sse_parent)
+    bands = REDUCTION_TIE_RTOL * sse_parent / m
+    features = features[order]
+    starts = features * stride
+    flat = np.fromiter(chain.from_iterable(rows), np.intp, m.sum())
+    edges = np.cumsum(np.r_[0, m])  # node i's rows in ``flat`` lie in [edges[i], edges[i + 1])
+    col_m, col_mean, col_sse = (np.repeat(v, k) for v in (m, means, sse_parent))
+    thresholds, reductions = np.empty((2, len(nodes) * k))
+    a = 0
+    while a < len(widths):
         # One call takes nodes of one width class, padded to the widest.
-        limit = next((w for w in _WIDTH_CLASSES if len(nodes[order[0]][0]) <= w), math.inf)
-        stop = 1
-        while (stop < len(order) and (width := len(nodes[order[stop]][0])) <= limit
-               and (stop + 1) * k * width <= _SCAN_CELLS):
-            stop += 1
-        chunk, order = order[:stop], order[stop:]
-        rows, means, sse_parent = zip(*(nodes[i] for i in chunk))
-        m, sse_parent = np.array([len(r) for r in rows]), np.array(sse_parent)
-        bands[chunk] = REDUCTION_TIE_RTOL * sse_parent / m
-        width = len(rows[-1])
-        padded = np.full((len(chunk), width), stride - 1)
-        padded[np.arange(width) < m[:, None]] = np.fromiter(chain.from_iterable(rows), np.intp,
-                                                             m.sum())
-        at = np.take(ranks, (features[chunk] * stride)[:, :, None] + padded[:, None])
+        limit = next((w for w in _WIDTH_CLASSES if widths[a] <= w), math.inf)
+        b = a + 1
+        while (b < len(widths) and (width := widths[b]) <= limit
+               and (b - a + 1) * k * width <= _SCAN_CELLS):
+            b += 1
+        width = widths[b - 1]
+        padded = np.full((b - a, width), stride - 1)
+        padded[np.arange(width) < m[a:b, None]] = flat[edges[a]:edges[b]]
+        at = np.take(ranks, starts[a:b, :, None] + padded[:, None])
         at.sort(axis=2)
         # Positions down axis 0 and one (node, candidate) pair per column: the gathers
         # below write C-ordered arrays, so each later step is a pass over whole rows.
         at = at.reshape(-1, width).T
-        col = np.arange(at.shape[1])
-        m = np.repeat(m, k)
+        cols, ncol = slice(a * k, b * k), at.shape[1]
+        mc, col = col_m[cols], np.arange(ncol)
         xs = np.take(x_by_rank, at)
-        ys = np.take(y_by_rank, at) - np.repeat(means, k)
-        cs, cq = np.cumsum(ys, axis=0), np.cumsum(ys * ys, axis=0)
-        s_t, q_t = cs[m - 1, col], cq[m - 1, col]
+        ys = np.take(y_by_rank, at)
+        ys -= col_mean[cols]
+        cs = np.cumsum(ys, axis=0)
+        ys *= ys
+        cq = np.cumsum(ys, axis=0)
+        last = (mc - 1) * ncol + col  # flat cells of each column's last row
+        s_t, q_t = cs.take(last), cq.take(last)
         s_l, q_l = cs[:-1], cq[:-1]
         p = np.arange(1.0, width)[:, None]
-        n_r = m - p
-        sse_l = q_l - s_l * s_l / p
+        n_r = mc - p
         # Past a node's last row the right side is empty; those cells are masked.
-        sse_r = (q_t - q_l) - (s_t - s_l) ** 2 / np.maximum(n_r, 1.0)
-        reduction = (np.repeat(sse_parent, k) - sse_l - sse_r) / m
-        valid = (xs[:-1] != xs[1:]) & ((p >= min_leaf) & (n_r >= min_leaf))
-        reduction = np.where(valid, reduction, -np.inf)
-        j = reduction.argmax(axis=0)  # first max = lowest threshold
-        reductions[chunk] = reduction[j, col].reshape(-1, k)
-        lo, hi = xs[j, col], xs[j + 1, col]
+        invalid = (xs[:-1] == xs[1:]) | (n_r < min_leaf)
+        if min_leaf > 1:
+            invalid |= p < min_leaf
+        sse_l = s_l * s_l
+        sse_l /= p
+        np.subtract(q_l, sse_l, out=sse_l)
+        sse_r = s_t - s_l
+        sse_r *= sse_r
+        sse_r /= np.maximum(n_r, 1.0, out=n_r)
+        np.subtract(q_t - q_l, sse_r, out=sse_r)
+        reduction = np.subtract(col_sse[cols], sse_l, out=sse_l)
+        reduction -= sse_r
+        reduction /= mc
+        reduction[invalid] = -np.inf
+        pick = reduction.argmax(axis=0) * ncol + col  # first max = lowest threshold
+        reductions[cols] = reduction.take(pick)
+        lo, hi = xs.take(pick), xs.take(pick + ncol)
         threshold = 0.5 * (lo + hi)
         # Adjacent floats: keep the <= rule partition intact.
-        thresholds[chunk] = np.where(threshold == hi, lo, threshold).reshape(-1, k)
-    best = _resolve_ties(reductions, bands)
-    pick = np.arange(len(nodes)), best
+        thresholds[cols] = np.where(threshold == hi, lo, threshold)
+        a = b
+    best = _resolve_ties(reductions.reshape(-1, k), bands)
+    back = np.argsort(order)  # each node's place in the size order
+    cell = (np.arange(0, len(reductions), k) + best)[back]
     return [(f, t, r) if c >= 0 else None
-            for c, f, t, r in zip(best.tolist(), features[pick].tolist(),
-                                  thresholds[pick].tolist(), reductions[pick].tolist())]
+            for c, f, t, r in zip(best[back].tolist(), features.take(cell).tolist(),
+                                  thresholds.take(cell).tolist(), reductions.take(cell).tolist())]
 
 
 def _resolve_ties(reductions: np.ndarray, bands: np.ndarray) -> np.ndarray:
@@ -364,8 +386,9 @@ class _CandidateDraws:
 
 
 def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
-          roots: list[tuple[np.ndarray, np.random.Generator]]) -> list[Tree]:
-    """Grow one tree per (sorted rows, generator) pair of ``roots``, all in lockstep.
+          roots: list[tuple[np.ndarray, np.random.Generator]]) -> list[tuple[Tree, np.ndarray]]:
+    """Grow one tree per (sorted rows, generator) pair of ``roots``, all in lockstep, each
+    with the preorder node every row of ``X`` reaches in it, as the narrowest unsigned ints.
 
     In each step every unfinished tree settles leaves in preorder up to
     its next node that may split, and draws that node's candidates; one
@@ -414,7 +437,9 @@ def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
         draws.close()
         f, number, count = np.array(nodes).reshape(-1, 3).T
         del nodes[:]  # every tree's nodes are held at once, so free them as we go
-        fitted.append(Tree(f.astype(np.int64), number.copy(), count.astype(np.int64)))
+        tree = Tree(f.astype(np.int64), number.copy(), count.astype(np.int64))
+        leaf, order = _route(tree, X)
+        fitted.append((tree, order.astype(np.min_scalar_type(order.size - 1))[leaf]))
     return fitted
 
 
@@ -424,7 +449,7 @@ def fit_tree(X, y, rows, params: ForestParams, rng: np.random.Generator) -> Tree
     if rows.size < 1:
         raise ValueError("need at least one row to grow a tree")
     return _grow(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64), params,
-                 [(rows, rng)])[0]
+                 [(rows, rng)])[0][0]
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -447,7 +472,8 @@ def fit_forest(X, y, params: ForestParams,
     or the CPUs this process may use; with one, trees are fitted in this
     process.  It only controls scheduling: the fitted model is
     bit-identical for any worker count because each tree owns a derived
-    generator.
+    generator.  Each tree routes the training rows once, where it was
+    grown, for both ``oob_r2`` and ``training_predictions``.
     """
     X, y = _as_xy(X, y)
     n, d = X.shape
@@ -466,34 +492,38 @@ def fit_forest(X, y, params: ForestParams,
     size = -(-resolved.n_trees // max(pool_size, 1))
     blocks = [roots[i:i + size] for i in range(0, resolved.n_trees, size)]
     if len(blocks) == 1:
-        trees = _grow(X, y, resolved, roots)
+        grown = [_grow(X, y, resolved, roots)]
     else:
         # Imported here: the pool's import brings multiprocessing and socket, which
         # only a run with more than one worker uses.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            trees = [tree for block in pool.map(partial(_grow, X, y, resolved), blocks)
-                     for tree in block]
-    oob_r2 = _oob_r2(X, y, trees, roots) if resolved.bootstrap else None
-    return ForestModel(trees=tuple(trees), params=resolved, feature_names=names, oob_r2=oob_r2)
+            # Folding only once every block is in: beside the pool's unpickling it
+            # raised the peak RSS by about 0.4 MB.
+            grown = list(pool.map(partial(_grow, X, y, resolved), blocks))
+    trees, leaves = zip(*chain.from_iterable(grown))
+    return ForestModel(trees, resolved, names, *_fold(trees, leaves, y, roots))
 
 
-def _oob_r2(X: np.ndarray, y: np.ndarray, trees, roots) -> float | None:
-    """R² of each row's mean prediction over the trees that left it out, or
-    None where it is undefined (under two such rows, or a constant y)."""
-    oob = np.ones((len(trees), X.shape[0]), dtype=bool)
-    sums = np.zeros(X.shape[0])
-    for tree, mask, (rows, _) in zip(trees, oob, roots):
-        mask[rows] = False
-        sums[mask] += predict_tree(tree, X[mask])
-    counts = oob.sum(axis=0)
+def _fold(trees, leaves, y: np.ndarray, roots) -> tuple[float | None, np.ndarray]:
+    """The R² of each row's mean leaf value over the trees that left it out (None where
+    undefined: under two such rows, as always without bootstrap, or a constant y), and each
+    row's mean over all trees.  Both sums add leaf values tree by tree from 0, as
+    ``predict_forest`` and a per-tree out-of-bag routing add them."""
+    total, oob_sums, counts = np.zeros((3, len(y)))
+    for tree, leaf, (rows, _) in zip(trees, leaves, roots):
+        values = tree.number[leaf]
+        total += values
+        oob = np.bincount(rows, minlength=len(y)) == 0
+        oob_sums[oob] += values[oob]
+        counts += oob
     covered = counts > 0
-    return r2_if_defined(y[covered], sums[covered] / counts[covered])
+    return r2_if_defined(y[covered], oob_sums[covered] / counts[covered]), total / len(trees)
 
 
 def _sibling_order(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The tree renumbered so that the split of preorder rank k has its children at
-    2k + 1 and 2k + 2, as (right child, feature, threshold, value) per new id.
+    2k + 1 and 2k + 2, as (right child, feature, threshold, preorder node) per new id.
 
     A leaf is its own right child, with feature 0 and threshold NaN: no x is
     <= NaN, so a row at a leaf steps to the same leaf.  A split's right child
@@ -515,11 +545,18 @@ def _sibling_order(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     order = np.empty_like(new)
     order[new] = np.arange(split.size)
     return (second[order], np.where(split, tree.feature, 0)[order],
-            np.where(split, tree.number, np.nan)[order], tree.number[order])
+            np.where(split, tree.number, np.nan)[order], order)
 
 
 def predict_tree(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """The leaf value each row of ``X`` reaches, routing all rows one level per step.
+    """The leaf value each row of ``X`` reaches."""
+    node, order = _route(tree, X)
+    return tree.number[order][node]
+
+
+def _route(tree: Tree, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The leaf each row of ``X`` reaches, by its id in ``_sibling_order``, and the
+    preorder node of each such id; all rows are routed one level per step.
 
     A step reads each row's feature with one gather from the flat row-major
     ``X``; a row at the split whose right child is r moves to r - 1 when
@@ -527,7 +564,7 @@ def predict_tree(tree: Tree, X: np.ndarray) -> np.ndarray:
     """
     X = np.ascontiguousarray(X)
     flat = X.ravel()
-    second, feature, threshold, value = _sibling_order(tree)
+    second, feature, threshold, order = _sibling_order(tree)
     node = np.zeros(X.shape[0], dtype=np.intp)
     rows = np.arange(X.shape[0] if second[0] else 0)  # a lone leaf routes no row
     at, base = node[rows], rows * X.shape[1]
@@ -537,7 +574,7 @@ def predict_tree(tree: Tree, X: np.ndarray) -> np.ndarray:
         node[rows] = at
         live = second[at] != at
         rows, at, base = rows[live], at[live], base[live]
-    return value[node]
+    return node, order
 
 
 def predict_forest(m: ForestModel, X) -> np.ndarray:

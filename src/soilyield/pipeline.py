@@ -119,6 +119,8 @@ class RunConfig:
             )
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"config seed must be >= 0, got {self.seed}")
         if self.target_column in CANONICAL_FEATURES + OPTIONAL_FEATURES:
             raise ValidationError(
                 f"--target {self.target_column!r} is a soil feature column, not a target"
@@ -204,7 +206,7 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
                                   min_samples_leaf=cfg.min_leaf, max_features=cfg.max_features,
                                   seed=cfg.seed, bootstrap=cfg.bootstrap)
             model = fit_forest(x_train, y_train, params, features, workers=cfg.workers)
-            train_pred = predict_forest(model, x_train)
+            train_pred = model.training_predictions
             oob = model.oob_r2
             fields = f"trees={cfg.trees} oob_r2=" + ("n/a" if oob is None else f"{oob:.6f}")
         else:

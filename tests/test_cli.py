@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import soilyield
-from soilyield import cli, persist, pipeline
+from soilyield import cli, forest, persist, pipeline
 from soilyield.cli import main
 from soilyield.metrics import mae, rmse
 from soilyield.persist import load_model, save_model
@@ -155,6 +155,19 @@ class TestTrain:
                      "--seed", "3", "--trees", "20"]) == 0
         for kind, digest in GOLDEN_MODEL_DIGESTS.items():
             assert hashlib.sha256((out / f"model_{kind}.json").read_bytes()).hexdigest() == digest
+        assert (out / "train_log.txt").read_text() == GOLDEN_TRAIN_LOG
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_forest_training_r2_comes_from_the_fit(self, trained, tmp_path, monkeypatch, workers):
+        # The fit routes each training row once per tree; train routes none of them again.
+        def second_routing(*args):
+            raise AssertionError("train routed its training rows through predict_forest")
+
+        monkeypatch.setattr(pipeline, "predict_forest", second_routing)
+        _, csv_path = trained
+        out = tmp_path / "out"
+        assert main(["train", "--input", str(csv_path), "--output-dir", str(out),
+                     "--seed", "3", "--trees", "20", "--workers", workers]) == 0
         assert (out / "train_log.txt").read_text() == GOLDEN_TRAIN_LOG
 
     def test_blank_lines_are_not_rows(self, trained, tmp_path):
@@ -1293,6 +1306,26 @@ class TestExitCodes:
         assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["synth", "train", "evaluate", "predict", "correlate",
+                                         "compare"])
+    def test_negative_seed_exits_2_naming_it(self, trained, tmp_path, capsys, command):
+        models, csv_path = trained
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("model,r2,rmse,mae,n_test\nforest,0.9,1.0,0.5,40\n")
+        argv = {
+            "synth": ["synth", "--n", "20"],
+            "train": ["train", "--input", str(csv_path), "--trees", "3"],
+            "evaluate": ["evaluate", str(models / "model_mlr.json"), "--input", str(csv_path)],
+            "predict": ["predict", str(models / "model_mlr.json"), "--input", str(csv_path)],
+            "correlate": ["correlate", "--input", str(csv_path)],
+            "compare": ["compare", "--input", str(metrics)],
+        }[command]
+        out = tmp_path / "out"
+        code, stdout, err = run(argv + ["--seed", "-1", "--output-dir", str(out)], capsys)
+        assert (code, stdout, err) == (2, "", "error: config seed must be >= 0, got -1\n")
+        assert not out.exists()
+        assert run(argv + ["--seed", "3", "--output-dir", str(out)]) == 0  # trained at seed 3
+
     def test_unwritable_output_dir_exits_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("I am a file, not a directory")
@@ -1314,6 +1347,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert str(exc) in err
+
+
+class TestTracedNames:
+    def test_pipeline_calls_the_forest_under_its_own_names(self):
+        # perfbench's tracer wraps each function pipeline imported under its module and
+        # name; a wrapper or rebinding here would read its forest metrics as 0.
+        assert pipeline.fit_forest is forest.fit_forest
+        assert pipeline.predict_forest is forest.predict_forest
 
 
 # A number as a text file may hold it, or a word Python reads as a non-finite float.

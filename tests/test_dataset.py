@@ -10,7 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from soilyield import dataset
 from soilyield.dataset import (
+    _WRITE_BLOCK,
     CANONICAL_FEATURES,
     ColumnSchema,
     Dataset,
@@ -236,6 +238,25 @@ class TestSaveCsv:
         expected = io.StringIO(newline="")
         csv.writer(expected, lineterminator="\n").writerows([d.column_names] + d.rows)
         assert path.read_text(encoding="utf-8") == expected.getvalue()
+
+
+    @pytest.mark.parametrize("widths", [(1,), (3, 1), (1, 1)], ids=["one-column", "block+column",
+                                                                    "two-columns"])
+    def test_block_text_is_csv_writer_text_for_any_float(self, widths):
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16,
+                    1e-5, 0.1, 2.5, 1.7976931348623157e308, 123456789.0]
+        rng = np.random.default_rng(21)
+        n = 2 * _WRITE_BLOCK + 5  # rows across two block boundaries
+        # The first a 2-D block (one column wide or more), the rest 1-D columns.
+        columns = [rng.choice(specials, size=(n, w) if not i else n) for i, w in enumerate(widths)]
+        header = [f"c{i}" for i in range(sum(widths))]
+        got = io.StringIO(newline="")
+        dataset.write_csv(got, header, *columns)
+        expected = io.StringIO(newline="")
+        csv.writer(expected, lineterminator="\n").writerows(
+            [header] + np.column_stack(columns).tolist())
+        assert got.getvalue() == expected.getvalue()
+        assert got.getvalue().count("\n") == n + 1
 
 
 class TestSoilSchema:

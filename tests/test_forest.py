@@ -841,3 +841,133 @@ class TestPredictForest:
         )
         with pytest.raises(DimensionMismatchError):
             predict_forest(model, [[1.0, 2.0]])
+
+
+def per_chunk_scan(tables, nodes, features, min_leaf):
+    """``_best_splits`` as it was written before its bookkeeping moved out of the chunk
+    loop: each chunk re-derives its sizes, means, bands, starts and rows, and picks
+    cells with 2-D fancy indexing.  The reference for the scan's bits."""
+    if not nodes:
+        return []
+    ranks, x_by_rank, y_by_rank = tables
+    stride, k = ranks.shape[1], features.shape[1]
+    order = sorted(range(len(nodes)), key=lambda i: len(nodes[i][0]))
+    thresholds, reductions = np.empty((2, *features.shape))
+    bands = np.empty(len(nodes))
+    while order:
+        limit = next((w for w in forest._WIDTH_CLASSES if len(nodes[order[0]][0]) <= w), math.inf)
+        stop = 1
+        while (stop < len(order) and (width := len(nodes[order[stop]][0])) <= limit
+               and (stop + 1) * k * width <= forest._SCAN_CELLS):
+            stop += 1
+        chunk, order = order[:stop], order[stop:]
+        rows, means, sse_parent = zip(*(nodes[i] for i in chunk))
+        m, sse_parent = np.array([len(r) for r in rows]), np.array(sse_parent)
+        bands[chunk] = forest.REDUCTION_TIE_RTOL * sse_parent / m
+        width = len(rows[-1])
+        padded = np.full((len(chunk), width), stride - 1)
+        padded[np.arange(width) < m[:, None]] = [i for r in rows for i in r]
+        at = np.take(ranks, (features[chunk] * stride)[:, :, None] + padded[:, None])
+        at.sort(axis=2)
+        at = at.reshape(-1, width).T
+        col = np.arange(at.shape[1])
+        m = np.repeat(m, k)
+        xs = np.take(x_by_rank, at)
+        ys = np.take(y_by_rank, at) - np.repeat(means, k)
+        cs, cq = np.cumsum(ys, axis=0), np.cumsum(ys * ys, axis=0)
+        s_t, q_t = cs[m - 1, col], cq[m - 1, col]
+        s_l, q_l = cs[:-1], cq[:-1]
+        p = np.arange(1.0, width)[:, None]
+        n_r = m - p
+        sse_l = q_l - s_l * s_l / p
+        sse_r = (q_t - q_l) - (s_t - s_l) ** 2 / np.maximum(n_r, 1.0)
+        reduction = (np.repeat(sse_parent, k) - sse_l - sse_r) / m
+        valid = (xs[:-1] != xs[1:]) & ((p >= min_leaf) & (n_r >= min_leaf))
+        reduction = np.where(valid, reduction, -np.inf)
+        j = reduction.argmax(axis=0)
+        reductions[chunk] = reduction[j, col].reshape(-1, k)
+        lo, hi = xs[j, col], xs[j + 1, col]
+        threshold = 0.5 * (lo + hi)
+        thresholds[chunk] = np.where(threshold == hi, lo, threshold).reshape(-1, k)
+    best = _resolve_ties(reductions, bands)
+    pick = np.arange(len(nodes)), best
+    return [(f, t, r) if c >= 0 else None
+            for c, f, t, r in zip(best.tolist(), features[pick].tolist(),
+                                  thresholds[pick].tolist(), reductions[pick].tolist())]
+
+
+def per_tree_oob_r2(X, y, trees, samples):
+    """The out-of-bag R² with each tree's left-out rows routed through it on their own."""
+    oob = np.ones((len(trees), X.shape[0]), dtype=bool)
+    sums = np.zeros(X.shape[0])
+    for tree, mask, rows in zip(trees, oob, samples):
+        mask[rows] = False
+        sums[mask] += predict_tree(tree, X[mask])
+    counts = oob.sum(axis=0)
+    covered = counts > 0
+    return r2_score(y[covered], sums[covered] / counts[covered])
+
+
+class TestScanBookkeeping:
+    def test_scan_equals_the_per_chunk_scan_on_recorded_batches(self, monkeypatch):
+        batches = []
+        scan = forest._best_splits
+
+        def record(tables, nodes, features, min_leaf):
+            batches.append((tables, nodes, features, min_leaf))
+            return scan(tables, nodes, features, min_leaf)
+
+        monkeypatch.setattr(forest, "_best_splits", record)
+        d = generate(800, seed=7)
+        X = d.matrix(d.feature_names)
+        y = d.matrix(("yield",)).ravel()
+        fit_forest(X, y, ForestParams(n_trees=2, seed=7, min_samples_leaf=3, max_features=12))
+        fit_forest(X[:300], y[:300], ForestParams(n_trees=6, seed=8))
+        fit_forest(np.round(X[:200], 0), np.round(y[:200], 0),
+                   ForestParams(n_trees=3, seed=9, min_samples_leaf=5, max_depth=6))
+        widths = [(len(rows), features.shape[1]) for _, nodes, features, _ in batches
+                  for rows, _, _ in nodes]
+        # Nodes past every width class, and nodes whose candidates alone pass the cell cap.
+        assert any(w > forest._WIDTH_CLASSES[-1] for w, _ in widths)
+        assert any(w * k > forest._SCAN_CELLS for w, k in widths)
+        assert {min_leaf for *_, min_leaf in batches} == {1, 3, 5}
+        assert max(len(nodes) for _, nodes, _, _ in batches) > 1
+        for tables, nodes, features, min_leaf in batches:
+            got = scan(tables, nodes, features, min_leaf)
+            expected = per_chunk_scan(tables, nodes, features, min_leaf)
+            assert list(map(choice_bits, got)) == list(map(choice_bits, expected))
+
+
+class TestRoutedOnce:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("params", [
+        ForestParams(n_trees=8, seed=3),
+        ForestParams(n_trees=5, seed=4, bootstrap=False),
+        ForestParams(n_trees=8, seed=5, min_samples_leaf=4),
+        ForestParams(n_trees=8, seed=6, max_depth=3),
+    ], ids=["default", "no-bootstrap", "min-leaf-4", "max-depth-3"])
+    def test_training_predictions_are_predict_forest_bytes(self, workers, params):
+        d = generate(150, seed=14)
+        X = d.matrix(d.feature_names)
+        y = d.matrix(("yield",)).ravel()
+        model = fit_forest(X, y, params, workers=workers)
+        assert model.training_predictions.tobytes() == predict_forest(model, X).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("rounded, params", [
+        (False, ForestParams(n_trees=8, seed=3)),
+        (True, ForestParams(n_trees=12, seed=5, min_samples_leaf=3)),
+        (False, ForestParams(n_trees=6, seed=7, max_depth=4, max_features=12)),
+    ])
+    def test_oob_r2_equals_per_tree_routing(self, workers, rounded, params):
+        d = generate(150, seed=15)
+        X = d.matrix(d.feature_names)
+        y = d.matrix(("yield",)).ravel()
+        if rounded:
+            X, y = np.round(X, 0), np.round(y, 0)
+        model = fit_forest(X, y, params, workers=workers)
+        samples = [_tree_rng(params.seed, t).integers(0, 150, size=150)
+                   for t in range(params.n_trees)]
+        # Some rows are in every tree's sample, so the score skips them.
+        assert np.logical_and.reduce([np.bincount(s, minlength=150) > 0 for s in samples]).any()
+        assert model.oob_r2 == per_tree_oob_r2(X, y, model.trees, samples)
