@@ -295,29 +295,18 @@ def best_split(rows, X, y, candidate_features: Sequence[int],
 
 
 def _draw_bounds(d: int, k: int) -> np.ndarray:
-    """The bounds of the 32-bit draws one ``rng.choice(d, size=k, replace=False)`` makes, in
-    order: Floyd's ``j + 1`` for each j in range(d - k, d) but 0, then the shuffle's k, ..., 2."""
-    return np.array([j + 1 for j in range(d - k, d) if j] + list(range(k, 1, -1)), dtype=np.uint64)
+    """The bounds of the draws one ``rng.choice(d, size=k, replace=False)`` makes, in
+    order: Floyd's ``j + 1`` for each j in range(d - k, d), then the shuffle's k, ..., 2;
+    int64, which numpy draws below about 6 times as fast as uint64."""
+    return np.array([*range(d - k + 1, d + 1), *range(k, 1, -1)], dtype=np.int64)
 
 
-def _floyd_block(words: np.ndarray, d: int, k: int) -> np.ndarray | None:
-    """Each row's sorted ``rng.choice(d, size=k, replace=False)`` from its row of 32-bit
-    words, or None if Lemire's method rejects any word of the block.
-
-    Without a rejection a draw takes one word per bound of ``_draw_bounds``,
-    so the rows line up with the calls.
-    """
-    bounds = _draw_bounds(d, k)
-    m = words * bounds
-    if ((m & 0xFFFFFFFF) < (2**32 - bounds) % bounds).any():
-        return None
-    v = m >> 32
+def _floyd_block(values: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Each row's sorted ``rng.choice(d, size=k, replace=False)`` from its row of draws
+    below ``_draw_bounds(d, k)``: Floyd's steps over all rows at once, then a sort per row."""
     picks: list[np.ndarray] = []  # Floyd's picks so far, a column each
     for i, j in enumerate(range(d - k, d)):
-        if not j:  # d == k: the first pick is 0, drawn from no word
-            picks.append(np.zeros(len(words), dtype=np.uint64))
-            continue
-        drawn = v[:, i - (d == k)]
+        drawn = values[:, i]
         if picks:
             seen = picks[0] == drawn
             for earlier in picks[1:]:
@@ -332,14 +321,14 @@ def _floyd_block(words: np.ndarray, d: int, k: int) -> np.ndarray | None:
 class _CandidateDraws:
     """``sorted(rng.choice(d, size=k, replace=False).tolist())``, replayed in numpy blocks.
 
-    For d up to 10,000, numpy's ``choice`` is Floyd's sampling algorithm
-    over Lemire's unbiased bounded draws from 32-bit words, followed by a
-    shuffle that sorting discards.  This copy reads the same words with
-    ``rng.integers(0, 2**32, dtype=np.uint32)``, which takes them one by one
-    as ``choice`` does, and computes ``_BLOCK`` draws at a time with
-    ``_floyd_block``; where a block holds a rejected word, ``choice`` itself
-    makes the next draw instead.  ``close`` leaves the generator exactly
-    where the ``choice`` calls would have, for any numpy bit generator.
+    For d up to 10,000, numpy's ``choice`` is Floyd's sampling algorithm over
+    bounded draws from 32-bit words, then a shuffle that sorting discards.
+    ``rng.integers`` below an array of ``_draw_bounds``, in its default int64,
+    makes each draw from the same words, a rejected word drawn again included
+    (a dtype under 32 bits would share words between draws), so one call makes
+    ``_BLOCK`` draws.  ``close`` leaves the generator where the ``choice``
+    calls would have, for any numpy bit generator.  Above 10,000 features
+    ``choice`` shuffles when k > d // 50: the picks stay Floyd's, not its.
     """
 
     # Draws computed at once, about what a tree grown on 400 rows makes; only the
@@ -348,11 +337,9 @@ class _CandidateDraws:
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._state = rng.bit_generator.state  # where the current block's words begin
         self._shape = (0, 0)  # the current block's (d, k)
         self._picks = array("B")  # the block's draws, one after another
         self._next = 0  # where the next draw starts in ``_picks``
-        self._width = 0  # words per draw, without a rejection
 
     def sample(self, d: int, k: int) -> list[int]:
         i = self._next
@@ -362,27 +349,24 @@ class _CandidateDraws:
         self._next = i + k
         return self._picks[i:i + k].tolist()
 
+    def _draw(self, rows: int) -> np.ndarray:  # ``rows`` draws of the current shape
+        bounds = _draw_bounds(*self._shape)
+        return self._rng.integers(0, bounds, size=(rows, bounds.size))
+
     def _start_block(self, d: int, k: int) -> None:
         self.close()
-        rng = self._rng
-        self._state = rng.bit_generator.state
-        width = len(_draw_bounds(d, k))
-        words = rng.integers(0, 2**32, size=(self._BLOCK, width), dtype=np.uint32)
-        block = _floyd_block(words, d, k)
-        if block is None:
-            rng.bit_generator.state = self._state
-            block = np.sort(rng.choice(d, size=k, replace=False))
+        self._state = self._rng.bit_generator.state  # where the block's words begin
+        self._shape, self._next = (d, k), 0
+        block = _floyd_block(self._draw(self._BLOCK), d, k)
         # Picks lie in [0, d), so the narrowest unsigned type keeps the block small.
         kind = np.min_scalar_type(d - 1)
         self._picks = array(kind.char, block.astype(kind).tobytes())
-        self._shape, self._next, self._width = (d, k), 0, width
 
     def close(self) -> None:
         """Set the generator just after the draws taken."""
         if self._next < len(self._picks):  # a block used whole left it there already
             self._rng.bit_generator.state = self._state
-            drawn = self._next // self._shape[1]
-            self._rng.integers(0, 2**32, size=drawn * self._width, dtype=np.uint32)
+            self._draw(self._next // self._shape[1])
 
 
 def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
@@ -444,7 +428,9 @@ def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
 
 
 def fit_tree(X, y, rows, params: ForestParams, rng: np.random.Generator) -> Tree:
-    """Grow one regression tree over the given (multiset of) row indices."""
+    """Grow one regression tree over the given (multiset of) row indices.
+
+    ``rng`` is left where per-node ``rng.choice`` draws of the candidates would leave it."""
     rows = np.sort(np.asarray(rows, dtype=np.intp))
     if rows.size < 1:
         raise ValueError("need at least one row to grow a tree")

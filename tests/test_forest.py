@@ -18,6 +18,7 @@ from soilyield.forest import (
     Tree,
     _best_splits,
     _CandidateDraws,
+    _draw_bounds,
     _floyd_block,
     _node_target,
     _pairwise_sum,
@@ -351,25 +352,27 @@ class TestPairwiseSum:
             assert float_bits(0.0 + _pairwise_sum(values.tolist())) == float_bits(expected)
 
 
-def sequential_choice(words, d, k):
-    """``sorted(rng.choice(d, size=k, replace=False))`` from one draw's 32-bit words, the
-    way numpy makes it, or None where Lemire's method would reject a word and draw again."""
-    words = iter(words)
-
-    def below(n):
-        m = next(words) * n
-        return None if m % 2**32 < (2**32 - n) % n else m >> 32
-
+def sequential_floyd(values, d, k):
+    """``sorted(rng.choice(d, size=k, replace=False))`` from one draw's bounded values
+    (``_draw_bounds(d, k)``'s, in order), one Floyd step at a time, as numpy takes them."""
     picked = []
-    for j in range(d - k, d):
-        v = below(j + 1) if j else 0
-        if v is None:
-            return None
+    for v, j in zip(values, range(d - k, d)):
         picked.append(j if v in picked else v)
-    for i in range(k, 1, -1):  # the shuffle that sorting discards
-        if below(i) is None:
-            return None
     return sorted(picked)
+
+
+class ChoiceDraws:
+    """Each node's candidates from its own ``rng.choice`` call: the draws
+    ``_CandidateDraws`` replays."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def sample(self, d, k):
+        return sorted(self._rng.choice(d, size=k, replace=False).tolist())
+
+    def close(self):
+        pass
 
 
 class TestCandidateDraws:
@@ -409,36 +412,15 @@ class TestCandidateDraws:
         draws.close()
         assert ours.bit_generator.state == reference.bit_generator.state
 
-    def test_every_block_drawn_by_rng_choice_replays_numpy_choice(self, monkeypatch):
-        # As if each block held a rejected word: the fallback path alone.
-        monkeypatch.setattr(forest, "_floyd_block", lambda words, d, k: None)
-        ours = np.random.default_rng(8)
-        reference = np.random.default_rng(8)
-        ours.integers(0, 400, size=3)
-        reference.integers(0, 400, size=3)
-        draws = _CandidateDraws(ours)
-        for _ in range(2 * _CandidateDraws._BLOCK + 7):
-            expected = sorted(reference.choice(12, size=4, replace=False).tolist())
-            assert draws.sample(12, 4) == expected
-        draws.close()
-        assert ours.bit_generator.state == reference.bit_generator.state
-
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**32), d=st.integers(1, 14), rows=st.integers(1, 40),
-           zeros=st.lists(st.integers(0, 10**6), max_size=3), data=st.data())
-    def test_block_step_matches_sequential_lemire_floyd(self, seed, d, rows, zeros, data):
+           data=st.data())
+    def test_block_step_matches_sequential_floyd(self, seed, d, rows, data):
         k = data.draw(st.integers(1, d))
-        width = (k - (d == k)) + (k - 1)
-        words = np.random.default_rng(seed).integers(1, 2**32, size=(rows, width), dtype=np.uint64)
-        for z in zeros:  # a 0 is rejected unless its bound is a power of two
-            if words.size:
-                words.flat[z % words.size] = 0
-        expected = [sequential_choice(row, d, k) for row in words.tolist()]
-        picks = _floyd_block(words, d, k)
-        if None in expected:
-            assert picks is None
-        else:
-            assert picks is not None and picks.tolist() == expected
+        bounds = _draw_bounds(d, k)
+        values = np.random.default_rng(seed).integers(0, bounds, size=(rows, len(bounds)))
+        expected = [sequential_floyd(row, d, k) for row in values.tolist()]
+        assert _floyd_block(values, d, k).tolist() == expected
 
     def test_keeps_one_chunk_of_words(self):
         ours = np.random.default_rng(41)
@@ -489,6 +471,20 @@ class TestCandidateDraws:
         for read in (lambda rng: rng.integers(0, 2**32, size=3, dtype=np.uint32),
                      lambda rng: rng.bit_generator.random_raw(4)):
             assert read(ours).tolist() == read(reference).tolist()
+
+    @pytest.mark.parametrize("d, k", [(255, 85), (256, 86), (257, 86), (300, 100), (10_000, 3334)])
+    def test_replays_numpy_choice_with_wide_picks(self, d, k):
+        # Past 256 features a block holds its picks as uint16 instead of uint8.
+        ours = np.random.default_rng(d)
+        reference = np.random.default_rng(d)
+        ours.integers(0, 400, size=3)
+        reference.integers(0, 400, size=3)
+        draws = _CandidateDraws(ours)
+        for _ in range(3):
+            assert draws.sample(d, k) == sorted(reference.choice(d, size=k, replace=False).tolist())
+        assert draws._picks.itemsize == (1 if d <= 256 else 2)
+        draws.close()
+        assert ours.bit_generator.state == reference.bit_generator.state
 
 
 def tree_from_nodes(nodes):
@@ -559,15 +555,15 @@ class TestFitTree:
             gc.enable()
 
     def test_any_bit_generator_grows_the_tree_choice_draws(self, monkeypatch):
-        # MT19937 makes 32-bit words natively; with every block refused, each node's
-        # candidates come from rng.choice itself.  500 rows make over one block of draws.
+        # MT19937 makes 32-bit words natively; the reference draws each node's
+        # candidates with rng.choice itself.  500 rows make over one block of draws.
         d = generate(500, seed=12)
         X = d.matrix(d.feature_names)
         y = d.matrix(("yield",)).ravel()
         rows = np.random.default_rng(2).integers(0, 500, size=500)
         rng = np.random.Generator(np.random.MT19937(9))
         tree = fit_tree(X, y, rows, ForestParams(max_features=4), rng)
-        monkeypatch.setattr(forest, "_floyd_block", lambda words, d, k: None)
+        monkeypatch.setattr(forest, "_CandidateDraws", ChoiceDraws)
         reference = np.random.Generator(np.random.MT19937(9))
         assert_same_tree(tree, fit_tree(X, y, rows, ForestParams(max_features=4), reference))
         assert rng.bit_generator.random_raw(4).tolist() == \
@@ -709,14 +705,14 @@ class TestFitForest:
         assert fit_forest(X, y, ForestParams(n_trees=3, seed=5, bootstrap=False)).oob_r2 is None
 
     def test_draw_fallback_grows_the_same_trees(self, monkeypatch):
-        # Every block drawn by rng.choice: an odd row count leaves the bootstrap's
+        # Every node's candidates drawn by rng.choice: an odd row count leaves the bootstrap's
         # last word buffered, and 501 rows make each tree more than one block of draws.
         d = generate(501, seed=3)
         X = d.matrix(d.feature_names)
         y = d.matrix(("yield",)).ravel()
         params = ForestParams(n_trees=5, seed=13)
         expected = fit_forest(X, y, params)
-        monkeypatch.setattr(forest, "_floyd_block", lambda words, d, k: None)
+        monkeypatch.setattr(forest, "_CandidateDraws", ChoiceDraws)
         model = fit_forest(X, y, params)
         for tree, reference in zip(model.trees, expected.trees, strict=True):
             assert_same_tree(tree, reference)
