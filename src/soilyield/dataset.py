@@ -18,14 +18,7 @@ from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .errors import (
-    AllRowsDroppedError,
-    EmptyInputError,
-    HeaderMismatchError,
-    InvalidRatioError,
-    TooFewRowsError,
-    ValidationError,
-)
+from .errors import ValidationError
 
 # Canonical soil-test columns.  The twelve required nutrients mirror the
 # standard sample sheet; N and B appear on some sheets only, so they are
@@ -145,9 +138,9 @@ def soil_schema(header: Sequence[str], target: str | None = TARGET_COLUMN) -> tu
     """
     missing = [c for c in CANONICAL_FEATURES if c not in header]
     if missing:
-        raise HeaderMismatchError(f"header is missing required columns: {', '.join(missing)}")
+        raise ValidationError(f"header is missing required columns: {', '.join(missing)}")
     if target is not None and target not in header:
-        raise HeaderMismatchError(f"header is missing the target column {target!r}")
+        raise ValidationError(f"header is missing the target column {target!r}")
 
     columns = []
     order = _CANONICAL_ORDER if target in (None, TARGET_COLUMN) else _CANONICAL_ORDER + (target,)
@@ -177,16 +170,16 @@ def load_csv(
         records = _records(fh, path)
         first = next(records, None)
         if first is None:
-            raise EmptyInputError(f"{path}: file is empty")
+            raise ValidationError(f"{path}: file is empty")
         header = [h.strip() for h in first]
         if callable(schema):
             schema = schema(header)
         absent = [c.name for c in schema if c.name not in header]
         if absent:
-            raise HeaderMismatchError(f"{path}: columns not found in header: {', '.join(absent)}")
+            raise ValidationError(f"{path}: columns not found in header: {', '.join(absent)}")
         repeated = [c.name for c in schema if header.count(c.name) > 1]
         if repeated:
-            raise HeaderMismatchError(
+            raise ValidationError(
                 f"{path}: columns named more than once in header: {', '.join(repeated)}"
             )
         positions = [header.index(c.name) for c in schema]
@@ -203,7 +196,7 @@ def load_csv(
                 except (IndexError, ValueError):
                     append(math.nan)
     if not n_rows:
-        raise EmptyInputError(f"{path}: no data rows")
+        raise ValidationError(f"{path}: no data rows")
     values = np.frombuffer(cells, dtype=np.float64).reshape(n_rows, len(positions))
     return Dataset(tuple(schema), values, Provenance(str(path), rows_read=n_rows))
 
@@ -253,7 +246,7 @@ def drop_incomplete_rows(d: Dataset) -> Dataset:
     kept = d.values[np.isfinite(d.values).all(axis=1)]
     dropped = d.n_rows - kept.shape[0]
     if kept.shape[0] == 0:
-        raise AllRowsDroppedError(f"all {d.n_rows} rows had missing or non-finite cells")
+        raise ValidationError(f"all {d.n_rows} rows had missing or non-finite cells")
     provenance = replace(d.provenance, rows_dropped=d.provenance.rows_dropped + dropped)
     return Dataset(schema=d.schema, values=kept, provenance=provenance)
 
@@ -266,10 +259,10 @@ def train_test_split(d: Dataset, test_ratio: float, seed: int) -> SplitIndices:
     ``round(test_ratio * n_rows)`` clamped so both sides stay non-empty.
     """
     if not (isinstance(test_ratio, float) and 0.0 < test_ratio < 1.0):
-        raise InvalidRatioError(f"test_ratio must lie in (0, 1), got {test_ratio!r}")
+        raise ValidationError(f"test_ratio must lie in (0, 1), got {test_ratio!r}")
     n = d.n_rows
     if n < 2:
-        raise TooFewRowsError(f"need at least 2 rows to split, got {n}")
+        raise ValidationError(f"need at least 2 rows to split, got {n}")
     n_test = int(round(test_ratio * n))
     n_test = max(1, min(n_test, n - 1))
     perm = np.random.default_rng(seed).permutation(n)

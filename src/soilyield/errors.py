@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all soilyield modules.
+"""Exception classes shared by all soilyield modules: one class per exit code.
 
 Every error carries an ``exit_code`` so the CLI can map failures onto its
-documented exit codes: 2 for input/validation problems, 3 for numerical
-failures. I/O failures reuse the builtin ``OSError`` family (exit 4).
+documented exit codes: 2 for input/validation problems (``ValidationError``),
+3 for numerical failures (``NumericalError``). I/O failures reuse the builtin
+``OSError`` family (exit 4). The message, not the class, says what went wrong;
+the one subclass, ``SchemaViolationError``, marks a damaged model or
+comparison file.
 """
 
 
@@ -13,8 +16,6 @@ class SoilYieldError(Exception):
 class ValidationError(SoilYieldError):
     """Bad input data, bad configuration, or a violated call contract."""
 
-    exit_code = 2
-
 
 class NumericalError(SoilYieldError):
     """The computation itself is ill-posed for the given data."""
@@ -22,61 +23,5 @@ class NumericalError(SoilYieldError):
     exit_code = 3
 
 
-class HeaderMismatchError(ValidationError):
-    pass
-
-
-class EmptyInputError(ValidationError):
-    pass
-
-
-class AllRowsDroppedError(ValidationError):
-    pass
-
-
-class InvalidRatioError(ValidationError):
-    pass
-
-
-class TooFewRowsError(ValidationError):
-    pass
-
-
-class EmptySelectionError(ValidationError):
-    pass
-
-
-class DimensionMismatchError(ValidationError):
-    pass
-
-
-class LengthMismatchError(ValidationError):
-    pass
-
-
-class NegativeLambdaError(ValidationError):
-    pass
-
-
-class ZeroTotalError(ValidationError):
-    pass
-
-
 class SchemaViolationError(ValidationError):
-    pass
-
-
-class UnsupportedVersionError(ValidationError):
-    pass
-
-
-class UnderdeterminedError(NumericalError):
-    pass
-
-
-class SingularSystemError(NumericalError):
-    pass
-
-
-class ZeroVarianceError(NumericalError):
-    pass
+    """A model or comparison file that does not follow its schema."""

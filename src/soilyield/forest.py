@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import TooFewRowsError
+from .errors import ValidationError
 from .linear import _as_xy, _check_rows, _names
 from .metrics import r2_if_defined
 
@@ -464,7 +464,7 @@ def fit_forest(X, y, params: ForestParams,
     X, y = _as_xy(X, y)
     n, d = X.shape
     if n < 2:
-        raise TooFewRowsError(f"need at least 2 rows, got {n}")
+        raise ValidationError(f"need at least 2 rows, got {n}")
     resolved = params.resolved(d)
     names = _names(feature_names, d)
 

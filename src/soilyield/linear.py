@@ -17,12 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NegativeLambdaError,
-    SingularSystemError,
-    UnderdeterminedError,
-)
+from .errors import NumericalError, ValidationError
 from .metrics import r2_if_defined
 
 CONDITION_LIMIT = 1e12
@@ -55,9 +50,9 @@ def _as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
-        raise DimensionMismatchError(f"X must be 2-D, got shape {X.shape}")
+        raise ValidationError(f"X must be 2-D, got shape {X.shape}")
     if y.ndim != 1 or y.shape[0] != X.shape[0]:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"y must be a length-{X.shape[0]} vector, got shape {y.shape}"
         )
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
@@ -67,7 +62,7 @@ def _as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_rows(X: np.ndarray, d: int) -> None:
     if X.ndim != 2 or X.shape[1] != d:
-        raise DimensionMismatchError(f"expected shape (n, {d}), got {X.shape}")
+        raise ValidationError(f"expected shape (n, {d}), got {X.shape}")
 
 
 def _names(feature_names: Sequence[str] | None, d: int) -> tuple[str, ...]:
@@ -75,7 +70,7 @@ def _names(feature_names: Sequence[str] | None, d: int) -> tuple[str, ...]:
         return tuple(f"x{i}" for i in range(d))
     names = tuple(feature_names)
     if len(names) != d:
-        raise DimensionMismatchError(f"expected {d} feature names, got {len(names)}")
+        raise ValidationError(f"expected {d} feature names, got {len(names)}")
     return names
 
 
@@ -119,7 +114,7 @@ def _solve_centered(X: np.ndarray, y: np.ndarray, lam: float,
             aug, target = xc, yc
         beta, _, rank, _ = np.linalg.lstsq(aug, target, rcond=None)
         if rank == 0:
-            raise SingularSystemError(
+            raise NumericalError(
                 "design matrix has no usable directions (all features constant)"
             )
     intercept = y_mean - float(beta @ x_mean)
@@ -137,17 +132,17 @@ def fit_mlr(X, y, feature_names: Sequence[str] | None = None) -> LinearModel:
     X, y = _as_xy(X, y)
     n, d = X.shape
     if n <= d:
-        raise UnderdeterminedError(f"need more rows than features: n={n}, d={d}")
+        raise NumericalError(f"need more rows than features: n={n}, d={d}")
     return _solve_centered(X, y, 0.0, feature_names)
 
 
 def fit_ridge(X, y, lam: float, feature_names: Sequence[str] | None = None) -> LinearModel:
     """L2-penalized least squares; the intercept is not penalized."""
     if not (isinstance(lam, (int, float)) and math.isfinite(lam)) or lam < 0:
-        raise NegativeLambdaError(f"lambda must be a nonnegative real, got {lam!r}")
+        raise ValidationError(f"lambda must be a nonnegative real, got {lam!r}")
     X, y = _as_xy(X, y)
     if X.shape[0] < 1 or X.shape[1] < 1:
-        raise DimensionMismatchError(f"need at least one row and one feature, got {X.shape}")
+        raise ValidationError(f"need at least one row and one feature, got {X.shape}")
     return _solve_centered(X, y, float(lam), feature_names)
 
 

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatchError, NumericalError, ZeroTotalError, ZeroVarianceError
+from .errors import NumericalError, ValidationError
 
 
 _FLOAT = np.finfo(np.float64)
@@ -18,11 +18,11 @@ def _as_pair(y_true, y_pred, minimum: int) -> tuple[np.ndarray, np.ndarray]:
     yt = np.asarray(y_true, dtype=np.float64)
     yp = np.asarray(y_pred, dtype=np.float64)
     if yt.shape != yp.shape or yt.ndim != 1:
-        raise LengthMismatchError(
+        raise ValidationError(
             f"y_true and y_pred must be equal-length vectors, got {yt.shape} and {yp.shape}"
         )
     if yt.shape[0] < minimum:
-        raise LengthMismatchError(f"need at least {minimum} values, got {yt.shape[0]}")
+        raise ValidationError(f"need at least {minimum} values, got {yt.shape[0]}")
     return yt, yp
 
 
@@ -44,7 +44,7 @@ def r2_score(y_true, y_pred) -> float:
     """
     yt, yp = _as_pair(y_true, y_pred, minimum=2)
     if yt.min() == yt.max():  # a rounded mean can leave a TSS just above 0
-        raise ZeroVarianceError("y_true is constant, R^2 is undefined (TSS = 0)")
+        raise NumericalError("y_true is constant, R^2 is undefined (TSS = 0)")
     with np.errstate(all="ignore"):
         tss = _sum_of_squares(yt - yt.mean())
         rss = _sum_of_squares(yt - yp, floor=0.0)  # under a normal TSS, an underflow is noise
@@ -53,10 +53,10 @@ def r2_score(y_true, y_pred) -> float:
 
 def r2_if_defined(y_true, y_pred) -> float | None:
     """``r2_score``, or None where it is undefined (under two values, or a constant y_true)."""
-    try:
-        return r2_score(y_true, y_pred)
-    except (LengthMismatchError, ZeroVarianceError):
+    yt = np.asarray(y_true, dtype=np.float64)
+    if yt.size < 2 or yt.min() == yt.max():
         return None
+    return r2_score(yt, y_pred)
 
 
 def rmse(y_true, y_pred) -> float:
@@ -91,7 +91,7 @@ class NutrientCounts:
 def nutrient_index(c: NutrientCounts) -> float:
     """Weighted class mean (nl*1 + nm*2 + nh*3) / nt, always in [1, 3]."""
     if c.nt == 0:
-        raise ZeroTotalError("no samples analyzed (nt = 0)")
+        raise ValidationError("no samples analyzed (nt = 0)")
     return (c.nl + 2 * c.nm + 3 * c.nh) / c.nt
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import reading_text
-from .errors import SchemaViolationError, UnsupportedVersionError
+from .errors import SchemaViolationError, ValidationError
 from .forest import ForestModel, ForestParams, Tree
 from .linear import FitDiagnostics, LinearModel
 from .preprocess import NormalizationParams
@@ -313,7 +313,7 @@ def _bundle(obj, where: str, trees: list[Tree] | None = None) -> ModelBundle:
     if "format_version" not in obj:
         raise SchemaViolationError(f"{where}: missing format_version")
     if type(obj["format_version"]) is not int or obj["format_version"] != FORMAT_VERSION:
-        raise UnsupportedVersionError(
+        raise ValidationError(
             f"{where}: format_version {obj['format_version']!r} not supported"
         )
     kind = _expect(obj, "model_kind", str, where)

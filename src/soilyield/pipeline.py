@@ -33,7 +33,7 @@ from .dataset import (
     train_test_split,
     write_csv,
 )
-from .errors import DimensionMismatchError, ValidationError, ZeroVarianceError
+from .errors import NumericalError, ValidationError
 from .forest import ForestModel, ForestParams, fit_forest, predict_forest
 from .linear import fit_mlr, fit_ridge, predict_linear
 from .metrics import r2_score
@@ -182,8 +182,8 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
     feature_scaler = fit_minmax(d, split.train, features)
     target_scaler = fit_minmax(d, split.train, (target,))
     if target_scaler.mins[0] == target_scaler.maxs[0]:  # each model logs an undefined R²
-        raise ZeroVarianceError(f"target column {target!r} of {Path(input_path).name} is "
-                                f"constant over its {len(split.train)} training rows")
+        raise NumericalError(f"target column {target!r} of {Path(input_path).name} is "
+                             f"constant over its {len(split.train)} training rows")
 
     train = d.matrix()[list(split.train)]  # in model_columns order: the target last
     x_train = apply_minmax(feature_scaler, train[:, :-1])
@@ -240,7 +240,7 @@ def predict_bundle(bundle: ModelBundle, d: Dataset) -> tuple[np.ndarray, int]:
     """
     missing = [c for c in bundle.feature_names if c not in d.column_names]
     if missing:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"input lacks model feature columns: {', '.join(missing)}"
         )
     x_raw = d.matrix(bundle.feature_names)

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DimensionMismatchError, EmptySelectionError, TooFewRowsError, ValidationError
+from .errors import ValidationError
 from . import svgutil
 
 
@@ -50,7 +50,7 @@ def fit_minmax(d: Dataset, rows: Sequence[int],
     """Per-column min and max over the selected (training) rows."""
     rows = list(rows)
     if not rows:
-        raise EmptySelectionError("cannot fit normalization on an empty row selection")
+        raise ValidationError("cannot fit normalization on an empty row selection")
     columns = d.model_columns if columns is None else tuple(columns)
     m = d.matrix(columns)[rows]
     return NormalizationParams(
@@ -62,7 +62,7 @@ def fit_minmax(d: Dataset, rows: Sequence[int],
 
 def _check_width(params: NormalizationParams, x: np.ndarray) -> None:
     if x.shape[-1] != len(params):
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"expected {len(params)} columns, got {x.shape[-1]}"
         )
 
@@ -105,7 +105,7 @@ def pearson_correlation(d: Dataset) -> CorrelationMatrix:
     varying columns whose two sums multiply out of it; each names its columns.
     """
     if d.n_rows < 2:
-        raise TooFewRowsError(f"need at least 2 rows, got {d.n_rows}")
+        raise ValidationError(f"need at least 2 rows, got {d.n_rows}")
     columns = d.model_columns
     m = d.matrix(columns)
     with np.errstate(all="ignore"):  # out-of-range sums are refused below

@@ -317,6 +317,20 @@ class TestTrain:
         assert stdout == "" and err.count("\n") == 1 and "constant" in err
         assert not out.exists()
 
+    def test_all_constant_features_exit_3_before_writing(self, tmp_path, capsys):
+        # With every feature constant, the mlr solve has no direction to fit.
+        flat = synth_csv(tmp_path, n=120)
+        for column in flat.read_text().splitlines()[0].split(",")[:-1]:  # all but yield
+            flat = with_column(flat, tmp_path / "flat.csv", column, lambda i: "1.5")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code, stdout, err = run(["train", "--input", str(flat), "--output-dir", str(out),
+                                 "--model", "mlr"], capsys)
+        assert code == 3
+        assert stdout == ""
+        assert err == "error: design matrix has no usable directions (all features constant)\n"
+        assert not out.exists()
+
     def test_column_whose_spread_overflows_exits_2_naming_it(self, tmp_path, capsys):
         # Both bounds are finite but max - min is not: scaling would turn rows into NaN.
         huge = with_column(synth_csv(tmp_path, n=40), tmp_path / "huge.csv", "pH",

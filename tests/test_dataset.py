@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -24,14 +25,7 @@ from soilyield.dataset import (
     train_test_split,
     _records,
 )
-from soilyield.errors import (
-    AllRowsDroppedError,
-    EmptyInputError,
-    HeaderMismatchError,
-    InvalidRatioError,
-    TooFewRowsError,
-    ValidationError,
-)
+from soilyield.errors import ValidationError
 from soilyield.synth import generate
 
 CANONICAL_HEADER = CANONICAL_FEATURES + ("yield",)
@@ -73,7 +67,7 @@ class TestLoadCsv:
 
     def test_header_only_file_is_empty_input(self, tmp_path):
         path = write_csv(tmp_path / "empty.csv", ",".join(CANONICAL_HEADER) + "\n")
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ValidationError, match="empty.csv: no data rows"):
             load_csv(path, soil_schema(CANONICAL_HEADER))
 
     def test_unparseable_numeric_cell_becomes_missing(self, tmp_path):
@@ -103,7 +97,7 @@ class TestLoadCsv:
 
     def test_missing_schema_column_is_header_mismatch(self, tmp_path):
         path = write_csv(tmp_path / "cols.csv", "a,b\n1,2\n")
-        with pytest.raises(HeaderMismatchError):
+        with pytest.raises(ValidationError, match="cols.csv: columns not found in header: zz$"):
             load_csv(path, (ColumnSchema("a"), ColumnSchema("zz")))
 
     def test_missing_file(self, tmp_path):
@@ -135,17 +129,17 @@ def load_csv_by_rows(path, schema):
         records = _records(fh, path)
         first = next(records, None)
         if first is None:
-            raise EmptyInputError(f"{path}: file is empty")
+            raise ValidationError(f"{path}: file is empty")
         header = [h.strip() for h in first]
         if callable(schema):
             schema = schema(header)
         absent = [c.name for c in schema if c.name not in header]
         if absent:
-            raise HeaderMismatchError(
+            raise ValidationError(
                 f"{path}: columns not found in header: {', '.join(absent)}")
         repeated = [c.name for c in schema if header.count(c.name) > 1]
         if repeated:
-            raise HeaderMismatchError(
+            raise ValidationError(
                 f"{path}: columns named more than once in header: {', '.join(repeated)}")
         positions = [header.index(c.name) for c in schema]
         rows = []
@@ -160,7 +154,7 @@ def load_csv_by_rows(path, schema):
                     cells.append(math.nan)
             rows.append(cells)
     if not rows:
-        raise EmptyInputError(f"{path}: no data rows")
+        raise ValidationError(f"{path}: no data rows")
     return Dataset(schema=tuple(schema), values=np.array(rows, dtype=np.float64),
                    provenance=Provenance(source=str(path), rows_read=len(rows)))
 
@@ -269,7 +263,7 @@ class TestSoilSchema:
 
     def test_missing_required_column_raises(self):
         header = tuple(c for c in CANONICAL_HEADER if c != "Zn")
-        with pytest.raises(HeaderMismatchError):
+        with pytest.raises(ValidationError, match="^header is missing required columns: Zn$"):
             soil_schema(header)
 
     def test_prediction_schema_has_no_target(self):
@@ -277,7 +271,7 @@ class TestSoilSchema:
         assert all(c.role == "feature" for c in schema)
 
     def test_missing_target_raises(self):
-        with pytest.raises(HeaderMismatchError):
+        with pytest.raises(ValidationError, match="^header is missing the target column 'yield'$"):
             soil_schema(CANONICAL_FEATURES, target="yield")
 
 
@@ -296,7 +290,7 @@ class TestDropIncompleteRows:
 
     def test_all_rows_missing_raises(self):
         d = small_dataset([[None, 1.0], [2.0, None]])
-        with pytest.raises(AllRowsDroppedError):
+        with pytest.raises(ValidationError, match="^all 2 rows had missing or non-finite cells$"):
             drop_incomplete_rows(d)
 
     def test_non_finite_cells_count_as_incomplete(self):
@@ -355,10 +349,11 @@ class TestTrainTestSplit:
     def test_invalid_ratio(self):
         d = small_dataset([[1.0], [2.0]])
         for ratio in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(InvalidRatioError):
+            with pytest.raises(ValidationError,
+                               match=re.escape(f"test_ratio must lie in (0, 1), got {ratio!r}")):
                 train_test_split(d, ratio, seed=0)
 
     def test_too_few_rows(self):
         d = small_dataset([[1.0]])
-        with pytest.raises(TooFewRowsError):
+        with pytest.raises(ValidationError, match="^need at least 2 rows to split, got 1$"):
             train_test_split(d, 0.5, seed=0)

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soilyield.errors import DimensionMismatchError, TooFewRowsError
+from soilyield.errors import ValidationError
 from soilyield import forest
 from soilyield.forest import (
     ForestModel,
@@ -719,7 +720,7 @@ class TestFitForest:
         assert model.oob_r2 == expected.oob_r2
 
     def test_too_few_rows(self):
-        with pytest.raises(TooFewRowsError):
+        with pytest.raises(ValidationError, match="^need at least 2 rows, got 1$"):
             fit_forest(np.array([[1.0]]), np.array([1.0]), ForestParams(n_trees=2))
 
 
@@ -835,7 +836,7 @@ class TestPredictForest:
             feature_names=("a",),
             oob_r2=None,
         )
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match=re.escape("expected shape (n, 1), got (1, 2)")):
             predict_forest(model, [[1.0, 2.0]])
 
 

@@ -1,20 +1,17 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from soilyield.errors import (
-    LengthMismatchError,
-    NumericalError,
-    ZeroTotalError,
-    ZeroVarianceError,
-)
+from soilyield.errors import NumericalError, ValidationError
 from soilyield.metrics import (
     NutrientCounts,
     classify_levels,
     default_nutrient_thresholds,
     mae,
     nutrient_index,
+    r2_if_defined,
     r2_score,
     rmse,
 )
@@ -36,19 +33,22 @@ class TestR2Score:
         assert r2_score([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) < 0.0
 
     def test_constant_target_raises(self):
-        with pytest.raises(ZeroVarianceError):
+        with pytest.raises(NumericalError, match=re.escape(
+                "y_true is constant, R^2 is undefined (TSS = 0)")):
             r2_score([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
 
     def test_constant_target_with_a_rounded_mean_raises(self):
         # The mean of five 7.77s is not 7.77, so TSS comes out near 4e-30, not 0.
         assert np.mean([7.77] * 5) != 7.77
-        with pytest.raises(ZeroVarianceError):
+        with pytest.raises(NumericalError, match=re.escape(
+                "y_true is constant, R^2 is undefined (TSS = 0)")):
             r2_score([7.77] * 5, [7.0, 7.5, 7.77, 8.0, 9.0])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValidationError, match=re.escape(
+                "y_true and y_pred must be equal-length vectors, got (2,) and (3,)")):
             r2_score([1.0, 2.0], [1.0, 2.0, 3.0])
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValidationError, match="^need at least 2 values, got 1$"):
             r2_score([1.0], [1.0])
 
     def test_shift_invariance(self):
@@ -75,6 +75,27 @@ class TestR2Score:
             assert abs(rss - n * rmse(y, pred) ** 2) < 1e-10
 
 
+class TestR2IfDefined:
+    @pytest.mark.parametrize("y", [[], [4.0]], ids=["no-values", "one-value"])
+    def test_under_two_values_is_none(self, y):
+        assert r2_if_defined(y, y) is None
+
+    def test_constant_y_true_is_none(self):
+        assert r2_if_defined([5.0, 5.0, 5.0], [1.0, 2.0, 3.0]) is None
+        assert r2_if_defined([7.77] * 5, [7.0, 7.5, 7.77, 8.0, 9.0]) is None
+
+    def test_equals_r2_score_where_defined(self):
+        rng = np.random.default_rng(4)
+        y = rng.normal(size=30)
+        pred = y + rng.normal(scale=0.5, size=30)
+        assert np.float64(r2_if_defined(y, pred)).tobytes() == np.float64(
+            r2_score(y, pred)).tobytes()
+
+    def test_overflow_still_raises(self):
+        with pytest.raises(NumericalError, match="overflow or underflow"):
+            r2_if_defined([1e200, -1e200, 0.0], [0.0, 0.0, 0.0])
+
+
 class TestRmseMae:
     def test_perfect_prediction_is_zero(self):
         assert rmse([1.0, 2.0], [1.0, 2.0]) == 0.0
@@ -93,9 +114,10 @@ class TestRmseMae:
             assert mae(y, y + c) == pytest.approx(abs(c), abs=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValidationError, match=re.escape(
+                "y_true and y_pred must be equal-length vectors, got (1,) and (2,)")):
             rmse([1.0], [1.0, 2.0])
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValidationError, match="^need at least 1 values, got 0$"):
             mae([], [])
 
 
@@ -146,7 +168,7 @@ class TestNutrientIndex:
         assert nutrient_index(NutrientCounts(nl=2, nm=3, nh=5, nt=10)) == 2.3
 
     def test_zero_total(self):
-        with pytest.raises(ZeroTotalError):
+        with pytest.raises(ValidationError, match=re.escape("no samples analyzed (nt = 0)")):
             nutrient_index(NutrientCounts(nl=0, nm=0, nh=0, nt=0))
 
     def test_counts_must_sum(self):

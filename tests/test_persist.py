@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from soilyield import persist
-from soilyield.errors import SchemaViolationError, UnsupportedVersionError
+from soilyield.errors import SchemaViolationError, ValidationError
 from soilyield.forest import ForestModel, ForestParams, Tree, fit_forest, predict_forest
 from soilyield.linear import fit_mlr, fit_ridge, predict_linear
 from soilyield.persist import ModelBundle, load_model, save_model
@@ -231,7 +231,7 @@ class TestRejection:
         obj = json.loads(path.read_text())
         obj["format_version"] = 2
         path.write_text(json.dumps(obj))
-        with pytest.raises(UnsupportedVersionError):
+        with pytest.raises(ValidationError, match="m.json: format_version 2 not supported$"):
             load_model(path)
 
     def test_missing_version_key(self, tmp_path):
