@@ -1,9 +1,9 @@
-"""Tabular soil data: canonical schema, CSV ingestion, cleaning, and splitting.
+"""Tabular soil data: canonical columns, CSV ingestion, cleaning, and splitting.
 
-A :class:`Dataset` is a column-ordered table held as one float64 matrix,
-with NaN for a missing or unparseable cell.  All downstream stages consume
-datasets produced here, so row order and cell values are preserved exactly
-as parsed.
+A :class:`Dataset` is a named float64 matrix, with NaN for a missing or
+unparseable cell; a soil dataset holds its features, then its target.  All
+downstream stages consume datasets produced here, so row order and cell
+values are preserved exactly as parsed.
 """
 
 from __future__ import annotations
@@ -29,51 +29,28 @@ CANONICAL_FEATURES: tuple[str, ...] = (
 OPTIONAL_FEATURES: tuple[str, ...] = ("N", "B")
 TARGET_COLUMN = "yield"
 
-# Canonical on-disk column order: pH,EC,OC,N,P,K,Ca,Mg,S,Zn,Fe,Mn,Cu,B,yield
-_CANONICAL_ORDER: tuple[str, ...] = (
-    "pH", "EC", "OC", "N", "P", "K", "Ca", "Mg", "S", "Zn", "Fe", "Mn",
-    "Cu", "B", TARGET_COLUMN,
+# Canonical on-disk feature order; the target column follows the features.
+_FEATURE_ORDER: tuple[str, ...] = (
+    "pH", "EC", "OC", "N", "P", "K", "Ca", "Mg", "S", "Zn", "Fe", "Mn", "Cu", "B",
 )
 _WRITE_BLOCK = 1024  # CSV rows formatted per step
 
 
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Declares how one numeric column is used."""
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """A named float64 matrix: ``values`` is ``(n_rows, len(column_names))``, NaN
+    where a cell is missing.  ``rows_read`` counts the rows parsed from the
+    source and ``rows_dropped`` those that cleaning removed since."""
 
-    name: str
-    role: str = "feature"  # feature | target
-
-    def __post_init__(self) -> None:
-        if self.role not in ("feature", "target"):
-            raise ValueError(f"unknown column role {self.role!r}")
-
-
-@dataclass(frozen=True)
-class Provenance:
-    """Where the rows came from and how many were discarded on the way."""
-
-    source: str
+    column_names: tuple[str, ...]
+    values: np.ndarray
     rows_read: int
     rows_dropped: int = 0
 
-
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """Rows of cells under ``schema``: ``values`` is ``(n_rows, len(schema))``
-    float64, NaN where a cell is missing."""
-
-    schema: tuple[ColumnSchema, ...]
-    values: np.ndarray
-    provenance: Provenance
-
     def __post_init__(self) -> None:
-        names = [c.name for c in self.schema]
+        names = self.column_names
         if len(set(names)) != len(names):
             raise ValueError("column names must be unique")
-        targets = [c for c in self.schema if c.role == "target"]
-        if len(targets) > 1:
-            raise ValueError("at most one target column allowed")
         if self.values.ndim != 2 or self.values.shape[1] != len(names):
             raise ValueError(
                 f"values must have shape (n_rows, {len(names)}), got {self.values.shape}"
@@ -88,35 +65,14 @@ class Dataset:
         """The cells as Python floats, row by row."""
         return self.values.tolist()
 
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.schema)
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.schema if c.role == "feature")
-
-    @property
-    def target_name(self) -> str | None:
-        for c in self.schema:
-            if c.role == "target":
-                return c.name
-        return None
-
-    @property
-    def model_columns(self) -> tuple[str, ...]:
-        """The features, then the target if any."""
-        target = self.target_name
-        return self.feature_names + (() if target is None else (target,))
-
     def matrix(self, columns: Sequence[str] | None = None) -> np.ndarray:
-        """The named columns (default: ``model_columns``) as a new C-ordered matrix.
+        """The named columns (default: all of them) as a new C-ordered matrix.
 
         Holds NaN for missing cells until the dataset is cleaned.
         """
         if columns is None:
-            columns = self.model_columns
-        position = {c.name: i for i, c in enumerate(self.schema)}
+            columns = self.column_names
+        position = {name: i for i, name in enumerate(self.column_names)}
         return self.values.take([position[c] for c in columns], axis=1)
 
 
@@ -128,42 +84,36 @@ class SplitIndices:
     test: tuple[int, ...]
 
 
-def soil_schema(header: Sequence[str], target: str | None = TARGET_COLUMN) -> tuple[ColumnSchema, ...]:
-    """Build the canonical soil schema for a CSV header.
+def soil_schema(header: Sequence[str], target: str | None = TARGET_COLUMN) -> tuple[str, ...]:
+    """The columns to read from a soil CSV with this header: the features in
+    canonical order, then ``target``.
 
     The twelve required nutrient columns must all be present; N and B are
     included when the header has them.  ``target`` names the yield column
     and may be ``None`` for prediction files (then a ``yield`` column in
-    the header is simply left out of the schema).
+    the header is simply left out).
     """
     missing = [c for c in CANONICAL_FEATURES if c not in header]
     if missing:
         raise ValidationError(f"header is missing required columns: {', '.join(missing)}")
     if target is not None and target not in header:
         raise ValidationError(f"header is missing the target column {target!r}")
-
-    columns = []
-    order = _CANONICAL_ORDER if target in (None, TARGET_COLUMN) else _CANONICAL_ORDER + (target,)
-    for name in order:
-        if name == target:
-            columns.append(ColumnSchema(name, "target"))
-        elif name in CANONICAL_FEATURES or (name in OPTIONAL_FEATURES and name in header):
-            columns.append(ColumnSchema(name))
-    return tuple(columns)
+    features = tuple(c for c in _FEATURE_ORDER if c in CANONICAL_FEATURES or c in header)
+    return features + (() if target is None else (target,))
 
 
 def load_csv(
     path: str | Path,
-    schema: Sequence[ColumnSchema] | Callable[[list[str]], Sequence[ColumnSchema]],
+    schema: Sequence[str] | Callable[[list[str]], Sequence[str]],
 ) -> Dataset:
     """Parse a UTF-8 comma-delimited file into a :class:`Dataset`.
 
-    ``schema`` is the column list, or a function that builds it from the
-    header.  A leading byte-order mark, blank lines and data lines whose first
-    cell starts with ``#`` (such as a ``predictions.csv`` footer) are skipped.
-    Each schema column must appear in the header exactly once.  Empty or
-    unparseable cells become NaN and the row is kept until cleaning.  Row
-    order is preserved.
+    ``schema`` is the list of column names to read, or a function that builds
+    it from the header.  A leading byte-order mark, blank lines and data lines
+    whose first cell starts with ``#`` (such as a ``predictions.csv`` footer)
+    are skipped.  Each named column must appear in the header exactly once.
+    Empty or unparseable cells become NaN and the row is kept until cleaning.
+    Row order is preserved.
     """
     path = Path(path)
     with reading_text(path), path.open("r", encoding="utf-8-sig", newline="") as fh:
@@ -174,15 +124,15 @@ def load_csv(
         header = [h.strip() for h in first]
         if callable(schema):
             schema = schema(header)
-        absent = [c.name for c in schema if c.name not in header]
+        absent = [c for c in schema if c not in header]
         if absent:
             raise ValidationError(f"{path}: columns not found in header: {', '.join(absent)}")
-        repeated = [c.name for c in schema if header.count(c.name) > 1]
+        repeated = [c for c in schema if header.count(c) > 1]
         if repeated:
             raise ValidationError(
                 f"{path}: columns named more than once in header: {', '.join(repeated)}"
             )
-        positions = [header.index(c.name) for c in schema]
+        positions = [header.index(c) for c in schema]
         cells = array("d")  # row after row, so no list is held per row
         append = cells.append
         n_rows = 0
@@ -198,7 +148,7 @@ def load_csv(
     if not n_rows:
         raise ValidationError(f"{path}: no data rows")
     values = np.frombuffer(cells, dtype=np.float64).reshape(n_rows, len(positions))
-    return Dataset(tuple(schema), values, Provenance(str(path), rows_read=n_rows))
+    return Dataset(tuple(schema), values, rows_read=n_rows)
 
 
 @contextmanager
@@ -242,13 +192,11 @@ def write_csv(fh: TextIO, header: Sequence[str], *columns: np.ndarray) -> None:
 
 
 def drop_incomplete_rows(d: Dataset) -> Dataset:
-    """Keep only rows whose feature/target cells are all present and finite."""
+    """Keep only rows whose cells are all present and finite."""
     kept = d.values[np.isfinite(d.values).all(axis=1)]
-    dropped = d.n_rows - kept.shape[0]
     if kept.shape[0] == 0:
         raise ValidationError(f"all {d.n_rows} rows had missing or non-finite cells")
-    provenance = replace(d.provenance, rows_dropped=d.provenance.rows_dropped + dropped)
-    return Dataset(schema=d.schema, values=kept, provenance=provenance)
+    return replace(d, values=kept, rows_dropped=d.rows_dropped + d.n_rows - kept.shape[0])
 
 
 def train_test_split(d: Dataset, test_ratio: float, seed: int) -> SplitIndices:

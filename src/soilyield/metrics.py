@@ -22,7 +22,8 @@ def _as_pair(y_true, y_pred, minimum: int) -> tuple[np.ndarray, np.ndarray]:
             f"y_true and y_pred must be equal-length vectors, got {yt.shape} and {yp.shape}"
         )
     if yt.shape[0] < minimum:
-        raise ValidationError(f"need at least {minimum} values, got {yt.shape[0]}")
+        noun = "value" if minimum == 1 else "values"
+        raise ValidationError(f"need at least {minimum} {noun}, got {yt.shape[0]}")
     return yt, yp
 
 

@@ -169,8 +169,8 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
     d = _load_cleaned(input_path, target=cfg.target_column)
     split = train_test_split(d, cfg.test_ratio, cfg.seed)
 
-    features = d.feature_names
-    target = d.target_name
+    target = cfg.target_column
+    features = tuple(c for c in d.column_names if c != target)
     if len(split.train) < 2:
         raise ValidationError(f"--test-ratio {cfg.test_ratio} leaves {len(split.train)} training "
                               f"row of {d.n_rows}; training needs at least 2")
@@ -185,13 +185,13 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
         raise NumericalError(f"target column {target!r} of {Path(input_path).name} is "
                              f"constant over its {len(split.train)} training rows")
 
-    train = d.matrix()[list(split.train)]  # in model_columns order: the target last
+    train = d.matrix()[list(split.train)]  # soil_schema puts the target last
     x_train = apply_minmax(feature_scaler, train[:, :-1])
     y_train = apply_minmax(target_scaler, train[:, -1:]).ravel()
     log_lines = [
         f"input: {Path(input_path).name}",
-        f"rows_read: {d.provenance.rows_read}",
-        f"rows_dropped: {d.provenance.rows_dropped}",
+        f"rows_read: {d.rows_read}",
+        f"rows_dropped: {d.rows_dropped}",
         f"rows_kept: {d.n_rows}",
         f"train_rows: {len(split.train)}",
         f"test_rows: {len(split.test)}",
@@ -317,8 +317,7 @@ def run_predict(cfg: RunConfig, model_path: str) -> Path:
     path = _out_dir(cfg) / PREDICTIONS_FILENAME
     with path.open("w", encoding="utf-8", newline="") as fh:
         write_csv(fh, cleaned.column_names + ("predicted_yield",), cleaned.values, predictions)
-        dropped = cleaned.provenance.rows_dropped
-        fh.write(f"# clamped_cells={clamped} rows_dropped={dropped}\n")
+        fh.write(f"# clamped_cells={clamped} rows_dropped={cleaned.rows_dropped}\n")
     return path
 
 

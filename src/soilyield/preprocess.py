@@ -47,11 +47,12 @@ class CorrelationMatrix:
 
 def fit_minmax(d: Dataset, rows: Sequence[int],
                columns: Sequence[str] | None = None) -> NormalizationParams:
-    """Per-column min and max over the selected (training) rows."""
+    """Per-column min and max over the selected (training) rows, of ``columns``
+    (default: every column)."""
     rows = list(rows)
     if not rows:
         raise ValidationError("cannot fit normalization on an empty row selection")
-    columns = d.model_columns if columns is None else tuple(columns)
+    columns = d.column_names if columns is None else tuple(columns)
     m = d.matrix(columns)[rows]
     return NormalizationParams(
         columns=columns,
@@ -97,7 +98,7 @@ def out_of_range_count(params: NormalizationParams, x) -> int:
 
 
 def pearson_correlation(d: Dataset) -> CorrelationMatrix:
-    """Pearson coefficients between all pairs of ``d.model_columns``.
+    """Pearson coefficients between all pairs of columns of ``d``.
 
     A constant column correlates exactly 0 with every other column (the
     coefficient is undefined there) and 1 with itself.  A column whose centred
@@ -106,7 +107,7 @@ def pearson_correlation(d: Dataset) -> CorrelationMatrix:
     """
     if d.n_rows < 2:
         raise ValidationError(f"need at least 2 rows, got {d.n_rows}")
-    columns = d.model_columns
+    columns = d.column_names
     m = d.matrix(columns)
     with np.errstate(all="ignore"):  # out-of-range sums are refused below
         centered = m - m.mean(axis=0)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import CANONICAL_FEATURES, TARGET_COLUMN, Dataset, Provenance, soil_schema
+from .dataset import CANONICAL_FEATURES, TARGET_COLUMN, Dataset
 
 _RANGES: tuple[tuple[str, float, float], ...] = (
     ("pH", 4.0, 9.0),
@@ -60,7 +60,7 @@ def yield_response(ph, ec, oc, p, k, zn) -> np.ndarray:
 
 
 def generate(n: int, seed: int) -> Dataset:
-    """Generate ``n`` synthetic soil rows under the canonical schema."""
+    """Generate ``n`` synthetic soil rows in the canonical columns."""
     if n < 10:
         raise ValueError(f"need at least 10 rows, got {n}")
     rng = np.random.default_rng(seed)
@@ -74,10 +74,5 @@ def generate(n: int, seed: int) -> Dataset:
     )
     columns[TARGET_COLUMN] = np.round(np.maximum(response + noise, 0.0), 3)
 
-    header = CANONICAL_FEATURES + (TARGET_COLUMN,)
-    schema = soil_schema(header)
-    return Dataset(
-        schema=schema,
-        values=np.column_stack([columns[c.name] for c in schema]),
-        provenance=Provenance(source=f"synthetic(n={n}, seed={seed})", rows_read=n),
-    )
+    names = CANONICAL_FEATURES + (TARGET_COLUMN,)
+    return Dataset(names, np.column_stack([columns[c] for c in names]), rows_read=n)

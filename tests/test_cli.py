@@ -157,6 +157,29 @@ class TestTrain:
             assert hashlib.sha256((out / f"model_{kind}.json").read_bytes()).hexdigest() == digest
         assert (out / "train_log.txt").read_text() == GOLDEN_TRAIN_LOG
 
+    def test_custom_target_trains_on_the_canonical_features_wherever_it_stands(
+            self, trained, tmp_path):
+        _, csv_path = trained
+        lines = csv_path.read_text().splitlines()
+        heights = [f"{1.5 + i % 7 * 0.25}" for i in range(len(lines) - 1)]
+        first = tmp_path / "first.csv"  # height before the features; yield kept as well
+        first.write_text("\n".join([f"height,{lines[0]}"]
+                                   + [f"{h},{r}" for h, r in zip(heights, lines[1:])]) + "\n")
+        last = tmp_path / "last.csv"
+        last.write_text("\n".join([f"{lines[0]},height"]
+                                  + [f"{r},{h}" for h, r in zip(heights, lines[1:])]) + "\n")
+        for name, path in (("a", first), ("b", last)):
+            assert main(["train", "--input", str(path), "--output-dir", str(tmp_path / name),
+                         "--seed", "3", "--trees", "5", "--target", "height"]) == 0
+
+        obj = json.loads((tmp_path / "a" / "model_mlr.json").read_text())
+        assert obj["feature_names"] == ["pH", "EC", "OC", "P", "K", "Ca", "Mg", "S", "Zn",
+                                        "Fe", "Mn", "Cu"]
+        assert obj["target_name"] == "height"
+        for kind in ("mlr", "ridge", "forest"):
+            name = f"model_{kind}.json"
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_forest_training_r2_comes_from_the_fit(self, trained, tmp_path, monkeypatch, workers):
         # The fit routes each training row once per tree; train routes none of them again.

@@ -15,9 +15,7 @@ from soilyield import dataset
 from soilyield.dataset import (
     _WRITE_BLOCK,
     CANONICAL_FEATURES,
-    ColumnSchema,
     Dataset,
-    Provenance,
     drop_incomplete_rows,
     load_csv,
     save_csv,
@@ -42,9 +40,9 @@ def write_csv(path, text):
 
 def small_dataset(cells):
     """A dataset of the given rows; ``None`` is a missing cell."""
-    schema = tuple(ColumnSchema(f"c{i}") for i in range(len(cells[0])))
+    names = tuple(f"c{i}" for i in range(len(cells[0])))
     values = np.array([[math.nan if c is None else c for c in r] for r in cells])
-    return Dataset(schema=schema, values=values, provenance=Provenance("test", len(cells)))
+    return Dataset(names, values, rows_read=len(cells))
 
 
 class TestLoadCsv:
@@ -72,41 +70,41 @@ class TestLoadCsv:
 
     def test_unparseable_numeric_cell_becomes_missing(self, tmp_path):
         path = write_csv(tmp_path / "bad.csv", "a,b\n1.5,abc\n2.0,3.0\n")
-        schema = (ColumnSchema("a"), ColumnSchema("b"))
+        schema = ("a", "b")
         d = load_csv(path, schema)
         assert d.n_rows == 2  # row retained until cleaning
         assert d.rows[0][0] == 1.5 and math.isnan(d.rows[0][1])
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = write_csv(tmp_path / "blank.csv", "\na,b\n\n1,2\n\n3,4\n\n")
-        d = load_csv(path, (ColumnSchema("a"), ColumnSchema("b")))
+        d = load_csv(path, ("a", "b"))
         assert d.rows == [[1.0, 2.0], [3.0, 4.0]]
-        assert d.provenance.rows_read == 2
+        assert d.rows_read == 2
 
     def test_schema_may_be_built_from_the_header(self, tmp_path):
         path = write_csv(tmp_path / "built.csv", "b, a ,junk\n1,2,3\n")
         headers = []
-        d = load_csv(path, lambda header: headers.append(header) or (ColumnSchema("a"),))
+        d = load_csv(path, lambda header: headers.append(header) or ("a",))
         assert headers == [["b", "a", "junk"]]
         assert d.rows == [[2.0]]
 
     def test_malformed_record_is_validation_error(self, tmp_path):
         path = write_csv(tmp_path / "long.csv", "a\n" + "1" * 200_000 + "\n")
         with pytest.raises(ValidationError, match="field limit"):
-            load_csv(path, (ColumnSchema("a"),))
+            load_csv(path, ("a",))
 
     def test_missing_schema_column_is_header_mismatch(self, tmp_path):
         path = write_csv(tmp_path / "cols.csv", "a,b\n1,2\n")
         with pytest.raises(ValidationError, match="cols.csv: columns not found in header: zz$"):
-            load_csv(path, (ColumnSchema("a"), ColumnSchema("zz")))
+            load_csv(path, ("a", "zz"))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_csv(tmp_path / "nope.csv", (ColumnSchema("a"),))
+            load_csv(tmp_path / "nope.csv", ("a",))
 
     def test_extra_header_columns_are_ignored(self, tmp_path):
         path = write_csv(tmp_path / "extra.csv", "a,junk,b\n1,zzz,2\n")
-        d = load_csv(path, (ColumnSchema("a"), ColumnSchema("b")))
+        d = load_csv(path, ("a", "b"))
         assert d.rows == [[1.0, 2.0]]
 
     def test_roundtrip_after_cleaning_is_cell_identical(self, tmp_path):
@@ -114,7 +112,7 @@ class TestLoadCsv:
             tmp_path / "rt.csv",
             "a,b\n1.5,2.25\n0.1,1e-3\n,4.0\n13.0,50.36\n",
         )
-        schema = (ColumnSchema("a"), ColumnSchema("b"))
+        schema = ("a", "b")
         cleaned = drop_incomplete_rows(load_csv(path, schema))
         out = tmp_path / "rt_out.csv"
         save_csv(cleaned, out)
@@ -133,15 +131,15 @@ def load_csv_by_rows(path, schema):
         header = [h.strip() for h in first]
         if callable(schema):
             schema = schema(header)
-        absent = [c.name for c in schema if c.name not in header]
+        absent = [c for c in schema if c not in header]
         if absent:
             raise ValidationError(
                 f"{path}: columns not found in header: {', '.join(absent)}")
-        repeated = [c.name for c in schema if header.count(c.name) > 1]
+        repeated = [c for c in schema if header.count(c) > 1]
         if repeated:
             raise ValidationError(
                 f"{path}: columns named more than once in header: {', '.join(repeated)}")
-        positions = [header.index(c.name) for c in schema]
+        positions = [header.index(c) for c in schema]
         rows = []
         for raw in records:
             if raw[0].startswith("#"):
@@ -155,8 +153,7 @@ def load_csv_by_rows(path, schema):
             rows.append(cells)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    return Dataset(schema=tuple(schema), values=np.array(rows, dtype=np.float64),
-                   provenance=Provenance(source=str(path), rows_read=len(rows)))
+    return Dataset(tuple(schema), np.array(rows, dtype=np.float64), rows_read=len(rows))
 
 
 CSV_CELLS = (st.sampled_from(["", " ", "abc", "nan", "-nan", "-inf", "1e400", '"1,5"', '"4"',
@@ -188,7 +185,7 @@ def dataset_outcome(load, path, schema):
         d = load(path, schema)
     except Exception as exc:
         return type(exc), str(exc)
-    return d.schema, d.values.shape, d.values.tobytes(), d.provenance
+    return d.column_names, d.values.shape, d.values.tobytes(), d.rows_read, d.rows_dropped
 
 
 class TestFlatReader:
@@ -198,7 +195,7 @@ class TestFlatReader:
     def test_reads_like_a_list_per_row(self, tmp_path, text, columns):
         path = tmp_path / "t.csv"
         path.write_text(text, encoding="utf-8")
-        schema = tuple(ColumnSchema(c) for c in columns)
+        schema = tuple(columns)
         assert dataset_outcome(load_csv, path, schema) == dataset_outcome(
             load_csv_by_rows, path, schema)
 
@@ -214,6 +211,19 @@ class TestFlatReader:
         finally:
             tracemalloc.stop()
         assert peak < 3 * path.stat().st_size
+
+
+class TestBenchmarkCalls:
+    # The calls the benchmark makes: its ingestion ladder (``ingest_ladder`` in
+    # perfbench/harness.py) and its unlabeled-file writer (``write_unlabeled`` in
+    # perfbench/workloads.py).
+    def test_saved_synth_reloads_bit_for_bit(self, tmp_path):
+        d = generate(50, 7)
+        path = tmp_path / "synth.csv"
+        save_csv(d, path)
+        m = drop_incomplete_rows(load_csv(path, soil_schema(d.column_names))).matrix()
+        assert m.tobytes() == d.values.tobytes()
+        assert d.rows == d.values.tolist()
 
 
 class TestSaveCsv:
@@ -256,10 +266,9 @@ class TestSaveCsv:
 class TestSoilSchema:
     def test_optional_columns_join_when_present(self):
         header = ("N",) + CANONICAL_FEATURES + ("B", "yield")
-        schema = soil_schema(header)
-        names = [c.name for c in schema]
+        names = soil_schema(header)
         assert "N" in names and "B" in names
-        assert [c.role for c in schema if c.name == "yield"] == ["target"]
+        assert names[-1] == "yield"
 
     def test_missing_required_column_raises(self):
         header = tuple(c for c in CANONICAL_HEADER if c != "Zn")
@@ -267,8 +276,7 @@ class TestSoilSchema:
             soil_schema(header)
 
     def test_prediction_schema_has_no_target(self):
-        schema = soil_schema(CANONICAL_HEADER, target=None)
-        assert all(c.role == "feature" for c in schema)
+        assert "yield" not in soil_schema(CANONICAL_HEADER, target=None)
 
     def test_missing_target_raises(self):
         with pytest.raises(ValidationError, match="^header is missing the target column 'yield'$"):
@@ -280,13 +288,13 @@ class TestDropIncompleteRows:
         d = small_dataset([[1.0, 2.0], [None, 3.0], [4.0, 5.0]])
         cleaned = drop_incomplete_rows(d)
         assert cleaned.rows == [[1.0, 2.0], [4.0, 5.0]]
-        assert cleaned.provenance.rows_dropped == 1
+        assert cleaned.rows_dropped == 1
 
     def test_no_missing_cells_is_identity(self):
         d = small_dataset([[1.0, 2.0], [3.0, 4.0]])
         cleaned = drop_incomplete_rows(d)
         assert cleaned.rows == d.rows
-        assert cleaned.provenance.rows_dropped == 0
+        assert cleaned.rows_dropped == 0
 
     def test_all_rows_missing_raises(self):
         d = small_dataset([[None, 1.0], [2.0, None]])
@@ -297,14 +305,14 @@ class TestDropIncompleteRows:
         d = small_dataset([[float("nan"), 1.0], [math.inf, 2.0], [3.0, 4.0]])
         cleaned = drop_incomplete_rows(d)
         assert cleaned.rows == [[3.0, 4.0]]
-        assert cleaned.provenance.rows_dropped == 2
+        assert cleaned.rows_dropped == 2
 
     def test_cleaning_is_idempotent(self):
         d = small_dataset([[1.0, None], [2.0, 3.0], [4.0, 5.0]])
         once = drop_incomplete_rows(d)
         twice = drop_incomplete_rows(once)
         assert twice.rows == once.rows
-        assert twice.provenance == once.provenance
+        assert (twice.rows_read, twice.rows_dropped) == (once.rows_read, once.rows_dropped)
 
 
 class TestTrainTestSplit:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soilyield.dataset import CANONICAL_FEATURES
 from soilyield.errors import ValidationError
 from soilyield import forest
 from soilyield.forest import (
@@ -559,7 +560,7 @@ class TestFitTree:
         # MT19937 makes 32-bit words natively; the reference draws each node's
         # candidates with rng.choice itself.  500 rows make over one block of draws.
         d = generate(500, seed=12)
-        X = d.matrix(d.feature_names)
+        X = d.matrix(CANONICAL_FEATURES)
         y = d.matrix(("yield",)).ravel()
         rows = np.random.default_rng(2).integers(0, 500, size=500)
         rng = np.random.Generator(np.random.MT19937(9))
@@ -598,7 +599,7 @@ class TestFitForest:
 
     def test_same_params_same_model(self):
         d = generate(60, seed=4)
-        X = d.matrix(d.feature_names)
+        X = d.matrix(CANONICAL_FEATURES)
         y = d.matrix(("yield",)).ravel()
         params = ForestParams(n_trees=8, seed=11)
         a = fit_forest(X, y, params)
@@ -610,7 +611,7 @@ class TestFitForest:
 
     def test_worker_count_never_changes_predictions(self):
         d = generate(200, seed=9)
-        X = d.matrix(d.feature_names)
+        X = d.matrix(CANONICAL_FEATURES)
         y = d.matrix(("yield",)).ravel()
         params = ForestParams(n_trees=30, seed=9)
         serial = predict_forest(fit_forest(X, y, params, workers=1), X)
@@ -665,7 +666,7 @@ class TestFitForest:
     ])
     def test_trees_equal_one_tree_fits(self, rounded, params):
         d = generate(160, seed=12)
-        X = d.matrix(d.feature_names)
+        X = d.matrix(CANONICAL_FEATURES)
         y = d.matrix(("yield",)).ravel()
         if rounded:
             X, y = np.round(X, 0), np.round(y, 0)
@@ -682,7 +683,7 @@ class TestFitForest:
     def test_predictions_bounded_by_training_range(self):
         rng = np.random.default_rng(19)
         d = generate(80, seed=2)
-        X = d.matrix(d.feature_names)
+        X = d.matrix(CANONICAL_FEATURES)
         y = d.matrix(("yield",)).ravel()
         model = fit_forest(X, y, ForestParams(n_trees=12, seed=3))
         probe = rng.normal(scale=50.0, size=(40, X.shape[1]))
@@ -691,7 +692,7 @@ class TestFitForest:
 
     def test_deeper_trees_fit_training_data_no_worse(self):
         d = generate(100, seed=6)
-        X = d.matrix(d.feature_names)
+        X = d.matrix(CANONICAL_FEATURES)
         y = d.matrix(("yield",)).ravel()
         fine = fit_forest(X, y, ForestParams(n_trees=10, seed=21, min_samples_leaf=1))
         coarse = fit_forest(X, y, ForestParams(n_trees=10, seed=21, min_samples_leaf=5))
@@ -699,7 +700,7 @@ class TestFitForest:
 
     def test_oob_score_populated_with_bootstrap(self):
         d = generate(120, seed=8)
-        X = d.matrix(d.feature_names)
+        X = d.matrix(CANONICAL_FEATURES)
         y = d.matrix(("yield",)).ravel()
         model = fit_forest(X, y, ForestParams(n_trees=20, seed=5))
         assert model.oob_r2 is not None
@@ -709,7 +710,7 @@ class TestFitForest:
         # Every node's candidates drawn by rng.choice: an odd row count leaves the bootstrap's
         # last word buffered, and 501 rows make each tree more than one block of draws.
         d = generate(501, seed=3)
-        X = d.matrix(d.feature_names)
+        X = d.matrix(CANONICAL_FEATURES)
         y = d.matrix(("yield",)).ravel()
         params = ForestParams(n_trees=5, seed=13)
         expected = fit_forest(X, y, params)
@@ -804,7 +805,7 @@ class TestPredictForest:
 
     def test_tree_walk_matches_one_row_at_a_time(self):
         d = generate(80, seed=2)
-        X = d.matrix(d.feature_names)
+        X = d.matrix(CANONICAL_FEATURES)
         model = fit_forest(X, d.matrix(("yield",)).ravel(), ForestParams(n_trees=5, seed=3))
         probe = np.random.default_rng(23).normal(scale=20.0, size=(60, X.shape[1]))
         rows = np.vstack([X, probe])
@@ -916,7 +917,7 @@ class TestScanBookkeeping:
 
         monkeypatch.setattr(forest, "_best_splits", record)
         d = generate(800, seed=7)
-        X = d.matrix(d.feature_names)
+        X = d.matrix(CANONICAL_FEATURES)
         y = d.matrix(("yield",)).ravel()
         fit_forest(X, y, ForestParams(n_trees=2, seed=7, min_samples_leaf=3, max_features=12))
         fit_forest(X[:300], y[:300], ForestParams(n_trees=6, seed=8))
@@ -945,7 +946,7 @@ class TestRoutedOnce:
     ], ids=["default", "no-bootstrap", "min-leaf-4", "max-depth-3"])
     def test_training_predictions_are_predict_forest_bytes(self, workers, params):
         d = generate(150, seed=14)
-        X = d.matrix(d.feature_names)
+        X = d.matrix(CANONICAL_FEATURES)
         y = d.matrix(("yield",)).ravel()
         model = fit_forest(X, y, params, workers=workers)
         assert model.training_predictions.tobytes() == predict_forest(model, X).tobytes()
@@ -958,7 +959,7 @@ class TestRoutedOnce:
     ])
     def test_oob_r2_equals_per_tree_routing(self, workers, rounded, params):
         d = generate(150, seed=15)
-        X = d.matrix(d.feature_names)
+        X = d.matrix(CANONICAL_FEATURES)
         y = d.matrix(("yield",)).ravel()
         if rounded:
             X, y = np.round(X, 0), np.round(y, 0)

@@ -117,7 +117,7 @@ class TestRmseMae:
         with pytest.raises(ValidationError, match=re.escape(
                 "y_true and y_pred must be equal-length vectors, got (1,) and (2,)")):
             rmse([1.0], [1.0, 2.0])
-        with pytest.raises(ValidationError, match="^need at least 1 values, got 0$"):
+        with pytest.raises(ValidationError, match="^need at least 1 value, got 0$"):
             mae([], [])
 
 

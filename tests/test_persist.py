@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from soilyield import persist
+from soilyield.dataset import CANONICAL_FEATURES
 from soilyield.errors import SchemaViolationError, ValidationError
 from soilyield.forest import ForestModel, ForestParams, Tree, fit_forest, predict_forest
 from soilyield.linear import fit_mlr, fit_ridge, predict_linear
@@ -24,7 +25,7 @@ def scaler(names, mins, maxs):
 
 def training_data(n=60, seed=5):
     d = generate(n, seed=seed)
-    X = d.matrix(d.feature_names)
+    X = d.matrix(CANONICAL_FEATURES)
     y = d.matrix(("yield",)).ravel()
     return d, X, y
 
@@ -32,16 +33,16 @@ def training_data(n=60, seed=5):
 def make_bundle(kind, seed=5):
     d, X, y = training_data(seed=seed)
     if kind == "mlr":
-        model = fit_mlr(X, y, d.feature_names)
+        model = fit_mlr(X, y, CANONICAL_FEATURES)
     elif kind == "ridge":
-        model = fit_ridge(X, y, 1.5, d.feature_names)
+        model = fit_ridge(X, y, 1.5, CANONICAL_FEATURES)
     else:
-        model = fit_forest(X, y, ForestParams(n_trees=20, seed=seed), d.feature_names)
+        model = fit_forest(X, y, ForestParams(n_trees=20, seed=seed), CANONICAL_FEATURES)
     return ModelBundle(
         kind=kind,
-        feature_names=d.feature_names,
+        feature_names=CANONICAL_FEATURES,
         target_name="yield",
-        feature_scaler=scaler(d.feature_names, X.min(axis=0), X.max(axis=0)),
+        feature_scaler=scaler(CANONICAL_FEATURES, X.min(axis=0), X.max(axis=0)),
         target_scaler=scaler(("yield",), [y.min()], [y.max()]),
         model=model,
     ), X
@@ -412,7 +413,7 @@ class TestCutReader:
 def forest_file(path, target_name, n_trees=100):
     """A forest of ``n_trees`` trees saved by ``save_model`` under ``target_name``."""
     d, X, y = training_data(n=100, seed=11)
-    model = fit_forest(X, y, ForestParams(n_trees=n_trees, seed=3), d.feature_names)
+    model = fit_forest(X, y, ForestParams(n_trees=n_trees, seed=3), CANONICAL_FEATURES)
     bundle, _ = make_bundle("mlr")
     save_model(ModelBundle(kind="forest", feature_names=bundle.feature_names,
                            target_name=target_name, feature_scaler=bundle.feature_scaler,

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soilyield.dataset import ColumnSchema, Dataset, Provenance
+from soilyield.dataset import Dataset
 from soilyield.errors import ValidationError
 from soilyield.preprocess import (
     CorrelationMatrix,
@@ -24,8 +24,7 @@ GOLDEN_DIR = Path(__file__).parent / "data"
 def numeric_dataset(matrix, names=None):
     values = np.array(matrix, dtype=float)
     names = names or [f"c{i}" for i in range(values.shape[1])]
-    schema = tuple(ColumnSchema(n) for n in names)
-    return Dataset(schema=schema, values=values, provenance=Provenance("test", len(values)))
+    return Dataset(tuple(names), values, rows_read=len(values))
 
 
 def params(mins, maxs, names=None):
