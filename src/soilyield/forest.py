@@ -10,7 +10,8 @@ Determinism contract: every tree draws from its own generator derived as
 no matter how tree construction is scheduled; within a tree, candidate
 features are drawn per node before recursing left then right.  Node scans
 canonicalize sample order by sorting on (feature value, target value), which
-makes the chosen split independent of training row order.
+makes the chosen split independent of training row order.  Node means and
+centred sums of squares are ``np.sum``'s to the bit, for a batch of nodes at once.
 """
 
 from __future__ import annotations
@@ -112,51 +113,41 @@ class SplitChoice(NamedTuple):
     impurity_decrease: float
 
 
-def _pairwise_sum(a: Sequence[float]) -> float:
-    """numpy's pairwise summation of a float64 vector, bit for bit.
+def _node_targets(ys: np.ndarray, sizes: np.ndarray, may_split: bool | np.ndarray) -> list[tuple]:
+    """Each node's mean target and, if it may split and is not constant, its centred sum
+    of squares (else None), for nodes whose targets lie one after another in ``ys``.
 
-    ``np.sum(a)`` is ``0.0 + _pairwise_sum(a)``: numpy starts its reduction
-    from 0.0 and adds this.  Copying it lets a node held in Python lists
-    get the same means and sums, to the last bit, as one held in arrays.
+    Every sum is ``np.sum``'s of the node's values in row order, bit for bit:
+    ``np.add.reduceat`` copies a segment's first element and adds numpy's
+    pairwise sum of the rest to it, so each node's segment starts with a 0.0,
+    as ``np.sum`` starts from 0.0.  ``may_split`` is a bool or one per node.
     """
-    n = len(a)
-    if n < 8:
-        res = -0.0
-        for v in a:
-            res += v
-        return res
-    if n <= 128:
-        r0, r1, r2, r3, r4, r5, r6, r7 = a[:8]
-        end = n - n % 8
-        for i in range(8, end, 8):
-            r0 += a[i]
-            r1 += a[i + 1]
-            r2 += a[i + 2]
-            r3 += a[i + 3]
-            r4 += a[i + 4]
-            r5 += a[i + 5]
-            r6 += a[i + 6]
-            r7 += a[i + 7]
-        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for i in range(end, n):
-            res += a[i]
-        return res
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    starts = np.cumsum(sizes) - sizes
+    pads = starts + np.arange(sizes.size)  # each node's 0.0, just ahead of its values
+    values = np.ones(ys.size + sizes.size, dtype=bool)
+    values[pads] = False
+    padded = np.zeros(values.size)
+    splits = may_split & (np.maximum.reduceat(ys, starts) > np.minimum.reduceat(ys, starts))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as Python floats give
+        padded[values] = ys
+        means = np.add.reduceat(padded, pads) / sizes
+        padded[values] = ys - np.repeat(means, sizes)
+        s = np.add.reduceat(padded, pads)
+        padded *= padded
+        sse = np.add.reduceat(padded, pads) - s * s / sizes
+    return [(mean, v if ok else None)
+            for mean, v, ok in zip(means.tolist(), sse.tolist(), splits.tolist())]
 
 
-def _node_target(rows: list[int], y_list: list[float], may_split: bool) -> tuple[float, float | None]:
-    """A node's mean target and, if it may split and is not constant, its
-    centred sum of squares: numpy's pairwise sums in row order, bit for bit."""
-    m = len(rows)
-    ys = [y_list[i] for i in rows]
-    mean = (0.0 + _pairwise_sum(ys)) / m
-    if not may_split or ys.count(ys[0]) == m:
-        return mean, None
-    yc = [v - mean for v in ys]
-    s = 0.0 + _pairwise_sum(yc)
-    return mean, (0.0 + _pairwise_sum([v * v for v in yc])) - s * s / m
+def _partition(X: np.ndarray, rows: Sequence[np.ndarray], features: np.ndarray,
+               thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's rows with ``x[feature] <= threshold``, then its rows above it, each run
+    in the node's row order, as one array; and the size of each of those 2 x nodes runs."""
+    sizes = np.fromiter(map(len, rows), np.intp, len(rows))
+    node = np.repeat(np.arange(len(rows)), sizes)
+    flat = np.concatenate(rows)
+    key = 2 * node + (X[flat, features[node]] > thresholds[node])
+    return flat[np.argsort(key, kind="stable")], np.bincount(key, minlength=2 * len(rows))
 
 
 def _rank_tables(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,7 +184,7 @@ def _best_splits(tables, nodes, features: np.ndarray, min_leaf: int) -> list[tup
     bands = REDUCTION_TIE_RTOL * sse_parent / m
     features = features[order]
     starts = features * stride
-    flat = np.fromiter(chain.from_iterable(rows), np.intp, m.sum())
+    flat = np.concatenate(rows)
     edges = np.cumsum(np.r_[0, m])  # node i's rows in ``flat`` lie in [edges[i], edges[i + 1])
     col_m, col_mean, col_sse = (np.repeat(v, k) for v in (m, means, sse_parent))
     thresholds, reductions = np.empty((2, len(nodes) * k))
@@ -282,10 +273,10 @@ def best_split(rows, X, y, candidate_features: Sequence[int],
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    rows = np.sort(np.asarray(rows, dtype=np.intp)).tolist()
+    rows = np.sort(np.asarray(rows, dtype=np.intp))
     if len(rows) < 2:
         return None
-    mean, sse_parent = _node_target(rows, y.tolist(), True)
+    mean, sse_parent = _node_targets(y[rows], np.array([rows.size]), True)[0]
     if sse_parent is None:
         return None
     features = np.array([sorted(int(f) for f in candidate_features)])
@@ -376,45 +367,50 @@ def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
 
     In each step every unfinished tree settles leaves in preorder up to
     its next node that may split, and draws that node's candidates; one
-    ``_best_splits`` call serves the step's nodes.  Each tree gets the
-    nodes and draws that growing it alone would give.
+    ``_best_splits`` call serves the step's nodes, and one pass partitions
+    the rows of those that split and computes their children's targets.
+    Each tree gets the nodes and draws that growing it alone would give.
     """
     d = X.shape[1]
     k = params.resolved(d).max_features
     max_depth = math.inf if params.max_depth is None else params.max_depth
     min_split = params.min_samples_split
     tables = _rank_tables(X, y)
-    columns, y_list = X.T.tolist(), y.tolist()
-    ids = list(range(X.shape[0]))  # the row lists hold these ints, not copies of them
-    # Per tree: a depth-first stack of (sorted rows, depth), left popped before
-    # right; the draws; and the preorder nodes, three float64s each in Tree's
-    # field order.
-    trees = [([(list(map(ids.__getitem__, rows.tolist())), 0)], _CandidateDraws(rng),
-              array("d")) for rows, rng in roots]
+    # Per tree: a depth-first stack of (sorted rows, mean, centred sum of squares or None
+    # at a leaf, depth), left popped before right; the draws; and the preorder nodes,
+    # three float64s each in Tree's field order.  Roots get their targets one at a time,
+    # so that no call holds every root's rows at once.
+    trees = [([(rows, *_node_targets(y[rows], np.array([rows.size]),
+                                     rows.size >= min_split and max_depth > 0)[0], 0)],
+              _CandidateDraws(rng), array("d")) for rows, rng in roots]
     growing = trees
     while growing:
         batch = []
         for tree in growing:
             stack, draws, nodes = tree
             while stack:
-                rows, depth = stack.pop()
-                may_split = len(rows) >= min_split and depth < max_depth
-                mean, sse_parent = _node_target(rows, y_list, may_split)
-                if sse_parent is not None:
-                    batch.append((tree, rows, depth, mean, sse_parent, draws.sample(d, k)))
+                node = stack.pop()
+                if node[2] is not None:
+                    batch.append((tree, node, draws.sample(d, k)))
                     break
-                nodes.extend((-1, mean, len(rows)))
-        choices = _best_splits(tables, [(b[1], b[3], b[4]) for b in batch],
-                               np.array([b[5] for b in batch]), params.min_samples_leaf)
-        for ((stack, _, nodes), rows, depth, mean, _, _), choice in zip(batch, choices):
-            if choice is None:
-                nodes.extend((-1, mean, len(rows)))
-                continue
-            f, t, _ = choice
-            column = columns[f]
-            stack.append(([i for i in rows if column[i] > t], depth + 1))
-            stack.append(([i for i in rows if column[i] <= t], depth + 1))
-            nodes.extend((f, t, 0))
+                nodes.extend((-1, node[1], len(node[0])))
+        choices = _best_splits(tables, [node[:3] for _, node, _ in batch],
+                               np.array([b[2] for b in batch]), params.min_samples_leaf)
+        parents = []
+        for (tree, (rows, mean, _, depth), _), choice in zip(batch, choices):
+            tree[2].extend((-1, mean, len(rows)) if choice is None else (*choice[:2], 0))
+            if choice is not None:
+                parents.append((tree[0], depth + 1, rows, *choice[:2]))
+        if parents:
+            stacks, depths, rows, features, thresholds = zip(*parents)
+            children, sizes = _partition(X, rows, np.array(features), np.array(thresholds))
+            may_split = (sizes >= min_split) & np.repeat(np.array(depths) < max_depth, 2)
+            targets = _node_targets(y[children], sizes, may_split)
+            ends = [0, *np.cumsum(sizes).tolist()]
+            for i, stack, depth in zip(range(0, len(ends), 2), stacks, depths):
+                # A copy: the right child waits, and a view would hold this step's rows.
+                stack.append((children[ends[i + 1]:ends[i + 2]].copy(), *targets[i + 1], depth))
+                stack.append((children[ends[i]:ends[i + 1]], *targets[i], depth))
         growing = [b[0] for b in batch if b[0][0]]
     fitted = []
     for _, draws, nodes in trees:
@@ -428,7 +424,8 @@ def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
 
 
 def fit_tree(X, y, rows, params: ForestParams, rng: np.random.Generator) -> Tree:
-    """Grow one regression tree over the given (multiset of) row indices.
+    """Grow one regression tree over the given (multiset of) row indices: ``_grow`` with
+    one root, so it equals the same tree grown in lockstep with others.
 
     ``rng`` is left where per-node ``rng.choice`` draws of the candidates would leave it."""
     rows = np.sort(np.asarray(rows, dtype=np.intp))

@@ -22,8 +22,7 @@ from soilyield.forest import (
     _CandidateDraws,
     _draw_bounds,
     _floyd_block,
-    _node_target,
-    _pairwise_sum,
+    _node_targets,
     _rank_tables,
     _resolve_ties,
     _tree_rng,
@@ -35,6 +34,52 @@ from soilyield.forest import (
 )
 from soilyield.metrics import r2_score
 from soilyield.synth import generate
+
+
+def pairwise_sum(a):
+    """numpy's pairwise summation of a float64 vector, bit for bit, one value at a time.
+
+    ``np.sum(a)`` is ``0.0 + pairwise_sum(a)``: numpy starts its reduction
+    from 0.0 and adds this.  The reference for the batched node targets.
+    """
+    n = len(a)
+    if n < 8:
+        res = -0.0
+        for v in a:
+            res += v
+        return res
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = a[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
+            r0 += a[i]
+            r1 += a[i + 1]
+            r2 += a[i + 2]
+            r3 += a[i + 3]
+            r4 += a[i + 4]
+            r5 += a[i + 5]
+            r6 += a[i + 6]
+            r7 += a[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, n):
+            res += a[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(a[:half]) + pairwise_sum(a[half:])
+
+
+def node_target(rows, y_list, may_split):
+    """A node's mean target and, if it may split and is not constant, its centred sum of
+    squares, from Python lists, one node at a time: the trainer's per-node reference."""
+    m = len(rows)
+    ys = [y_list[i] for i in rows]
+    mean = (0.0 + pairwise_sum(ys)) / m
+    if not may_split or ys.count(ys[0]) == m:
+        return mean, None
+    yc = [v - mean for v in ys]
+    s = 0.0 + pairwise_sum(yc)
+    return mean, (0.0 + pairwise_sum([v * v for v in yc])) - s * s / m
 
 
 def brute_force_split(rows, X, y, candidate_features, min_samples_leaf=1):
@@ -215,7 +260,7 @@ class TestBestSplit:
         while len(nodes) < 120:
             m = int(rng.integers(2, n + 1))
             rows = np.sort(rng.integers(0, n, size=m)).tolist()
-            mean, sse_parent = _node_target(rows, y.tolist(), True)
+            mean, sse_parent = node_target(rows, y.tolist(), True)
             if sse_parent is not None:
                 nodes.append((rows, mean, sse_parent))
                 features.append(sorted(rng.choice(5, size=3, replace=False).tolist()))
@@ -240,7 +285,7 @@ class TestBestSplit:
         nodes = []
         for m in rng.integers(2, 200, size=60).tolist() + [3, 5, 8, 9, 47, 48, 49, 200]:
             rows = np.sort(rng.integers(0, n, size=m)).tolist()
-            mean, sse_parent = _node_target(rows, y.tolist(), True)
+            mean, sse_parent = node_target(rows, y.tolist(), True)
             if sse_parent is not None:
                 nodes.append((rows, mean, sse_parent))
         features = np.array([sorted(rng.choice(4, size=2, replace=False)) for _ in nodes])
@@ -308,12 +353,24 @@ def choice_bits(choice):
     return None if choice is None else (choice[0], *map(float_bits, choice[1:]))
 
 
+def targets_of(y, nodes, may_split):
+    """``_node_targets`` for nodes given as row lists into ``y``, as (mean, sse) pairs."""
+    sizes = np.array([len(rows) for rows in nodes])
+    return _node_targets(y[np.concatenate(nodes)], sizes, may_split)
+
+
+def targets_bits(targets):
+    """The bits of each (mean, sse) pair's numbers, None kept."""
+    return [tuple(None if v is None else float_bits(v) for v in t) for t in targets]
+
+
 class TestNodeTarget:
     @pytest.mark.parametrize("m", [1, 2, 127, 128, 129, 300])
     def test_bit_equal_to_numpy_either_side_of_128_rows(self, m):
-        # _pairwise_sum adds up to 128 values in eight lanes and splits longer runs in two.
+        # Numpy adds up to 128 values in eight lanes and splits longer runs in two.
         rng = np.random.default_rng(m)
         y = rng.normal(size=400) * 10.0 ** rng.integers(-8, 9, size=400)
+        batch = []
         for _ in range(20):
             rows = np.sort(rng.integers(0, 400, size=m)).tolist()
             ys = y[rows]
@@ -322,17 +379,47 @@ class TestNodeTarget:
             s = float(np.sum(yc))
             constant = bool((ys == ys[0]).all())
             expected = (mean, None if constant else float(np.sum(yc * yc)) - s * s / m)
-            got = _node_target(rows, y.tolist(), True)
+            [got] = targets_of(y, [rows], True)
             assert [float_bits(v) for v in got if v is not None] == \
                 [float_bits(v) for v in expected if v is not None]
-            assert _node_target(rows, y.tolist(), False) == (got[0], None)
+            assert targets_of(y, [rows], False) == [(got[0], None)]
+            batch.append((rows, got))
+        # The same bits for the 20 nodes in one batch.
+        assert targets_bits(targets_of(y, [rows for rows, _ in batch], True)) == \
+            targets_bits(got for _, got in batch)
 
     def test_constant_node_has_no_sum_of_squares(self):
         y = np.array([-0.0, 0.0, 1.5])
         for rows in ([0, 1], [0, 1] * 100, [2] * 129):
-            mean, sse = _node_target(rows, y.tolist(), True)
+            [(mean, sse)] = targets_of(y, [rows], True)
             assert sse is None
             assert float_bits(mean) == float_bits(float(np.sum(y[rows])) / len(rows))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nodes=st.lists(
+        st.tuples(st.sampled_from([7, 8, 127, 128, 129, 256, 257]) | st.integers(1, 300),
+                  st.sampled_from(["spread", "constant", "zeros"]), st.booleans()),
+        min_size=1, max_size=8))
+    def test_batch_gives_the_per_node_reference_bits(self, seed, nodes):
+        # Targets over 16 decades with -0.0 and 0.0 among them; rows drawn with
+        # replacement, as a bootstrap draws them; constant nodes, a node of signed
+        # zeros, and nodes that may and may not split, all in one batch.
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=400) * 10.0 ** rng.integers(-8, 9, size=400)
+        y[:40:2], y[1:40:2] = -0.0, 0.0
+        batch = []
+        for m, kind, may_split in nodes:
+            if kind == "spread":
+                rows = rng.integers(0, 400, size=m)
+            elif kind == "constant":
+                rows = np.full(m, rng.integers(40, 400))
+            else:
+                rows = rng.integers(0, 40, size=m)
+            batch.append((np.sort(rows).tolist(), may_split))
+        y_list = y.tolist()
+        expected = [node_target(rows, y_list, may_split) for rows, may_split in batch]
+        got = targets_of(y, [rows for rows, _ in batch], np.array([s for _, s in batch]))
+        assert targets_bits(got) == targets_bits(expected)
 
 
 class TestPairwiseSum:
@@ -341,7 +428,10 @@ class TestPairwiseSum:
     def test_matches_numpy_sum_bit_for_bit(self, values):
         with np.errstate(over="ignore", invalid="ignore"):  # huge values may sum to inf or nan
             expected = float(np.sum(np.array(values, dtype=np.float64)))
-        assert float_bits(0.0 + _pairwise_sum(values)) == float_bits(expected)
+        assert float_bits(0.0 + pairwise_sum(values)) == float_bits(expected)
+        if values:  # the batched targets' mean is this sum over the count
+            [(mean, _)] = targets_of(np.array(values), [list(range(len(values)))], False)
+            assert float_bits(mean) == float_bits(expected / len(values))
 
     @pytest.mark.parametrize("n", [7, 8, 128, 129])
     def test_branch_edges(self, n):
@@ -351,7 +441,9 @@ class TestPairwiseSum:
         for _ in range(50):
             values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
             expected = float(np.sum(values))
-            assert float_bits(0.0 + _pairwise_sum(values.tolist())) == float_bits(expected)
+            assert float_bits(0.0 + pairwise_sum(values.tolist())) == float_bits(expected)
+            [(mean, _)] = targets_of(values, [list(range(n))], False)
+            assert float_bits(mean) == float_bits(expected / n)
 
 
 def sequential_floyd(values, d, k):
@@ -543,7 +635,7 @@ class TestFitTree:
         assert np.array_equal(predict_tree(tree, X), y)
 
     def test_leaves_no_reference_cycle(self):
-        # A cycle would keep each tree's list copy of X alive until the cyclic collector runs.
+        # A cycle would keep each tree's node arrays alive until the cyclic collector runs.
         rng = np.random.default_rng(31)
         X = rng.normal(size=(400, 12))
         y = rng.normal(size=400)
@@ -969,3 +1061,39 @@ class TestRoutedOnce:
         # Some rows are in every tree's sample, so the score skips them.
         assert np.logical_and.reduce([np.bincount(s, minlength=150) > 0 for s in samples]).any()
         assert model.oob_r2 == per_tree_oob_r2(X, y, model.trees, samples)
+
+
+GRID_SETTINGS = [{"min_samples_leaf": 3}, {"min_samples_leaf": 5}, {"max_depth": 5},
+                 {"max_depth": 0}, {"bootstrap": False}, {"max_features": 1},
+                 {"max_features": 12}, {"min_samples_split": 5}]
+
+
+def grid_digest(workers):
+    """SHA-256 over every tree array, ``oob_r2`` and ``training_predictions`` of 72 forests:
+    160, 400 and 800 rows; raw inputs, X rounded and y rounded (ties on x, on y and on
+    both); each of ``GRID_SETTINGS`` on its own."""
+    digest = hashlib.sha256()
+    d = generate(800, seed=23)
+    X_all = d.matrix(CANONICAL_FEATURES)
+    y_all = d.matrix(("yield",)).ravel()
+    for n in (160, 400, 800):
+        X, y = X_all[:n], y_all[:n]
+        for inputs in ((X, y), (np.round(X, 0), y), (X, np.round(y, 0))):
+            for seed, setting in enumerate(GRID_SETTINGS):
+                model = fit_forest(*inputs, ForestParams(n_trees=2, seed=seed, **setting),
+                                   workers=workers)
+                for tree in model.trees:
+                    for array in tree:
+                        digest.update(array.dtype.str.encode() + array.tobytes())
+                digest.update(repr(model.oob_r2).encode())
+                digest.update(model.training_predictions.tobytes())
+    return digest.hexdigest()
+
+
+class TestForestGrid:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_digest(self, workers):
+        # Taken from the trainer that grew each node's children from Python lists and
+        # computed their targets one node at a time.
+        assert grid_digest(workers) == (
+            "fb236b91d855bd90f3ee30698fb9c107a00ab5de82b55499a19dc0c614ac583d")
