@@ -12,6 +12,12 @@ features are drawn per node before recursing left then right.  Node scans
 canonicalize sample order by sorting on (feature value, target value), which
 makes the chosen split independent of training row order.  Node means and
 centred sums of squares are ``np.sum``'s to the bit, for a batch of nodes at once.
+
+A block of trees grows in lockstep with its bookkeeping in numpy arrays:
+each tree keeps a stack of the nodes that may split (id, rows, target and
+depth), each step appends its splits and their children to flat node
+records, and the end of the fit lays every tree's preorder arrays out from
+those records, by subtree sizes walked over the steps' parent ids.
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ _SCAN_CELLS = 8192
 # continuous targets differ by far more, while equal-partition candidates
 # computed through different float paths differ by far less.
 REDUCTION_TIE_RTOL = 1e-9
+
+# A tree's stack of nodes that may split holds this many before it first doubles.
+_STACK_START = 16
 
 # Rows at a leaf keep stepping there in place; they leave the routing arrays
 # once every this many levels.
@@ -113,16 +122,18 @@ class SplitChoice(NamedTuple):
     impurity_decrease: float
 
 
-def _node_targets(ys: np.ndarray, sizes: np.ndarray, may_split: bool | np.ndarray) -> list[tuple]:
-    """Each node's mean target and, if it may split and is not constant, its centred sum
-    of squares (else None), for nodes whose targets lie one after another in ``ys``.
+def _node_targets(y: np.ndarray, rows: np.ndarray, sizes: np.ndarray,
+                  may_split: bool | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each node's mean target, centred sum of squares, and whether it may split and is not
+    constant, for nodes whose rows lie one after another in ``rows``.
 
     Every sum is ``np.sum``'s of the node's values in row order, bit for bit:
     ``np.add.reduceat`` copies a segment's first element and adds numpy's
     pairwise sum of the rest to it, so each node's segment starts with a 0.0,
     as ``np.sum`` starts from 0.0.  ``may_split`` is a bool or one per node.
     """
-    starts = np.cumsum(sizes) - sizes
+    ys = y[rows]
+    starts = sizes.cumsum() - sizes
     pads = starts + np.arange(sizes.size)  # each node's 0.0, just ahead of its values
     values = np.ones(ys.size + sizes.size, dtype=bool)
     values[pads] = False
@@ -131,23 +142,25 @@ def _node_targets(ys: np.ndarray, sizes: np.ndarray, may_split: bool | np.ndarra
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as Python floats give
         padded[values] = ys
         means = np.add.reduceat(padded, pads) / sizes
-        padded[values] = ys - np.repeat(means, sizes)
+        ys -= means.repeat(sizes)
+        padded[values] = ys
         s = np.add.reduceat(padded, pads)
         padded *= padded
         sse = np.add.reduceat(padded, pads) - s * s / sizes
-    return [(mean, v if ok else None)
-            for mean, v, ok in zip(means.tolist(), sse.tolist(), splits.tolist())]
+    return means, sse, splits
 
 
-def _partition(X: np.ndarray, rows: Sequence[np.ndarray], features: np.ndarray,
+def _partition(X: np.ndarray, rows: np.ndarray, sizes: np.ndarray, features: np.ndarray,
                thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each node's rows with ``x[feature] <= threshold``, then its rows above it, each run
-    in the node's row order, as one array; and the size of each of those 2 x nodes runs."""
-    sizes = np.fromiter(map(len, rows), np.intp, len(rows))
-    node = np.repeat(np.arange(len(rows)), sizes)
-    flat = np.concatenate(rows)
-    key = 2 * node + (X[flat, features[node]] > thresholds[node])
-    return flat[np.argsort(key, kind="stable")], np.bincount(key, minlength=2 * len(rows))
+    in the node's row order, as one array; and the size of each of those 2 x nodes runs.
+    Node i's rows are the ``sizes[i]`` after node i - 1's in ``rows``."""
+    right = X[rows, features.repeat(sizes)] > thresholds.repeat(sizes)
+    # 2 * node + goes right, in the narrowest type, which numpy sorts fastest.
+    key = np.arange(0, 2 * sizes.size, 2, dtype=np.min_scalar_type(2 * sizes.size))
+    key = key.repeat(sizes)
+    key += right
+    return rows[key.argsort(kind="stable")], np.bincount(key, minlength=2 * sizes.size)
 
 
 def _rank_tables(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,31 +176,30 @@ def _rank_tables(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return ranks + (n + 1) * np.arange(d)[:, None], by_rank[0].ravel(), by_rank[1].ravel()
 
 
-def _best_splits(tables, nodes, features: np.ndarray, min_leaf: int) -> list[tuple | None]:
-    """Each node's best (feature, threshold, reduction) among its candidates, or None, in one batch.
+def _best_splits(tables, rows: np.ndarray, sizes: np.ndarray, means: np.ndarray,
+                 sse_parent: np.ndarray, features: np.ndarray,
+                 min_leaf: int) -> tuple[np.ndarray, ...]:
+    """Each node's best candidate (its column in ``features``, or -1 for none), feature,
+    threshold and reduction, for a batch of nodes in ascending size order.
 
-    ``nodes`` holds (rows, mean, sse_parent), ``features`` a sorted row of
-    candidates per node.  A (node, feature) pair's rows are sorted by
-    position, which is (x, y) order (rows that tie on both give equal terms),
-    and its prefix sums run down a padded column in the order a loop over the
-    node would add them: a node's result depends on nothing else in the batch.
+    Node i's rows are the ``sizes[i]`` after node i - 1's in ``rows``; it has
+    target mean ``means[i]``, centred sum of squares ``sse_parent[i]`` and a
+    sorted row of candidates ``features[i]``.  A (node, feature) pair's rows
+    are sorted by position, which is (x, y) order (rows that tie on both give
+    equal terms), and its prefix sums run down a padded column in the order a
+    loop over the node would add them: a node's result depends on nothing
+    else in the batch.  Where a node has no split, its other values are
+    meaningless.
     """
-    if not nodes:
-        return []
     ranks, x_by_rank, y_by_rank = tables
     stride, k = ranks.shape[1], features.shape[1]
-    # Everything per node or per (node, candidate) column is laid out once, by size.
-    order = sorted(range(len(nodes)), key=lambda i: len(nodes[i][0]))
-    rows, means, sse_parent = zip(*map(nodes.__getitem__, order))
-    widths = list(map(len, rows))
-    m, sse_parent = np.array(widths), np.array(sse_parent)
-    bands = REDUCTION_TIE_RTOL * sse_parent / m
-    features = features[order]
+    # Everything per node or per (node, candidate) column is laid out once.
+    widths = sizes.tolist()
+    bands = REDUCTION_TIE_RTOL * sse_parent / sizes
     starts = features * stride
-    flat = np.concatenate(rows)
-    edges = np.cumsum(np.r_[0, m])  # node i's rows in ``flat`` lie in [edges[i], edges[i + 1])
-    col_m, col_mean, col_sse = (np.repeat(v, k) for v in (m, means, sse_parent))
-    thresholds, reductions = np.empty((2, len(nodes) * k))
+    edges = [0, *sizes.cumsum().tolist()]  # node i's rows lie in rows[edges[i]:edges[i + 1]]
+    col_m, col_mean, col_sse = (v.repeat(k) for v in (sizes, means, sse_parent))
+    thresholds, reductions = np.empty((2, len(widths) * k))
     a = 0
     while a < len(widths):
         # One call takes nodes of one width class, padded to the widest.
@@ -198,16 +210,16 @@ def _best_splits(tables, nodes, features: np.ndarray, min_leaf: int) -> list[tup
             b += 1
         width = widths[b - 1]
         padded = np.full((b - a, width), stride - 1)
-        padded[np.arange(width) < m[a:b, None]] = flat[edges[a]:edges[b]]
-        at = np.take(ranks, starts[a:b, :, None] + padded[:, None])
+        padded[np.arange(width) < sizes[a:b, None]] = rows[edges[a]:edges[b]]
+        at = ranks.take(starts[a:b, :, None] + padded[:, None])
         at.sort(axis=2)
         # Positions down axis 0 and one (node, candidate) pair per column: the gathers
         # below write C-ordered arrays, so each later step is a pass over whole rows.
         at = at.reshape(-1, width).T
         cols, ncol = slice(a * k, b * k), at.shape[1]
         mc, col = col_m[cols], np.arange(ncol)
-        xs = np.take(x_by_rank, at)
-        ys = np.take(y_by_rank, at)
+        xs = x_by_rank.take(at)
+        ys = y_by_rank.take(at)
         ys -= col_mean[cols]
         cs = np.cumsum(ys, axis=0)
         ys *= ys
@@ -240,11 +252,8 @@ def _best_splits(tables, nodes, features: np.ndarray, min_leaf: int) -> list[tup
         thresholds[cols] = np.where(threshold == hi, lo, threshold)
         a = b
     best = _resolve_ties(reductions.reshape(-1, k), bands)
-    back = np.argsort(order)  # each node's place in the size order
-    cell = (np.arange(0, len(reductions), k) + best)[back]
-    return [(f, t, r) if c >= 0 else None
-            for c, f, t, r in zip(best[back].tolist(), features.take(cell).tolist(),
-                                  thresholds.take(cell).tolist(), reductions.take(cell).tolist())]
+    cell = np.arange(0, len(reductions), k) + best
+    return best, features.take(cell), thresholds.take(cell), reductions.take(cell)
 
 
 def _resolve_ties(reductions: np.ndarray, bands: np.ndarray) -> np.ndarray:
@@ -276,13 +285,14 @@ def best_split(rows, X, y, candidate_features: Sequence[int],
     rows = np.sort(np.asarray(rows, dtype=np.intp))
     if len(rows) < 2:
         return None
-    mean, sse_parent = _node_targets(y[rows], np.array([rows.size]), True)[0]
-    if sse_parent is None:
+    sizes = np.array([rows.size])
+    mean, sse_parent, splits = _node_targets(y, rows, sizes, True)
+    if not splits[0]:
         return None
     features = np.array([sorted(int(f) for f in candidate_features)])
-    choice = _best_splits(_rank_tables(X, y), [(rows, mean, sse_parent)], features,
-                          min_samples_leaf)[0]
-    return None if choice is None else SplitChoice(*choice)
+    best, *choice = _best_splits(_rank_tables(X, y), rows, sizes, mean, sse_parent, features,
+                                 min_samples_leaf)
+    return None if best[0] < 0 else SplitChoice(*(v.item() for v in choice))
 
 
 def _draw_bounds(d: int, k: int) -> np.ndarray:
@@ -365,67 +375,157 @@ def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
     """Grow one tree per (sorted rows, generator) pair of ``roots``, all in lockstep, each
     with the preorder node every row of ``X`` reaches in it, as the narrowest unsigned ints.
 
-    In each step every unfinished tree settles leaves in preorder up to
-    its next node that may split, and draws that node's candidates; one
-    ``_best_splits`` call serves the step's nodes, and one pass partitions
-    the rows of those that split and computes their children's targets.
-    Each tree gets the nodes and draws that growing it alone would give.
+    Nodes get ids in the order they are made, the roots first.  Every tree's
+    rows lie in one array, a node's rows in one run of it, which a split
+    reorders into its left rows, then its right rows.  Each tree has a stack,
+    in arrays, of its nodes that may split, so a node that may not is a leaf
+    as soon as it is made.  In each step every tree with a node on its stack
+    pops it and draws its candidates; one ``_best_splits`` call scans the
+    popped nodes in size order, and one pass partitions the rows of those
+    that split, computes their children's targets, and pushes each child that
+    may split, the right one first.  A step records the ids, features and
+    thresholds of its splits and its children's means and sizes.  From those
+    records ``_lay_out`` takes each node's subtree size (last step first),
+    then its preorder place (first step first), and lays every tree's
+    ``Tree`` arrays out in preorder, all trees together, once.  Each tree
+    gets the nodes and draws that growing it alone would give.
     """
     d = X.shape[1]
     k = params.resolved(d).max_features
     max_depth = math.inf if params.max_depth is None else params.max_depth
     min_split = params.min_samples_split
     tables = _rank_tables(X, y)
-    # Per tree: a depth-first stack of (sorted rows, mean, centred sum of squares or None
-    # at a leaf, depth), left popped before right; the draws; and the preorder nodes,
-    # three float64s each in Tree's field order.  Roots get their targets one at a time,
-    # so that no call holds every root's rows at once.
-    trees = [([(rows, *_node_targets(y[rows], np.array([rows.size]),
-                                     rows.size >= min_split and max_depth > 0)[0], 0)],
-              _CandidateDraws(rng), array("d")) for rows, rng in roots]
-    growing = trees
-    while growing:
-        batch = []
-        for tree in growing:
-            stack, draws, nodes = tree
-            while stack:
-                node = stack.pop()
-                if node[2] is not None:
-                    batch.append((tree, node, draws.sample(d, k)))
-                    break
-                nodes.extend((-1, node[1], len(node[0])))
-        choices = _best_splits(tables, [node[:3] for _, node, _ in batch],
-                               np.array([b[2] for b in batch]), params.min_samples_leaf)
-        parents = []
-        for (tree, (rows, mean, _, depth), _), choice in zip(batch, choices):
-            tree[2].extend((-1, mean, len(rows)) if choice is None else (*choice[:2], 0))
-            if choice is not None:
-                parents.append((tree[0], depth + 1, rows, *choice[:2]))
-        if parents:
-            stacks, depths, rows, features, thresholds = zip(*parents)
-            children, sizes = _partition(X, rows, np.array(features), np.array(thresholds))
-            may_split = (sizes >= min_split) & np.repeat(np.array(depths) < max_depth, 2)
-            targets = _node_targets(y[children], sizes, may_split)
-            ends = [0, *np.cumsum(sizes).tolist()]
-            for i, stack, depth in zip(range(0, len(ends), 2), stacks, depths):
-                # A copy: the right child waits, and a view would hold this step's rows.
-                stack.append((children[ends[i + 1]:ends[i + 2]].copy(), *targets[i + 1], depth))
-                stack.append((children[ends[i]:ends[i + 1]], *targets[i], depth))
-        growing = [b[0] for b in batch if b[0][0]]
+    n_trees = len(roots)
+    draws = [_CandidateDraws(rng) for _, rng in roots]
+    rows = np.concatenate([r for r, _ in roots]).astype(np.min_scalar_type(len(X) - 1))
+    root_sizes = np.array([r.size for r, _ in roots])
+    # Roots get their targets one at a time, so that no call holds every root's rows at once.
+    root_means, sse, ok = map(np.concatenate, zip(*(
+        _node_targets(y, r, np.array([r.size]), r.size >= min_split and max_depth > 0)
+        for r, _ in roots)))
+    # A stacked node is a column of its tree's stack: its mean, centred sum of squares,
+    # id, first row in ``rows``, size and depth.  A stack grows one node a step at most.
+    stack = np.empty((6, n_trees, _STACK_START))
+    stack[:, :, 0] = (root_means, sse, np.arange(n_trees), np.cumsum(root_sizes) - root_sizes,
+                      root_sizes, np.zeros(n_trees))
+    height = ok.astype(np.intp)
+    # Per step, one after another: the ids of the nodes that split, their children's means
+    # (left then right), their thresholds, their children's sizes and their features.
+    # Ids, sizes and features are kept as the narrowest unsigned ints that hold them.
+    steps = []  # the nodes that split in each step
+    made = [array(t) for t in (np.min_scalar_type(2 * rows.size).char, "d", "d",
+                               np.min_scalar_type(root_sizes.max()).char,
+                               np.min_scalar_type(d - 1).char)]
+    n_nodes = n_trees
+    live = height.nonzero()[0]
+    while live.size:
+        tops = height[live] - 1
+        height[live] = tops
+        top = stack[:, live, tops]
+        order = top[4].argsort(kind="stable")
+        top, trees = top[:, order], live[order]
+        ids, starts, sizes, depths = top[2:].astype(np.intp)
+        features = np.array([draws[t].sample(d, k) for t in trees.tolist()])
+        ends = sizes.cumsum()
+        at = (starts - ends + sizes).repeat(sizes) + np.arange(ends[-1])  # in ``rows``
+        node_rows = rows[at]
+        best, feature, threshold, _ = _best_splits(tables, node_rows, sizes, top[0], top[1],
+                                                   features, params.min_samples_leaf)
+        split = best >= 0
+        sel = split.nonzero()[0]
+        if sel.size:
+            if sel.size < split.size:
+                keep = split.repeat(sizes)
+                at, node_rows = at[keep], node_rows[keep]
+            ids, starts, depths, trees = ids[sel], starts[sel], depths[sel] + 1, trees[sel]
+            feature, threshold = feature[sel], threshold[sel]
+            children, counts = _partition(X, node_rows, sizes[sel], feature, threshold)
+            rows[at] = children
+            del at, node_rows  # in the first step, every root's rows
+            may_split = (counts >= min_split) & (depths < max_depth).repeat(2)
+            means, sse, ok = _node_targets(y, children, counts, may_split)
+            steps.append(sel.size)
+            for buffer, values in zip(made, (ids, means, threshold, counts, feature)):
+                buffer.frombytes(values.astype(buffer.typecode, copy=False).tobytes())
+            # The left child goes above the right one, so that it is popped first.
+            place = height[trees].repeat(2)
+            place[::2] += ok[1::2]
+            height[trees] = place[::2] + ok[::2]
+            if height.max() > stack.shape[2]:
+                stack = np.concatenate((stack, np.empty_like(stack)), axis=2)
+            firsts = starts.repeat(2)
+            firsts[1::2] += counts[::2]
+            push = ok.nonzero()[0]
+            stack[:, trees.repeat(2)[push], place[push]] = np.array((
+                means, sse, np.arange(n_nodes, n_nodes + counts.size), firsts, counts,
+                depths.repeat(2)))[:, push]
+            n_nodes += counts.size
+        live = height.nonzero()[0]
+    del rows, stack
+    feature, number, count, bounds = _lay_out(root_means, root_sizes, steps, made)
     fitted = []
-    for _, draws, nodes in trees:
-        draws.close()
-        f, number, count = np.array(nodes).reshape(-1, 3).T
-        del nodes[:]  # every tree's nodes are held at once, so free them as we go
-        tree = Tree(f.astype(np.int64), number.copy(), count.astype(np.int64))
+    for draw, a, b in zip(draws, bounds, bounds[1:]):
+        draw.close()
+        tree = Tree(feature[a:b], number[a:b], count[a:b])
         leaf, order = _route(tree, X)
         fitted.append((tree, order.astype(np.min_scalar_type(order.size - 1))[leaf]))
     return fitted
 
 
+def _lay_out(root_means: np.ndarray, root_sizes: np.ndarray, steps: list[int],
+             made: list[array]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The ``Tree`` arrays of a block of trees, one tree after another, each in preorder,
+    and where each tree starts and the last ends, from ``_grow``'s step records.
+
+    Each node's subtree size comes first, the last step's nodes first; then
+    its place, the first step's nodes first: a root's after the trees before
+    it, a left child's just after its parent, a right child's after its
+    left sibling's subtree.  ``made`` is emptied as its records are used, and
+    the three arrays are made one at a time, so that they overlap little.
+    """
+    made.reverse()  # so that each record pops off in the order it is used
+    n_trees = root_means.size
+    ids = _frombuffer(made.pop())
+    n_nodes = n_trees + 2 * ids.size
+    at = np.ones(n_nodes, dtype=np.min_scalar_type(n_nodes))  # sizes, then places
+    end, i = n_nodes, ids.size
+    for n in reversed(steps):
+        start = end - 2 * n
+        at[ids[i - n:i]] += at[start:end:2] + at[start + 1:end:2]
+        end, i = start, i - n
+    at[:n_trees] = np.cumsum(at[:n_trees]) - at[:n_trees]
+    start, i = n_trees, 0
+    for n in steps:
+        end = start + 2 * n
+        first = at[ids[i:i + n]] + 1
+        at[start + 1:end:2] = first + at[start:end:2]  # after the left subtree
+        at[start:end:2] = first
+        start, i = end, i + n
+    parents = at[ids]
+    del ids
+    number = np.empty(n_nodes)
+    number[at[:n_trees]] = root_means
+    number[at[n_trees:]] = _frombuffer(made.pop())
+    number[parents] = _frombuffer(made.pop())
+    count = np.zeros(n_nodes, np.int64)
+    count[at[:n_trees]] = root_sizes
+    count[at[n_trees:]] = _frombuffer(made.pop())
+    count[parents] = 0
+    bounds = [*at[:n_trees].tolist(), n_nodes]
+    del at
+    feature = np.full(n_nodes, -1)
+    feature[parents] = _frombuffer(made.pop())
+    return feature, number, count, bounds
+
+
+def _frombuffer(values: array) -> np.ndarray:
+    return np.frombuffer(values, values.typecode)
+
+
 def fit_tree(X, y, rows, params: ForestParams, rng: np.random.Generator) -> Tree:
     """Grow one regression tree over the given (multiset of) row indices: ``_grow`` with
-    one root, so it equals the same tree grown in lockstep with others.
+    one root, so it equals the same tree grown in lockstep with others, from the same node
+    records, stack and end-of-fit preorder layout.
 
     ``rng`` is left where per-node ``rng.choice`` draws of the candidates would leave it."""
     rows = np.sort(np.asarray(rows, dtype=np.intp))

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ class TestBestSplit:
                 nodes.append((rows, mean, sse_parent))
                 features.append(sorted(rng.choice(5, size=3, replace=False).tolist()))
         for min_leaf in range(1, 6):
-            choices = _best_splits(tables, nodes, np.array(features), min_leaf)
+            choices = best_splits_of(tables, nodes, np.array(features), min_leaf)
             for (rows, mean, sse_parent), fs, choice in zip(nodes, features, choices):
                 # The per-column reference, then the documented tie rule across columns.
                 expected = None
@@ -289,7 +290,7 @@ class TestBestSplit:
             if sse_parent is not None:
                 nodes.append((rows, mean, sse_parent))
         features = np.array([sorted(rng.choice(4, size=2, replace=False)) for _ in nodes])
-        alone = [_best_splits(tables, [node], features[i:i + 1], 2)[0]
+        alone = [best_splits_of(tables, [node], features[i:i + 1], 2)[0]
                  for i, node in enumerate(nodes)]
         assert sum(choice is not None for choice in alone) > len(nodes) // 2
         # Three random sub-batches, then one batch of every node: all three width classes.
@@ -298,7 +299,7 @@ class TestBestSplit:
         assert {min(i for i, w in enumerate((8, 48, math.inf)) if len(rows) <= w)
                 for rows, _, _ in nodes} == {0, 1, 2}
         for order in orders:
-            choices = _best_splits(tables, [nodes[i] for i in order], features[order], 2)
+            choices = best_splits_of(tables, [nodes[i] for i in order], features[order], 2)
             assert list(map(choice_bits, choices)) == [choice_bits(alone[i]) for i in order]
 
     def test_tie_band_is_measured_from_the_candidate_held(self):
@@ -353,10 +354,30 @@ def choice_bits(choice):
     return None if choice is None else (choice[0], *map(float_bits, choice[1:]))
 
 
+def as_choices(best, *choice):
+    """``_best_splits``' arrays as one (feature, threshold, reduction) or None per node."""
+    return [tuple(v) if c >= 0 else None
+            for c, *v in zip(best.tolist(), *(a.tolist() for a in choice))]
+
+
+def best_splits_of(tables, nodes, features, min_leaf):
+    """``_best_splits`` for (rows, mean, sse_parent) nodes in any order, with one
+    (feature, threshold, reduction) or None per node, in the nodes' order."""
+    order = sorted(range(len(nodes)), key=lambda i: len(nodes[i][0]))
+    rows, means, sse_parent = zip(*(nodes[i] for i in order))
+    found = _best_splits(tables, np.concatenate(rows), np.array([len(r) for r in rows]),
+                         np.array(means), np.array(sse_parent), features[order], min_leaf)
+    back = np.argsort(order)
+    return as_choices(*(a[back] for a in found))
+
+
 def targets_of(y, nodes, may_split):
-    """``_node_targets`` for nodes given as row lists into ``y``, as (mean, sse) pairs."""
+    """``_node_targets`` for nodes given as row lists into ``y``, as (mean, sse) pairs with
+    None for the sse of a node that may not split or is constant."""
     sizes = np.array([len(rows) for rows in nodes])
-    return _node_targets(y[np.concatenate(nodes)], sizes, may_split)
+    means, sse, splits = _node_targets(y, np.concatenate(nodes), sizes, may_split)
+    return [(mean, v if ok else None)
+            for mean, v, ok in zip(means.tolist(), sse.tolist(), splits.tolist())]
 
 
 def targets_bits(targets):
@@ -672,6 +693,44 @@ class TestFitTree:
         assert_same_tree(tree, expected)
 
 
+def mixed_block():
+    """One X with rows for roots of every kind ``_grow`` meets, and the roots' rows: one
+    row; a constant y; one row many times; a chain of 150 rows with y = 4.0 ** x, which
+    splits its top row off at every level, 149 levels deep; a chain of 150 pairs that
+    share every x but not y, whose unsplittable pairs wait on the stack all the way
+    down; and a bootstrap of synth rows."""
+    d = generate(200, seed=31)
+    i = np.arange(150.0)
+    chain = np.repeat(i[:, None], 12, axis=1)
+    flat = np.random.default_rng(31).normal(size=(10, 12))
+    X = np.vstack((d.matrix(CANONICAL_FEATURES), chain, np.repeat(chain, 2, axis=0), flat))
+    y = np.concatenate((d.matrix(("yield",)).ravel(), 4.0 ** i,
+                        np.repeat(4.0 ** i, 2) * np.tile([1.0, 1.5], 150), np.full(10, 4.25)))
+    roots = [np.array([7]), np.arange(650, 660), np.full(20, 11), np.arange(200, 350),
+             np.arange(350, 650), np.sort(np.random.default_rng(32).integers(0, 200, size=200))]
+    return X, y, roots
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("max_depth", [0, 1, None])
+    @pytest.mark.parametrize("min_samples_split", [2, 25])
+    def test_each_tree_of_a_mixed_block_is_its_tree_grown_alone(self, max_depth,
+                                                                 min_samples_split):
+        # 25 rows to split leaves the first three roots leaves at once.
+        X, y, roots = mixed_block()
+        params = ForestParams(max_depth=max_depth, min_samples_split=min_samples_split)
+        rngs = [np.random.default_rng(100 + t) for t in range(len(roots))]
+        grown = forest._grow(X, y, params, list(zip(roots, rngs)))
+        for t, (rows, rng, (tree, leaf)) in enumerate(zip(roots, rngs, grown, strict=True)):
+            alone = np.random.default_rng(100 + t)
+            assert_same_tree(tree, fit_tree(X, y, rows, params, alone))
+            assert rng.bit_generator.state == alone.bit_generator.state
+            assert tree.number[leaf].tobytes() == predict_tree(tree, X).tobytes()
+        if max_depth is None and min_samples_split == 2:
+            # Both chains grew all the way down: a split and a leaf per level.
+            assert [len(tree.feature) for tree, _ in grown[3:5]] == [299, 299]
+
+
 class TestFitForest:
     def test_constant_target_predicts_constant(self):
         rng = np.random.default_rng(7)
@@ -815,6 +874,24 @@ class TestFitForest:
     def test_too_few_rows(self):
         with pytest.raises(ValidationError, match="^need at least 2 rows, got 1$"):
             fit_forest(np.array([[1.0]]), np.array([1.0]), ForestParams(n_trees=2))
+
+
+class TestFitMemory:
+    def test_fit_peak_is_a_small_multiple_of_the_trees(self):
+        # The fit's own records of its nodes are narrower than the trees they become, and
+        # the trees' arrays are laid out one at a time once the records are in.
+        d = generate(400, seed=7)
+        X = d.matrix(CANONICAL_FEATURES)
+        y = d.matrix(("yield",)).ravel()
+        params = ForestParams(n_trees=100, seed=7)
+        fit_forest(X, y, params)  # imports and caches settle outside the measurement
+        tracemalloc.start()
+        try:
+            model = fit_forest(X, y, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * sum(array.nbytes for tree in model.trees for array in tree)
 
 
 def route_level_by_level(tree: Tree, X):
@@ -1003,9 +1080,9 @@ class TestScanBookkeeping:
         batches = []
         scan = forest._best_splits
 
-        def record(tables, nodes, features, min_leaf):
-            batches.append((tables, nodes, features, min_leaf))
-            return scan(tables, nodes, features, min_leaf)
+        def record(*batch):
+            batches.append(batch)
+            return scan(*batch)
 
         monkeypatch.setattr(forest, "_best_splits", record)
         d = generate(800, seed=7)
@@ -1015,15 +1092,18 @@ class TestScanBookkeeping:
         fit_forest(X[:300], y[:300], ForestParams(n_trees=6, seed=8))
         fit_forest(np.round(X[:200], 0), np.round(y[:200], 0),
                    ForestParams(n_trees=3, seed=9, min_samples_leaf=5, max_depth=6))
-        widths = [(len(rows), features.shape[1]) for _, nodes, features, _ in batches
-                  for rows, _, _ in nodes]
+        widths = [(w, features.shape[1]) for _, _, sizes, _, _, features, _ in batches
+                  for w in sizes.tolist()]
         # Nodes past every width class, and nodes whose candidates alone pass the cell cap.
         assert any(w > forest._WIDTH_CLASSES[-1] for w, _ in widths)
         assert any(w * k > forest._SCAN_CELLS for w, k in widths)
         assert {min_leaf for *_, min_leaf in batches} == {1, 3, 5}
-        assert max(len(nodes) for _, nodes, _, _ in batches) > 1
-        for tables, nodes, features, min_leaf in batches:
-            got = scan(tables, nodes, features, min_leaf)
+        assert max(len(sizes) for _, _, sizes, *_ in batches) > 1
+        for tables, rows, sizes, means, sse_parent, features, min_leaf in batches:
+            got = as_choices(*scan(tables, rows, sizes, means, sse_parent, features, min_leaf))
+            starts = (np.cumsum(sizes) - sizes).tolist()
+            nodes = [(rows[a:a + m], mean, sse) for a, m, mean, sse in
+                     zip(starts, sizes.tolist(), means.tolist(), sse_parent.tolist())]
             expected = per_chunk_scan(tables, nodes, features, min_leaf)
             assert list(map(choice_bits, got)) == list(map(choice_bits, expected))
 
