@@ -7,8 +7,10 @@ broken by lowest feature index, then lowest threshold.
 
 Determinism contract: every tree draws from its own generator derived as
 ``SeedSequence(seed, spawn_key=(tree_index,))``, so fitting is bit-identical
-no matter how tree construction is scheduled; within a tree, candidate
-features are drawn per node before recursing left then right.  Node scans
+no matter how tree construction is scheduled; within a tree, each node that
+may split draws its candidate features as one ``rng.choice`` call would, in
+the depth-first, left-then-right order the tree grows in, replayed from a
+block of draws per tree read once a step by every tree at once.  Node scans
 canonicalize sample order by sorting on (feature value, target value), which
 makes the chosen split independent of training row order.  Node means and
 centred sums of squares are ``np.sum``'s to the bit, for a batch of nodes at once.
@@ -17,7 +19,10 @@ A block of trees grows in lockstep with its bookkeeping in numpy arrays:
 each tree keeps a stack of the nodes that may split (id, rows, target and
 depth), each step appends its splits and their children to flat node
 records, and the end of the fit lays every tree's preorder arrays out from
-those records, by subtree sizes walked over the steps' parent ids.
+those records, by subtree sizes walked over the steps' parent ids.  Trees
+route rows in groups, every (tree, row) pair of a group stepping down its
+tree in one set of arrays: the training rows where the trees grew, and the
+rows a prediction scores.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ import os
 from array import array
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain
-from typing import NamedTuple, Sequence
+from itertools import accumulate, chain
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,6 +59,10 @@ _STACK_START = 16
 # Rows at a leaf keep stepping there in place; they leave the routing arrays
 # once every this many levels.
 _COMPACT_EVERY = 4
+
+# Trees route rows together, one (tree, row) pair per element of the routing
+# arrays, at most this many pairs at once unless one tree alone has more rows.
+_ROUTE_PAIRS = 2**12
 
 
 class Tree(NamedTuple):
@@ -319,55 +328,55 @@ def _floyd_block(values: np.ndarray, d: int, k: int) -> np.ndarray:
     return block
 
 
-class _CandidateDraws:
-    """``sorted(rng.choice(d, size=k, replace=False).tolist())``, replayed in numpy blocks.
+class _StepDraws:
+    """Each tree's ``sorted(rng.choice(d, size=k, replace=False).tolist())`` per step of
+    ``_grow``, replayed in numpy blocks of ``_BLOCK`` steps.
 
-    For d up to 10,000, numpy's ``choice`` is Floyd's sampling algorithm over
+    A tree draws once a step until its stack empties, so a tree's draw index
+    is the step number, and the trees drawing in a step all drew in the one
+    before.  For d up to 10,000, ``choice`` is Floyd's sampling algorithm over
     bounded draws from 32-bit words, then a shuffle that sorting discards.
     ``rng.integers`` below an array of ``_draw_bounds``, in its default int64,
     makes each draw from the same words, a rejected word drawn again included
-    (a dtype under 32 bits would share words between draws), so one call makes
-    ``_BLOCK`` draws.  ``close`` leaves the generator where the ``choice``
-    calls would have, for any numpy bit generator.  Above 10,000 features
-    ``choice`` shuffles when k > d // 50: the picks stay Floyd's, not its.
+    (a dtype under 32 bits would share words between draws), so one call
+    makes a tree's block.  ``close`` leaves each generator where the
+    ``choice`` calls would have, for any numpy bit generator.  Above 10,000
+    features ``choice`` shuffles when k > d // 50: the picks stay Floyd's.
     """
 
-    # Draws computed at once, about what a tree grown on 400 rows makes; only the
-    # current block is kept.
+    # Draws per tree computed at once, about what a tree grown on 400 rows makes.
     _BLOCK = 256
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._shape = (0, 0)  # the current block's (d, k)
-        self._picks = array("B")  # the block's draws, one after another
-        self._next = 0  # where the next draw starts in ``_picks``
+    def __init__(self, rngs: Sequence[np.random.Generator], d: int, k: int):
+        self._rngs, self._shape, self._bounds = rngs, (d, k), _draw_bounds(d, k)
+        # Each tree's block of picks, in [0, d): the narrowest unsigned type keeps it small.
+        self._picks = np.empty((len(rngs), self._BLOCK, k), np.min_scalar_type(d - 1))
+        self._starts = [None] * len(rngs)  # each generator's state where its block's words begin
+        self._last = np.full(len(rngs), -1)  # the last step each tree drew in
+        self._step = 0
 
-    def sample(self, d: int, k: int) -> list[int]:
-        i = self._next
-        if i == len(self._picks) or (d, k) != self._shape:
-            self._start_block(d, k)
-            i = 0
-        self._next = i + k
-        return self._picks[i:i + k].tolist()
+    def take(self, trees: np.ndarray) -> np.ndarray:
+        """The next draw of each of ``trees``, one row of sorted picks each."""
+        i = self._step % self._BLOCK
+        if i == 0:  # one tree at a time, so that one block of words is held at once
+            for t in trees.tolist():
+                rng = self._rngs[t]
+                self._starts[t] = rng.bit_generator.state
+                self._picks[t] = _floyd_block(self._draw(rng, self._BLOCK), *self._shape)
+        self._last[trees] = self._step
+        self._step += 1
+        return self._picks[trees, i].astype(np.intp)
 
-    def _draw(self, rows: int) -> np.ndarray:  # ``rows`` draws of the current shape
-        bounds = _draw_bounds(*self._shape)
-        return self._rng.integers(0, bounds, size=(rows, bounds.size))
-
-    def _start_block(self, d: int, k: int) -> None:
-        self.close()
-        self._state = self._rng.bit_generator.state  # where the block's words begin
-        self._shape, self._next = (d, k), 0
-        block = _floyd_block(self._draw(self._BLOCK), d, k)
-        # Picks lie in [0, d), so the narrowest unsigned type keeps the block small.
-        kind = np.min_scalar_type(d - 1)
-        self._picks = array(kind.char, block.astype(kind).tobytes())
+    def _draw(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+        return rng.integers(0, self._bounds, size=(rows, self._bounds.size))
 
     def close(self) -> None:
-        """Set the generator just after the draws taken."""
-        if self._next < len(self._picks):  # a block used whole left it there already
-            self._rng.bit_generator.state = self._state
-            self._draw(self._next // self._shape[1])
+        """Set each generator just after the draws it gave."""
+        for rng, start, used in zip(self._rngs, self._starts,
+                                    ((self._last + 1) % self._BLOCK).tolist()):
+            if used:  # a block used whole, or none, left it there already
+                rng.bit_generator.state = start
+                self._draw(rng, used)
 
 
 def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
@@ -380,7 +389,8 @@ def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
     reorders into its left rows, then its right rows.  Each tree has a stack,
     in arrays, of its nodes that may split, so a node that may not is a leaf
     as soon as it is made.  In each step every tree with a node on its stack
-    pops it and draws its candidates; one ``_best_splits`` call scans the
+    pops it, one gather reads every popped node's candidates from the trees'
+    blocks of draws (``_StepDraws``), one ``_best_splits`` call scans the
     popped nodes in size order, and one pass partitions the rows of those
     that split, computes their children's targets, and pushes each child that
     may split, the right one first.  A step records the ids, features and
@@ -388,7 +398,9 @@ def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
     records ``_lay_out`` takes each node's subtree size (last step first),
     then its preorder place (first step first), and lays every tree's
     ``Tree`` arrays out in preorder, all trees together, once.  Each tree
-    gets the nodes and draws that growing it alone would give.
+    gets the nodes and draws that growing it alone would give.  Then every
+    row of ``X`` is routed through the trees, a group of them at a time
+    (``_route``).
     """
     d = X.shape[1]
     k = params.resolved(d).max_features
@@ -396,7 +408,7 @@ def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
     min_split = params.min_samples_split
     tables = _rank_tables(X, y)
     n_trees = len(roots)
-    draws = [_CandidateDraws(rng) for _, rng in roots]
+    draws = _StepDraws([rng for _, rng in roots], d, k)
     rows = np.concatenate([r for r, _ in roots]).astype(np.min_scalar_type(len(X) - 1))
     root_sizes = np.array([r.size for r, _ in roots])
     # Roots get their targets one at a time, so that no call holds every root's rows at once.
@@ -425,7 +437,7 @@ def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
         order = top[4].argsort(kind="stable")
         top, trees = top[:, order], live[order]
         ids, starts, sizes, depths = top[2:].astype(np.intp)
-        features = np.array([draws[t].sample(d, k) for t in trees.tolist()])
+        features = draws.take(trees)
         ends = sizes.cumsum()
         at = (starts - ends + sizes).repeat(sizes) + np.arange(ends[-1])  # in ``rows``
         node_rows = rows[at]
@@ -461,15 +473,13 @@ def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
                 depths.repeat(2)))[:, push]
             n_nodes += counts.size
         live = height.nonzero()[0]
-    del rows, stack
+    draws.close()
+    del rows, stack, tables, draws  # before the routing, which would set the fit's peak
     feature, number, count, bounds = _lay_out(root_means, root_sizes, steps, made)
-    fitted = []
-    for draw, a, b in zip(draws, bounds, bounds[1:]):
-        draw.close()
-        tree = Tree(feature[a:b], number[a:b], count[a:b])
-        leaf, order = _route(tree, X)
-        fitted.append((tree, order.astype(np.min_scalar_type(order.size - 1))[leaf]))
-    return fitted
+    trees = [Tree(feature[a:b], number[a:b], count[a:b]) for a, b in zip(bounds, bounds[1:])]
+    preorder = (np.arange(t.feature.size, dtype=np.min_scalar_type(t.feature.size - 1))
+                for t in trees)
+    return list(zip(trees, _route(trees, preorder, X)))
 
 
 def _lay_out(root_means: np.ndarray, root_sizes: np.ndarray, steps: list[int],
@@ -527,7 +537,9 @@ def fit_tree(X, y, rows, params: ForestParams, rng: np.random.Generator) -> Tree
     one root, so it equals the same tree grown in lockstep with others, from the same node
     records, stack and end-of-fit preorder layout.
 
-    ``rng`` is left where per-node ``rng.choice`` draws of the candidates would leave it."""
+    Each node that may split draws its candidates once, from a block of draws replayed
+    from ``rng``, and ``rng`` is left where per-node ``rng.choice`` draws of the candidates
+    would leave it."""
     rows = np.sort(np.asarray(rows, dtype=np.intp))
     if rows.size < 1:
         raise ValueError("need at least one row to grow a tree")
@@ -604,9 +616,11 @@ def _fold(trees, leaves, y: np.ndarray, roots) -> tuple[float | None, np.ndarray
     return r2_if_defined(y[covered], oob_sums[covered] / counts[covered]), total / len(trees)
 
 
-def _sibling_order(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The tree renumbered so that the split of preorder rank k has its children at
-    2k + 1 and 2k + 2, as (right child, feature, threshold, preorder node) per new id.
+def _sibling_order(tree: Tree, labels: np.ndarray,
+                   first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tree renumbered from id ``first`` so that the split of preorder rank k has its
+    children at first + 2k + 1 and first + 2k + 2, as (right child, feature, threshold,
+    label) per new id, where ``labels`` holds one label per preorder node.
 
     A leaf is its own right child, with feature 0 and threshold NaN: no x is
     <= NaN, so a row at a leaf steps to the same leaf.  A split's right child
@@ -627,41 +641,68 @@ def _sibling_order(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     second[at] = left + 1
     order = np.empty_like(new)
     order[new] = np.arange(split.size)
-    return (second[order], np.where(split, tree.feature, 0)[order],
-            np.where(split, tree.number, np.nan)[order], order)
+    return (second[order] + first, np.where(split, tree.feature, 0)[order],
+            np.where(split, tree.number, np.nan)[order], labels[order])
 
 
 def predict_tree(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """The leaf value each row of ``X`` reaches."""
-    node, order = _route(tree, X)
-    return tree.number[order][node]
+    """The leaf value each row of ``X`` reaches: ``_route`` with one tree."""
+    return next(_route([tree], [tree.number], X))
 
 
-def _route(tree: Tree, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The leaf each row of ``X`` reaches, by its id in ``_sibling_order``, and the
-    preorder node of each such id; all rows are routed one level per step.
+def _route(trees: Sequence[Tree], labels: Iterable[np.ndarray],
+           X: np.ndarray) -> Iterator[np.ndarray]:
+    """For each tree in turn, the label of the leaf each row of ``X`` reaches in it; the
+    t-th of ``labels`` holds a label per preorder node of ``trees[t]``, and is read only
+    when its tree's group routes.
 
-    A step reads each row's feature with one gather from the flat row-major
-    ``X``; a row at the split whose right child is r moves to r - 1 when
-    x <= threshold, else to r, so a NaN goes right as in a row-by-row walk.
+    Trees route in groups, as many as keep a group within ``_ROUTE_PAIRS``
+    (tree, row) pairs, and at least one.  A group's trees are renumbered by
+    ``_sibling_order`` and laid one after another, so every pair steps down
+    its own tree in the same arrays, one level per step.  A step reads each
+    pair's feature with one gather from the flat row-major ``X``; a pair at
+    the split whose right child is r moves to r - 1 when x <= threshold, else
+    to r, so a NaN goes right as in a row-by-row walk.
     """
-    X = np.ascontiguousarray(X)
-    flat = X.ravel()
-    second, feature, threshold, order = _sibling_order(tree)
-    node = np.zeros(X.shape[0], dtype=np.intp)
-    rows = np.arange(X.shape[0] if second[0] else 0)  # a lone leaf routes no row
-    at, base = node[rows], rows * X.shape[1]
-    while rows.size:
-        for _ in range(_COMPACT_EVERY):
-            at = second[at] - (flat[feature[at] + base] <= threshold[at])
-        node[rows] = at
-        live = second[at] != at
-        rows, at, base = rows[live], at[live], base[live]
-    return node, order
+    n, d = np.shape(X)
+    flat = np.ascontiguousarray(X).ravel()
+    size, labels = max(1, _ROUTE_PAIRS // max(n, 1)), iter(labels)
+    for i in range(0, len(trees), size):
+        group = trees[i:i + size]
+        roots = list(accumulate((tree.feature.size for tree in group), initial=0))
+        # ``map`` stops at the end of ``group``, its first iterable: a label per tree.
+        parts = map(_sibling_order, group, labels, roots)
+        base = np.arange(n) * d  # each row's first cell in ``flat``
+        if len(group) == 1:  # the tree's arrays as they are, with no copies
+            (second, feature, threshold, label), = parts
+            node = np.zeros(n, dtype=np.intp)
+        else:  # filled a tree at a time, so that one tree's arrays are held at once
+            second, feature = np.empty((2, roots[-1]), dtype=np.intp)
+            threshold, label = np.empty(roots[-1]), []
+            for a, b, part in zip(roots, roots[1:], parts):
+                second[a:b], feature[a:b], threshold[a:b] = part[:3]
+                label.append(part[3])
+            label = np.concatenate(label)
+            node, base = np.repeat(roots[:-1], n), np.tile(base, len(group))
+        rows, at = np.arange(node.size), node
+        splits = [tree.feature[0] >= 0 for tree in group]
+        if not all(splits):  # a lone leaf routes no row
+            keep = np.repeat(splits, n)
+            rows, at, base = rows[keep], at[keep], base[keep]
+        while rows.size:
+            for _ in range(_COMPACT_EVERY):
+                at = second[at] - (flat[feature[at] + base] <= threshold[at])
+            node[rows] = at
+            live = second[at] != at
+            rows, at, base = rows[live], at[live], base[live]
+        yield from label[node].reshape(len(group), n)
 
 
 def predict_forest(m: ForestModel, X) -> np.ndarray:
-    """Per row, the arithmetic mean of the routed leaf values."""
-    X = np.ascontiguousarray(X, dtype=np.float64)  # row-major once, not per tree
+    """Per row, the arithmetic mean of the routed leaf values, added tree by tree from 0."""
+    X = np.ascontiguousarray(X, dtype=np.float64)  # row-major once, not per group of trees
     _check_rows(X, len(m.feature_names))
-    return sum(predict_tree(tree, X) for tree in m.trees) / len(m.trees)
+    total = np.zeros(len(X))
+    for values in _route(m.trees, (tree.number for tree in m.trees), X):
+        total += values
+    return total / len(m.trees)

@@ -20,7 +20,7 @@ from soilyield.forest import (
     ForestParams,
     Tree,
     _best_splits,
-    _CandidateDraws,
+    _StepDraws,
     _draw_bounds,
     _floyd_block,
     _node_targets,
@@ -477,55 +477,107 @@ def sequential_floyd(values, d, k):
 
 
 class ChoiceDraws:
-    """Each node's candidates from its own ``rng.choice`` call: the draws
-    ``_CandidateDraws`` replays."""
+    """Each popped node's candidates from its own ``rng.choice`` call: the draws
+    ``_StepDraws`` replays.  ``calls`` counts each tree's draws."""
 
-    def __init__(self, rng):
-        self._rng = rng
+    def __init__(self, rngs, d, k):
+        self._rngs, self._d, self._k = rngs, d, k
+        self.calls = [0] * len(rngs)
 
-    def sample(self, d, k):
-        return sorted(self._rng.choice(d, size=k, replace=False).tolist())
+    def take(self, trees):
+        picks = []
+        for t in trees.tolist():
+            self.calls[t] += 1
+            picks.append(sorted(self._rngs[t].choice(self._d, self._k, replace=False).tolist()))
+        return np.array(picks, dtype=np.intp).reshape(len(trees), self._k)
 
     def close(self):
         pass
 
 
-class TestCandidateDraws:
-    @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), prior=st.integers(0, 9),
-           picks=st.lists(st.integers(1, 14).flatmap(
-               lambda d: st.tuples(st.just(d), st.integers(1, d))), min_size=1, max_size=60))
-    def test_replays_numpy_choice(self, seed, prior, picks):
-        # An odd number of prior 32-bit draws leaves half an output buffered.
-        ours = np.random.default_rng(seed)
-        reference = np.random.default_rng(seed)
-        ours.integers(0, 400, size=prior)
-        reference.integers(0, 400, size=prior)
-        draws = _CandidateDraws(ours)
-        for d, k in picks:
-            expected = sorted(reference.choice(d, size=k, replace=False).tolist())
-            assert draws.sample(d, k) == expected
-        draws.close()
+def draw_with_choice(monkeypatch):
+    """Make ``_grow`` draw with ``ChoiceDraws``; the list of those it makes."""
+    made = []
+
+    def make(*args):
+        made.append(ChoiceDraws(*args))
+        return made[-1]
+
+    monkeypatch.setattr(forest, "_StepDraws", make)
+    return made
+
+
+def step_draws(rngs, d, k, counts):
+    """Each tree's picks from ``_StepDraws`` over steps in which tree t draws while the step
+    is below ``counts[t]``, the trees of a step in descending order (``_grow`` passes
+    them in node size order), then closed; and the draws object."""
+    draws = _StepDraws(rngs, d, k)
+    got = [[] for _ in counts]
+    counts = np.array(counts)
+    for step in range(counts.max(initial=0)):
+        trees = np.flatnonzero(counts > step)[::-1]
+        picks = draws.take(trees)
+        assert picks.dtype == np.intp and picks.shape == (trees.size, k)
+        for t, row in zip(trees.tolist(), picks.tolist()):
+            got[t].append(row)
+    draws.close()
+    return got, draws
+
+
+def choice_picks(rng, d, k, count):
+    return [sorted(rng.choice(d, size=k, replace=False).tolist()) for _ in range(count)]
+
+
+def with_prior(make, prior):
+    """Two generators from ``make()``, each after ``prior`` 32-bit draws."""
+    rngs = make(), make()
+    for rng in rngs:
+        rng.integers(0, 400, size=prior)
+    return rngs
+
+
+def draw_shapes(ks):
+    """A (d, k) for d up to 14 and k from ``ks(d)``."""
+    return st.integers(1, 14).flatmap(lambda d: st.tuples(st.just(d), ks(d)))
+
+
+def draw_blocks(counts):
+    """A block of one to four trees, each a (prior 32-bit draws, draw count)."""
+    return st.lists(st.tuples(st.integers(0, 9), counts), min_size=1, max_size=4)
+
+
+def assert_replays_choice(seed, d, k, trees):
+    """Each tree of a block, from its own generator after its prior draws, gets the picks
+    of its ``rng.choice`` calls from ``_StepDraws``, and its generator's state after them."""
+    pairs = [with_prior(lambda: np.random.default_rng([seed, t]), prior)
+             for t, (prior, _) in enumerate(trees)]
+    counts = [count for _, count in trees]
+    got, _ = step_draws([ours for ours, _ in pairs], d, k, counts)
+    for picks, (ours, reference), count in zip(got, pairs, counts, strict=True):
+        assert picks == choice_picks(reference, d, k, count)
         assert ours.bit_generator.state == reference.bit_generator.state
 
+
+class TestCandidateDraws:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), shape=draw_shapes(lambda d: st.integers(1, d)),
+           trees=draw_blocks(st.integers(0, 60)))
+    def test_replays_numpy_choice(self, seed, shape, trees):
+        # An odd number of prior 32-bit draws leaves half an output buffered.
+        assert_replays_choice(seed, *shape, trees)
+
     @settings(max_examples=120, derandomize=True, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), prior=st.integers(0, 9),
-           shape=st.integers(1, 14).flatmap(lambda d: st.tuples(
-               st.just(d), st.sampled_from(sorted({1, d, (d + 1) // 2})))),
-           count=st.integers(0, 700))
-    def test_replays_numpy_choice_across_blocks(self, seed, prior, shape, count):
-        # One (d, k) per example, as a tree draws; enough draws to cross blocks,
-        # d == k and k == 1 among the shapes, and no draw at all (a root leaf).
-        d, k = shape
-        ours = np.random.default_rng(seed)
-        reference = np.random.default_rng(seed)
-        ours.integers(0, 400, size=prior)
-        reference.integers(0, 400, size=prior)
-        draws = _CandidateDraws(ours)
-        for _ in range(count):
-            assert draws.sample(d, k) == sorted(reference.choice(d, size=k, replace=False).tolist())
-        draws.close()
-        assert ours.bit_generator.state == reference.bit_generator.state
+    @given(seed=st.integers(0, 2**64 - 1),
+           shape=draw_shapes(lambda d: st.sampled_from(sorted({1, d, (d + 1) // 2}))),
+           trees=draw_blocks(st.integers(0, 700) | st.sampled_from([255, 256, 257, 512])))
+    def test_replays_numpy_choice_across_blocks(self, seed, shape, trees):
+        # Trees that stop at different steps: before, at and past the end of a block of
+        # draws, and after no draw at all (a root leaf); d == k and k == 1 among the shapes.
+        assert_replays_choice(seed, *shape, trees)
+
+    def test_block_of_trees_stopping_at_block_edges(self):
+        assert_replays_choice(7, 12, 4, [(t % 2, count) for t, count in
+                                         enumerate([0, 256, 700, 1, 512, 255, 257])])
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**32), d=st.integers(1, 14), rows=st.integers(1, 40),
@@ -540,12 +592,12 @@ class TestCandidateDraws:
     def test_keeps_one_chunk_of_words(self):
         ours = np.random.default_rng(41)
         reference = np.random.default_rng(41)
-        draws = _CandidateDraws(ours)
+        draws = _StepDraws([ours], 12, 4)
         for _ in range(10_000):
             expected = sorted(reference.choice(12, size=4, replace=False).tolist())
-            assert draws.sample(12, 4) == expected
-            # At most one block is held: its picks, and no words.
-            assert len(draws._picks) <= 4 * _CandidateDraws._BLOCK
+            assert draws.take(np.array([0])).tolist() == [expected]
+            # At most one block is held per tree: its picks, and no words.
+            assert draws._picks.shape == (1, _StepDraws._BLOCK, 4)
         draws.close()
         assert ours.bit_generator.state == reference.bit_generator.state
 
@@ -558,47 +610,41 @@ class TestCandidateDraws:
             state = rng.bit_generator.state
             state["has_uint32"], state["uinteger"] = 1, 0
             rng.bit_generator.state = state
-        draws = _CandidateDraws(ours)
-        assert draws.sample(12, 4) == sorted(reference.choice(12, size=4, replace=False).tolist())
-        draws.close()
+        got, _ = step_draws([ours], 12, 4, [1])
+        assert got == [choice_picks(reference, 12, 4, 1)]
         assert ours.bit_generator.state == reference.bit_generator.state
 
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.MT19937,
                                                np.random.Philox, np.random.SFC64])
     @pytest.mark.parametrize("seed, shapes", [
-        (3, [(12, 4)] * (2 * _CandidateDraws._BLOCK + 7)),
-        (4, [(14, 5)] * _CandidateDraws._BLOCK),
-        (5, [(7, 7)] * 300 + [(1, 1)] * 3 + [(9, 1)] * 40),
-        (6, [(12, 4), (5, 2), (5, 2), (13, 13)] * 70),
+        (3, [(12, 4, [2 * _StepDraws._BLOCK + 7, 0, _StepDraws._BLOCK])]),
+        (4, [(14, 5, [_StepDraws._BLOCK])]),
+        (5, [(7, 7, [300, 3]), (1, 1, [3]), (9, 1, [40, 300])]),
+        (6, [(12, 4, [70]), (5, 2, [140, 70]), (13, 13, [70])]),
     ])
     def test_replays_numpy_choice_for_any_bit_generator(self, bit_generator, seed, shapes):
-        # An odd number of prior 32-bit draws leaves half a 64-bit output buffered.
-        ours = np.random.Generator(bit_generator(seed))
-        reference = np.random.Generator(bit_generator(seed))
-        ours.integers(0, 400, size=3)
-        reference.integers(0, 400, size=3)
-        draws = _CandidateDraws(ours)
-        for d, k in shapes:
-            assert draws.sample(d, k) == sorted(reference.choice(d, size=k, replace=False).tolist())
-        draws.close()
-        # MT19937's state holds an array, so the streams after it are compared instead:
-        # 32-bit words first, which take a buffered half-output, then raw outputs.
-        for read in (lambda rng: rng.integers(0, 2**32, size=3, dtype=np.uint32),
-                     lambda rng: rng.bit_generator.random_raw(4)):
-            assert read(ours).tolist() == read(reference).tolist()
+        # Per (d, k), a block of trees with their draw counts.  An odd number of prior
+        # 32-bit draws leaves half a 64-bit output buffered.
+        for d, k, counts in shapes:
+            pairs = [with_prior(lambda: np.random.Generator(bit_generator([seed, t])), 3)
+                     for t in range(len(counts))]
+            got, _ = step_draws([ours for ours, _ in pairs], d, k, counts)
+            for picks, (ours, reference), count in zip(got, pairs, counts):
+                assert picks == choice_picks(reference, d, k, count)
+                # MT19937's state holds an array, so the streams after it are compared
+                # instead: 32-bit words first, which take a buffered half-output, then raw
+                # outputs.
+                for read in (lambda rng: rng.integers(0, 2**32, size=3, dtype=np.uint32),
+                             lambda rng: rng.bit_generator.random_raw(4)):
+                    assert read(ours).tolist() == read(reference).tolist()
 
     @pytest.mark.parametrize("d, k", [(255, 85), (256, 86), (257, 86), (300, 100), (10_000, 3334)])
     def test_replays_numpy_choice_with_wide_picks(self, d, k):
         # Past 256 features a block holds its picks as uint16 instead of uint8.
-        ours = np.random.default_rng(d)
-        reference = np.random.default_rng(d)
-        ours.integers(0, 400, size=3)
-        reference.integers(0, 400, size=3)
-        draws = _CandidateDraws(ours)
-        for _ in range(3):
-            assert draws.sample(d, k) == sorted(reference.choice(d, size=k, replace=False).tolist())
+        ours, reference = with_prior(lambda: np.random.default_rng(d), 3)
+        got, draws = step_draws([ours], d, k, [3])
+        assert got == [choice_picks(reference, d, k, 3)]
         assert draws._picks.itemsize == (1 if d <= 256 else 2)
-        draws.close()
         assert ours.bit_generator.state == reference.bit_generator.state
 
 
@@ -678,9 +724,10 @@ class TestFitTree:
         rows = np.random.default_rng(2).integers(0, 500, size=500)
         rng = np.random.Generator(np.random.MT19937(9))
         tree = fit_tree(X, y, rows, ForestParams(max_features=4), rng)
-        monkeypatch.setattr(forest, "_CandidateDraws", ChoiceDraws)
+        made = draw_with_choice(monkeypatch)
         reference = np.random.Generator(np.random.MT19937(9))
         assert_same_tree(tree, fit_tree(X, y, rows, ForestParams(max_features=4), reference))
+        assert len(made) == 1 and made[0].calls[0] > _StepDraws._BLOCK
         assert rng.bit_generator.random_raw(4).tolist() == \
             reference.bit_generator.random_raw(4).tolist()
 
@@ -729,6 +776,22 @@ class TestLockstep:
         if max_depth is None and min_samples_split == 2:
             # Both chains grew all the way down: a split and a leaf per level.
             assert [len(tree.feature) for tree, _ in grown[3:5]] == [299, 299]
+
+    def test_a_block_routes_its_rows_in_groups_of_trees(self):
+        # Twice mixed_block's roots and its two chains again: 14 trees over 670 rows
+        # route 6, 6 and 2 at a time.
+        X, y, roots = mixed_block()
+        roots = roots * 2 + roots[3:5]
+        per_group = forest._ROUTE_PAIRS // len(X)
+        assert len(roots) > 2 * per_group and len(roots) % per_group
+        params = ForestParams()
+        rngs = [np.random.default_rng(200 + t) for t in range(len(roots))]
+        grown = forest._grow(X, y, params, list(zip(roots, rngs)))
+        for t, (rows, rng, (tree, leaf)) in enumerate(zip(roots, rngs, grown, strict=True)):
+            alone = np.random.default_rng(200 + t)
+            assert_same_tree(tree, fit_tree(X, y, rows, params, alone))
+            assert rng.bit_generator.state == alone.bit_generator.state
+            assert leaf.dtype.kind == "u" and leaf.tolist() == leaf_level_by_level(tree, X).tolist()
 
 
 class TestFitForest:
@@ -865,11 +928,12 @@ class TestFitForest:
         y = d.matrix(("yield",)).ravel()
         params = ForestParams(n_trees=5, seed=13)
         expected = fit_forest(X, y, params)
-        monkeypatch.setattr(forest, "_CandidateDraws", ChoiceDraws)
+        made = draw_with_choice(monkeypatch)
         model = fit_forest(X, y, params)
         for tree, reference in zip(model.trees, expected.trees, strict=True):
             assert_same_tree(tree, reference)
         assert model.oob_r2 == expected.oob_r2
+        assert len(made) == 1 and min(made[0].calls) > _StepDraws._BLOCK
 
     def test_too_few_rows(self):
         with pytest.raises(ValidationError, match="^need at least 2 rows, got 1$"):
@@ -894,8 +958,9 @@ class TestFitMemory:
         assert peak < 3 * sum(array.nbytes for tree in model.trees for array in tree)
 
 
-def route_level_by_level(tree: Tree, X):
-    """Reference router: the rows not yet at a leaf step one level, in preorder ids."""
+def leaf_level_by_level(tree: Tree, X):
+    """Reference router: the rows not yet at a leaf step one level, in preorder ids; the
+    leaf each row reaches."""
     right = np.array(right_children(tree))
     node = np.zeros(X.shape[0], dtype=np.intp)
     rows = np.arange(X.shape[0])
@@ -905,7 +970,11 @@ def route_level_by_level(tree: Tree, X):
         rows, at = rows[split], at[split]
         left = X[rows, tree.feature[at]] <= tree.number[at]
         node[rows] = np.where(left, at + 1, right[at])
-    return tree.number[node]
+    return node
+
+
+def route_level_by_level(tree: Tree, X):
+    return tree.number[leaf_level_by_level(tree, X)]
 
 
 @st.composite
@@ -998,6 +1067,26 @@ class TestPredictForest:
                             feature_names=tuple(f"x{i}" for i in range(X.shape[1])), oob_r2=None)
         expected = sum(route_level_by_level(tree, X) for tree in trees) / len(trees)
         assert predict_forest(model, X).tobytes() == expected.tobytes()
+
+    def test_groups_of_trees_route_like_level_by_level_walk(self):
+        # 250 rows route 16 trees at a time, so 21 trees take a whole group and part of
+        # one; a lone leaf of -0.0 sits in the first, NaN and infinite cells in X.
+        d = generate(80, seed=2)
+        X = d.matrix(CANONICAL_FEATURES)
+        fitted = fit_forest(X, d.matrix(("yield",)).ravel(), ForestParams(n_trees=20, seed=3))
+        trees = (*fitted.trees[:9], tree_from_nodes([leaf(-0.0, 3)]), *fitted.trees[9:])
+        rng = np.random.default_rng(29)
+        probe = rng.normal(scale=20.0, size=(170, X.shape[1]))
+        odd = rng.random(probe.shape) < 0.05
+        probe[odd] = rng.choice([math.nan, math.inf, -math.inf], size=odd.sum())
+        rows = np.vstack([X, probe])
+        per_group = forest._ROUTE_PAIRS // len(rows)
+        assert per_group < len(trees) < 2 * per_group
+        model = ForestModel(trees=trees, params=ForestParams(n_trees=len(trees)),
+                            feature_names=fitted.feature_names, oob_r2=None)
+        expected = sum(route_level_by_level(tree, rows) for tree in trees) / len(trees)
+        assert predict_forest(model, rows).tobytes() == expected.tobytes()
+        assert predict_forest(model, np.asfortranarray(rows)).tobytes() == expected.tobytes()
 
     def test_dimension_mismatch(self):
         model = ForestModel(
