@@ -125,12 +125,6 @@ class ForestModel:
     training_predictions: np.ndarray | None = None
 
 
-class SplitChoice(NamedTuple):
-    feature: int
-    threshold: float
-    impurity_decrease: float
-
-
 def _node_targets(y: np.ndarray, rows: np.ndarray, sizes: np.ndarray,
                   may_split: bool | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each node's mean target, centred sum of squares, and whether it may split and is not
@@ -275,33 +269,6 @@ def _resolve_ties(reductions: np.ndarray, bands: np.ndarray) -> np.ndarray:
         best[take] = c
         np.maximum(r + bands, 0.0, out=bar, where=take)
     return best
-
-
-def best_split(rows, X, y, candidate_features: Sequence[int],
-               min_samples_leaf: int = 1) -> SplitChoice | None:
-    """Best (feature, threshold) among the candidates, or None.
-
-    Returns None when the node target is constant, no threshold produces
-    children of at least ``min_samples_leaf`` samples, or every candidate
-    feature is constant.  Within a feature the lowest threshold wins a
-    tie; across features a later feature only displaces an earlier one
-    when its reduction is larger by more than REDUCTION_TIE_RTOL times
-    the parent variance, so equal-partition candidates resolve to the
-    lowest feature index.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    rows = np.sort(np.asarray(rows, dtype=np.intp))
-    if len(rows) < 2:
-        return None
-    sizes = np.array([rows.size])
-    mean, sse_parent, splits = _node_targets(y, rows, sizes, True)
-    if not splits[0]:
-        return None
-    features = np.array([sorted(int(f) for f in candidate_features)])
-    best, *choice = _best_splits(_rank_tables(X, y), rows, sizes, mean, sse_parent, features,
-                                 min_samples_leaf)
-    return None if best[0] < 0 else SplitChoice(*(v.item() for v in choice))
 
 
 def _draw_bounds(d: int, k: int) -> np.ndarray:
@@ -532,21 +499,6 @@ def _frombuffer(values: array) -> np.ndarray:
     return np.frombuffer(values, values.typecode)
 
 
-def fit_tree(X, y, rows, params: ForestParams, rng: np.random.Generator) -> Tree:
-    """Grow one regression tree over the given (multiset of) row indices: ``_grow`` with
-    one root, so it equals the same tree grown in lockstep with others, from the same node
-    records, stack and end-of-fit preorder layout.
-
-    Each node that may split draws its candidates once, from a block of draws replayed
-    from ``rng``, and ``rng`` is left where per-node ``rng.choice`` draws of the candidates
-    would leave it."""
-    rows = np.sort(np.asarray(rows, dtype=np.intp))
-    if rows.size < 1:
-        raise ValueError("need at least one row to grow a tree")
-    return _grow(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64), params,
-                 [(rows, rng)])[0][0]
-
-
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tree_index,)))
 
@@ -643,11 +595,6 @@ def _sibling_order(tree: Tree, labels: np.ndarray,
     order[new] = np.arange(split.size)
     return (second[order] + first, np.where(split, tree.feature, 0)[order],
             np.where(split, tree.number, np.nan)[order], labels[order])
-
-
-def predict_tree(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """The leaf value each row of ``X`` reaches: ``_route`` with one tree."""
-    return next(_route([tree], [tree.number], X))
 
 
 def _route(trees: Sequence[Tree], labels: Iterable[np.ndarray],

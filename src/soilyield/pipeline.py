@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
@@ -184,6 +185,18 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
     if target_scaler.mins[0] == target_scaler.maxs[0]:  # each model logs an undefined R²
         raise NumericalError(f"target column {target!r} of {Path(input_path).name} is "
                              f"constant over its {len(split.train)} training rows")
+    if "forest" in kinds:
+        params = ForestParams(n_trees=cfg.trees, max_depth=cfg.max_depth,
+                              min_samples_split=cfg.min_samples_split,
+                              min_samples_leaf=cfg.min_leaf, max_features=cfg.max_features,
+                              seed=cfg.seed, bootstrap=cfg.bootstrap)
+        # The fit makes every tree's generator (over 1 KB) and bootstrap rows, then a node
+        # at least, before it grows one: refuse a forest whose lower bound exceeds the RAM.
+        need = cfg.trees * (1024 + 8 * len(split.train) + 24)
+        ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > ram:
+            raise MemoryError(f"--trees {cfg.trees} on {len(split.train)} training rows needs "
+                              f"over {need / 2**30:.1f} GiB; this machine has {ram / 2**30:.1f}")
 
     train = d.matrix()[list(split.train)]  # soil_schema puts the target last
     x_train = apply_minmax(feature_scaler, train[:, :-1])
@@ -201,10 +214,6 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
     bundles = []
     for kind in kinds:
         if kind == "forest":
-            params = ForestParams(n_trees=cfg.trees, max_depth=cfg.max_depth,
-                                  min_samples_split=cfg.min_samples_split,
-                                  min_samples_leaf=cfg.min_leaf, max_features=cfg.max_features,
-                                  seed=cfg.seed, bootstrap=cfg.bootstrap)
             model = fit_forest(x_train, y_train, params, features, workers=cfg.workers)
             train_pred = model.training_predictions
             oob = model.oob_r2

@@ -12,7 +12,7 @@ import pytest
 
 from soilyield.dataset import drop_incomplete_rows, load_csv, soil_schema
 from soilyield.errors import SchemaViolationError
-from soilyield.forest import ForestParams, best_split, fit_forest, predict_forest
+from soilyield.forest import ForestParams, fit_forest, predict_forest
 from soilyield.linear import fit_mlr, fit_ridge, predict_linear
 from soilyield.metrics import NutrientCounts, nutrient_index, r2_score, rmse
 from soilyield.persist import load_model, save_model
@@ -25,7 +25,7 @@ from soilyield.preprocess import (
     pearson_correlation,
 )
 
-from test_forest import brute_force_split, random_split_instance
+from test_forest import best_split, brute_force_split, random_split_instance
 from test_linear import pinv_oracle, random_instance
 from test_persist import bundle_predict, make_bundle
 from test_preprocess import numeric_dataset

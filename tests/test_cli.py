@@ -7,8 +7,10 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
+import time
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -1385,6 +1387,25 @@ class TestExitCodes:
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert str(exc) in err
 
+    def test_forest_too_big_for_memory_exits_4_at_once(self, tmp_path):
+        # Without the check, the fit makes every tree's generator and bootstrap rows first:
+        # about 230 GB here.  The child's address space is capped so that a missing check
+        # ends in the child's own MemoryError, not in the machine's memory.
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
+
+        csv_path = synth_csv(tmp_path, n=200)
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        result = run_python("-m", "soilyield", "train", "--model", "forest",
+                            "--trees", "100000000", "--input", str(csv_path),
+                            "--output-dir", str(out), preexec_fn=cap_address_space, timeout=20)
+        assert time.perf_counter() - start < 2
+        assert (result.returncode, result.stdout) == (4, "")
+        assert result.stderr.startswith("error: out of memory: ")
+        assert result.stderr.count("\n") == 1 and "--trees" in result.stderr
+        assert not out.exists()
+
 
 class TestTracedNames:
     def test_pipeline_calls_the_forest_under_its_own_names(self):
@@ -1500,3 +1521,12 @@ class TestEntryPoint:
         cfg = RunConfig(seed=1)
         with pytest.raises(Exception):
             cfg.seed = 2
+
+
+class TestLineBudget:
+    def test_package_stays_within_the_roadmap_line_budget(self):
+        # ROADMAP's line budget: src/soilyield holds at most 2,615 lines, as wc -l counts
+        # them, and a change that would pass it pays by deleting code.
+        package = Path(soilyield.__file__).parent
+        lines = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+        assert lines <= 2615, f"src/soilyield is {lines} lines, over ROADMAP's line budget of 2,615"

@@ -6,6 +6,7 @@ import os
 import re
 import struct
 import tracemalloc
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -23,18 +24,72 @@ from soilyield.forest import (
     _StepDraws,
     _draw_bounds,
     _floyd_block,
+    _grow,
     _node_targets,
     _rank_tables,
     _resolve_ties,
+    _route,
     _tree_rng,
-    best_split,
     fit_forest,
-    fit_tree,
     predict_forest,
-    predict_tree,
 )
 from soilyield.metrics import r2_score
 from soilyield.synth import generate
+
+
+# One node's split, one tree's fit and one tree's routing: the trainer's own scan,
+# lockstep growth and router with one node, root or tree, kept as test references.
+class SplitChoice(NamedTuple):
+    feature: int
+    threshold: float
+    impurity_decrease: float
+
+
+def best_split(rows, X, y, candidate_features: Sequence[int],
+               min_samples_leaf: int = 1) -> SplitChoice | None:
+    """Best (feature, threshold) among the candidates, or None.
+
+    Returns None when the node target is constant, no threshold produces
+    children of at least ``min_samples_leaf`` samples, or every candidate
+    feature is constant.  Within a feature the lowest threshold wins a
+    tie; across features a later feature only displaces an earlier one
+    when its reduction is larger by more than REDUCTION_TIE_RTOL times
+    the parent variance, so equal-partition candidates resolve to the
+    lowest feature index.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    rows = np.sort(np.asarray(rows, dtype=np.intp))
+    if len(rows) < 2:
+        return None
+    sizes = np.array([rows.size])
+    mean, sse_parent, splits = _node_targets(y, rows, sizes, True)
+    if not splits[0]:
+        return None
+    features = np.array([sorted(int(f) for f in candidate_features)])
+    best, *choice = _best_splits(_rank_tables(X, y), rows, sizes, mean, sse_parent, features,
+                                 min_samples_leaf)
+    return None if best[0] < 0 else SplitChoice(*(v.item() for v in choice))
+
+
+def fit_tree(X, y, rows, params: ForestParams, rng: np.random.Generator) -> Tree:
+    """Grow one regression tree over the given (multiset of) row indices: ``_grow`` with
+    one root, so it equals the same tree grown in lockstep with others, from the same node
+    records, stack and end-of-fit preorder layout.
+
+    Each node that may split draws its candidates once, from a block of draws replayed
+    from ``rng``, and ``rng`` is left where per-node ``rng.choice`` draws of the candidates
+    would leave it."""
+    rows = np.sort(np.asarray(rows, dtype=np.intp))
+    if rows.size < 1:
+        raise ValueError("need at least one row to grow a tree")
+    return _grow(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64), params,
+                 [(rows, rng)])[0][0]
+
+
+def predict_tree(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """The leaf value each row of ``X`` reaches: ``_route`` with one tree."""
+    return next(_route([tree], [tree.number], X))
 
 
 def pairwise_sum(a):
