@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 from array import array
 from dataclasses import dataclass, replace
 from functools import partial
@@ -515,12 +517,12 @@ def fit_forest(X, y, params: ForestParams,
                workers: int = 1) -> ForestModel:
     """Fit ``params.n_trees`` bootstrap trees.
 
-    ``workers`` caps the worker processes, which never outnumber the trees
-    or the CPUs this process may use; with one, trees are fitted in this
-    process.  It only controls scheduling: the fitted model is
-    bit-identical for any worker count because each tree owns a derived
-    generator.  Each tree routes the training rows once, where it was
-    grown, for both ``oob_r2`` and ``training_predictions``.
+    ``workers`` caps the processes forked to grow the trees, never more than
+    the trees or the CPUs this process may use; with one, or without
+    ``os.fork``, trees are fitted in this process.  It only controls
+    scheduling: the model is bit-identical for any worker count because each
+    tree owns a derived generator.  Each tree routes the training rows once,
+    where it was grown, for both ``oob_r2`` and ``training_predictions``.
     """
     X, y = _as_xy(X, y)
     n, d = X.shape
@@ -533,23 +535,65 @@ def fit_forest(X, y, params: ForestParams,
     rngs = [_tree_rng(resolved.seed, t) for t in range(resolved.n_trees)]
     roots = [(np.sort(rng.integers(0, n, size=n)) if resolved.bootstrap else np.arange(n), rng)
              for rng in rngs]
-    # Each worker grows one contiguous block of trees.  The pool starts all
-    # its processes at once, so it gets no more than can be busy.
-    pool_size = min(workers, resolved.n_trees, _usable_cpus())
-    size = -(-resolved.n_trees // max(pool_size, 1))
+    # Each worker grows one contiguous block of trees.  Every worker starts at once,
+    # so there are no more than can be busy.
+    n_workers = min(workers, resolved.n_trees, _usable_cpus())
+    size = -(-resolved.n_trees // max(n_workers, 1))
     blocks = [roots[i:i + size] for i in range(0, resolved.n_trees, size)]
-    if len(blocks) == 1:
+    if len(blocks) == 1 or not hasattr(os, "fork"):
         grown = [_grow(X, y, resolved, roots)]
     else:
-        # Imported here: the pool's import brings multiprocessing and socket, which
-        # only a run with more than one worker uses.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            # Folding only once every block is in: beside the pool's unpickling it
-            # raised the peak RSS by about 0.4 MB.
-            grown = list(pool.map(partial(_grow, X, y, resolved), blocks))
+        # Folding only once every block is in: folding each block as it was read
+        # raised the peak RSS by about 0.4 MB.
+        grown = _fork_map(partial(_grow, X, y, resolved), blocks)
     trees, leaves = zip(*chain.from_iterable(grown))
     return ForestModel(trees, resolved, names, *_fold(trees, leaves, y, roots))
+
+
+def _fork_map(fn, blocks: list) -> list:
+    """``[fn(block) for block in blocks]``, each call in a child forked for it that
+    pipes its result or exception back pickled; this process only reads them, in
+    order.  A child's exception is raised here; a child that ends without a result,
+    as one the OOM killer ends does, raises ``MemoryError``.  No child outlives the call."""
+    running = {}  # pid: the read end of its pipe, until it is reaped
+    try:
+        for block in blocks:
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    with open(w, "wb") as pipe:
+                        try:
+                            result = True, fn(block)
+                        except Exception as exc:
+                            result = False, exc
+                        pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)  # so that the pipe ends where its child does
+            running[pid] = open(r, "rb")
+        results = []
+        for number, pid in enumerate(list(running), 1):
+            with running[pid] as pipe:
+                try:
+                    ok, value = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    ok = None
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del running[pid]
+            if ok is None:
+                ended = f"signal {-code}" if code < 0 else f"exit status {code}"
+                raise MemoryError(f"tree-fitting worker {number} of {len(blocks)} ended "
+                                  f"without a result ({ended})")
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in running.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _fold(trees, leaves, y: np.ndarray, roots) -> tuple[float | None, np.ndarray]:

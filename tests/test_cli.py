@@ -1406,6 +1406,52 @@ class TestExitCodes:
         assert result.stderr.count("\n") == 1 and "--trees" in result.stderr
         assert not out.exists()
 
+    def test_killed_worker_exits_4_with_one_line(self, tmp_path):
+        # The first block's worker ends as the OOM killer ends a process, while the other
+        # would grow for 30 s: one line, exit 4, no output, and no worker left running.
+        csv_path = synth_csv(tmp_path, n=200)
+        out = tmp_path / "out"
+        pids = tmp_path / "pids"
+        start = time.perf_counter()
+        result = run_python("-c", KILLED_WORKER, str(pids), "train", "--model", "forest",
+                            "--trees", "10", "--workers", "2", "--input", str(csv_path),
+                            "--output-dir", str(out), timeout=60)
+        assert time.perf_counter() - start < 20
+        assert (result.returncode, result.stdout) == (4, "")
+        assert result.stderr.startswith("error: out of memory: ")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+        assert not out.exists()
+        forked = [int(pid) for pid in pids.read_text().split()]
+        assert len(forked) == 2
+        for pid in forked:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+# Run as ``python -c KILLED_WORKER PIDS_FILE ARGS...``: the CLI on ARGS with two workers,
+# the first of which kills itself with SIGKILL; each forked pid is appended to PIDS_FILE.
+KILLED_WORKER = """
+import os, signal, sys, time
+from soilyield import cli, forest
+
+real_fork = os.fork
+
+def fork():
+    pid = real_fork()
+    if pid:
+        with open(sys.argv[1], "a") as log:
+            log.write(f"{pid}\\n")
+    return pid
+
+def grow(X, y, params, roots):
+    if roots[0][1].bit_generator.seed_seq.spawn_key == (0,):
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(30)
+
+os.fork, forest._grow, forest._usable_cpus = fork, grow, lambda: 2
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
 
 class TestTracedNames:
     def test_pipeline_calls_the_forest_under_its_own_names(self):
@@ -1501,6 +1547,17 @@ class TestEntryPoint:
         assert "soilyield.pipeline" in added
         stacks = {"xml", "urllib", "http", "email", "ssl", "concurrent", "multiprocessing"}
         assert [m for m in added if m.split(".")[0] in stacks] == []
+
+    def test_train_with_workers_loads_no_pool_stack(self, tmp_path):
+        csv_path = synth_csv(tmp_path, n=200)
+        result = run_python("-c", "import json, sys; from soilyield import cli, forest; "
+                            "forest._usable_cpus = lambda: 2; "
+                            "assert cli.main(sys.argv[1:]) == 0; print(json.dumps(sorted(sys.modules)))",
+                            "train", "--model", "forest", "--trees", "10", "--workers", "2",
+                            "--input", str(csv_path), "--output-dir", str(tmp_path / "out"),
+                            check=True)
+        loaded = json.loads(result.stdout.splitlines()[-1])
+        assert [m for m in loaded if m.split(".")[0] in {"concurrent", "multiprocessing"}] == []
 
     def test_benchmark_layers_name_traced_functions(self):
         # The benchmark's tracer wraps what the pipeline imports from other soilyield

@@ -1,10 +1,10 @@
-import concurrent.futures
 import gc
 import hashlib
 import math
 import os
 import re
 import struct
+import time
 import tracemalloc
 from typing import NamedTuple, Sequence
 
@@ -849,6 +849,13 @@ class TestLockstep:
             assert leaf.dtype.kind == "u" and leaf.tolist() == leaf_level_by_level(tree, X).tolist()
 
 
+def fail_first_block(X, y, params, roots):
+    """A ``_grow`` whose block holding tree 0 fails at once while any other sleeps 30 s."""
+    if roots[0][1].bit_generator.seed_seq.spawn_key == (0,):
+        raise ValueError("first block failed")
+    time.sleep(30)
+
+
 class TestFitForest:
     def test_constant_target_predicts_constant(self):
         rng = np.random.default_rng(7)
@@ -898,23 +905,12 @@ class TestFitForest:
                                                  pool_size):
         requested = []
 
-        class RecordingPool:
-            """Runs the trees in this process and records the pool size asked for."""
+        def recording_runner(fn, blocks):
+            """Runs the blocks in this process and records how many it was handed."""
+            requested.append(len(blocks))
+            return [fn(block) for block in blocks]
 
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        # fit_forest imports the pool only when it starts one, so it finds it here.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(forest, "_fork_map", recording_runner)
         monkeypatch.setattr(forest, "_usable_cpus", lambda: cpus)
         rng = np.random.default_rng(17)
         X = rng.normal(size=(30, 3))
@@ -924,6 +920,32 @@ class TestFitForest:
         assert requested == ([] if pool_size is None else [pool_size])
         serial = fit_forest(X, y, params)
         assert predict_forest(model, X).tobytes() == predict_forest(serial, X).tobytes()
+
+    def test_failed_block_leaves_no_child_running(self, monkeypatch):
+        # The first block fails at once while the other would grow for 30 s: the fit
+        # raises the first block's error, and the other block's child is ended and reaped.
+        forked = []
+        real_fork = os.fork
+
+        def recording_fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(forest, "_grow", fail_first_block)
+        monkeypatch.setattr(forest, "_usable_cpus", lambda: 2)
+        rng = np.random.default_rng(17)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="first block failed"):
+            fit_forest(rng.normal(size=(30, 3)), rng.normal(size=30),
+                       ForestParams(n_trees=4, seed=2), workers=2)
+        assert time.perf_counter() - start < 10
+        assert len(forked) == 2
+        for pid in forked:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     @pytest.mark.parametrize("rounded, params", [
         (False, ForestParams(n_trees=6, seed=3)),
