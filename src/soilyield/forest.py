@@ -308,9 +308,10 @@ class _StepDraws:
     ``rng.integers`` below an array of ``_draw_bounds``, in its default int64,
     makes each draw from the same words, a rejected word drawn again included
     (a dtype under 32 bits would share words between draws), so one call
-    makes a tree's block.  ``close`` leaves each generator where the
-    ``choice`` calls would have, for any numpy bit generator.  Above 10,000
-    features ``choice`` shuffles when k > d // 50: the picks stay Floyd's.
+    makes a tree's block and its picks equal the ``choice`` calls', call for
+    call, for any numpy bit generator.  A generator ends where its last block
+    left it, not where those calls would.  Above 10,000 features ``choice``
+    shuffles when k > d // 50: the picks stay Floyd's.
     """
 
     # Draws per tree computed at once, about what a tree grown on 400 rows makes.
@@ -320,8 +321,6 @@ class _StepDraws:
         self._rngs, self._shape, self._bounds = rngs, (d, k), _draw_bounds(d, k)
         # Each tree's block of picks, in [0, d): the narrowest unsigned type keeps it small.
         self._picks = np.empty((len(rngs), self._BLOCK, k), np.min_scalar_type(d - 1))
-        self._starts = [None] * len(rngs)  # each generator's state where its block's words begin
-        self._last = np.full(len(rngs), -1)  # the last step each tree drew in
         self._step = 0
 
     def take(self, trees: np.ndarray) -> np.ndarray:
@@ -329,23 +328,11 @@ class _StepDraws:
         i = self._step % self._BLOCK
         if i == 0:  # one tree at a time, so that one block of words is held at once
             for t in trees.tolist():
-                rng = self._rngs[t]
-                self._starts[t] = rng.bit_generator.state
-                self._picks[t] = _floyd_block(self._draw(rng, self._BLOCK), *self._shape)
-        self._last[trees] = self._step
+                values = self._rngs[t].integers(0, self._bounds,
+                                                size=(self._BLOCK, self._bounds.size))
+                self._picks[t] = _floyd_block(values, *self._shape)
         self._step += 1
         return self._picks[trees, i].astype(np.intp)
-
-    def _draw(self, rng: np.random.Generator, rows: int) -> np.ndarray:
-        return rng.integers(0, self._bounds, size=(rows, self._bounds.size))
-
-    def close(self) -> None:
-        """Set each generator just after the draws it gave."""
-        for rng, start, used in zip(self._rngs, self._starts,
-                                    ((self._last + 1) % self._BLOCK).tolist()):
-            if used:  # a block used whole, or none, left it there already
-                rng.bit_generator.state = start
-                self._draw(rng, used)
 
 
 def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
@@ -442,7 +429,6 @@ def _grow(X: np.ndarray, y: np.ndarray, params: ForestParams,
                 depths.repeat(2)))[:, push]
             n_nodes += counts.size
         live = height.nonzero()[0]
-    draws.close()
     del rows, stack, tables, draws  # before the routing, which would set the fit's peak
     feature, number, count, bounds = _lay_out(root_means, root_sizes, steps, made)
     trees = [Tree(feature[a:b], number[a:b], count[a:b]) for a, b in zip(bounds, bounds[1:])]
@@ -676,10 +662,6 @@ def _route(trees: Sequence[Tree], labels: Iterable[np.ndarray],
             label = np.concatenate(label)
             node, base = np.repeat(roots[:-1], n), np.tile(base, len(group))
         rows, at = np.arange(node.size), node
-        splits = [tree.feature[0] >= 0 for tree in group]
-        if not all(splits):  # a lone leaf routes no row
-            keep = np.repeat(splits, n)
-            rows, at, base = rows[keep], at[keep], base[keep]
         while rows.size:
             for _ in range(_COMPACT_EVERY):
                 at = second[at] - (flat[feature[at] + base] <= threshold[at])

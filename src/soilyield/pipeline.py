@@ -191,9 +191,11 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
                               min_samples_leaf=cfg.min_leaf, max_features=cfg.max_features,
                               seed=cfg.seed, bootstrap=cfg.bootstrap)
         # The fit makes every tree's generator (over 1 KB) and bootstrap rows, then a node
-        # at least, before it grows one: refuse a forest whose lower bound exceeds the RAM.
+        # at least, before it grows one: refuse a forest whose lower bound exceeds the RAM,
+        # where the RAM is known (Windows has no ``os.sysconf``).
         need = cfg.trees * (1024 + 8 * len(split.train) + 24)
-        ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        known = "SC_PHYS_PAGES" in getattr(os, "sysconf_names", {})
+        ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") if known else np.inf
         if need > ram:
             raise MemoryError(f"--trees {cfg.trees} on {len(split.train)} training rows needs "
                               f"over {need / 2**30:.1f} GiB; this machine has {ram / 2**30:.1f}")

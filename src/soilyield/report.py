@@ -32,8 +32,7 @@ class ModelScore:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    entries: tuple[ModelScore, ...]
-    ranking: tuple[str, ...]
+    entries: tuple[ModelScore, ...]  # by descending R², ties by name
 
 
 def score_predictions(model_name: str, y_true, y_pred) -> ModelScore:
@@ -47,8 +46,7 @@ def build_report(entries: Sequence[ModelScore]) -> EvaluationReport:
     """Rank models by descending R^2; ties break alphabetically."""
     if not entries:
         raise ValueError("need at least one model entry")
-    ordered = sorted(entries, key=lambda e: (-e.r2, e.model_name))
-    return EvaluationReport(tuple(ordered), tuple(e.model_name for e in ordered))
+    return EvaluationReport(tuple(sorted(entries, key=lambda e: (-e.r2, e.model_name))))
 
 
 def write_comparison_csv(report: EvaluationReport, path: str | Path) -> None:

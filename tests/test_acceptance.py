@@ -156,7 +156,7 @@ def test_criterion_5_qualitative_ordering(benchmark_runs):
     scores = {e.model_name: e.r2 for e in run["report"].entries}
     assert scores["forest"] >= scores["ridge"] + 0.10
     assert scores["forest"] >= scores["mlr"] + 0.10
-    assert run["report"].ranking[0] == "forest"
+    assert run["report"].entries[0].model_name == "forest"
     assert run["elapsed"] < 30.0
 
 

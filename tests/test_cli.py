@@ -1406,6 +1406,18 @@ class TestExitCodes:
         assert result.stderr.count("\n") == 1 and "--trees" in result.stderr
         assert not out.exists()
 
+    def test_forest_trains_where_os_has_no_sysconf(self, trained, tmp_path, monkeypatch):
+        # As on Windows: no memory bound, and the same model file as where it is checked.
+        _, csv_path = trained
+        argv = ["train", "--model", "forest", "--input", str(csv_path), "--seed", "3",
+                "--trees", "20", "--output-dir"]
+        assert main(argv + [str(tmp_path / "checked")]) == 0
+        monkeypatch.delattr(os, "sysconf")
+        monkeypatch.delattr(os, "sysconf_names")
+        assert main(argv + [str(tmp_path / "unchecked")]) == 0
+        assert (tmp_path / "unchecked" / "model_forest.json").read_bytes() == \
+            (tmp_path / "checked" / "model_forest.json").read_bytes()
+
     def test_killed_worker_exits_4_with_one_line(self, tmp_path):
         # The first block's worker ends as the OOM killer ends a process, while the other
         # would grow for 30 s: one line, exit 4, no output, and no worker left running.
