@@ -28,6 +28,7 @@ FORMAT_VERSION = 1
 MODEL_KINDS = ("mlr", "ridge", "forest")  # the order train fits and logs "all" in
 SOLVERS = ("cholesky", "svd")
 _TREES = '"trees":['  # a forest payload's trees array opens here, and only here
+_CHUNK = 65536  # characters a load reads at a time, so the file is never held whole
 _LEAF_REPRS = 4096  # about 130 bytes each with its float, so a save keeps at most ~0.5 MB
 
 
@@ -246,20 +247,22 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
 def load_model(path: str | Path) -> ModelBundle:
     """Read a model file, cutting a forest's trees out of the text where that is exact.
 
-    ``_load_cut`` parses and decodes one tree at a time, so a forest's nodes
-    are never all held as dicts at once.  Any file it declines, and any file
-    that fails on the way, is read whole: the whole-file reader's bundle or
-    error is the answer, so the cut changes neither.
+    ``_load_cut`` reads the file a chunk at a time and decodes each tree as it
+    comes in, so neither the file nor a forest's nodes as dicts are held whole.
+    Any file it declines, or that fails on the way, is read whole: the whole-file
+    reader's bundle or error is the answer, so the cut changes neither.
     """
     path = Path(path)
-    with reading_text(path):
-        text = path.read_text(encoding="utf-8")
-    bundle = _load_cut(text, str(path))
-    return bundle if bundle is not None else _load_whole(text, str(path))
+    with reading_text(path), path.open(encoding="utf-8") as fh:
+        bundle = _load_cut(fh, str(path))
+        if bundle is None:
+            fh.seek(0)
+            bundle = _load_whole(fh.read(), str(path))
+    return bundle
 
 
-def _load_cut(text: str, where: str) -> ModelBundle | None:
-    """The bundle read with the trees array cut out of ``text``, or None.
+def _load_cut(fh, where: str) -> ModelBundle | None:
+    """The bundle read from the open file ``fh`` with the trees array cut out, or None.
 
     With no backslash in the text every ``"`` delimits a string, so no key
     is spelled with escapes.  The trees are parsed with the json module's own
@@ -267,24 +270,37 @@ def _load_cut(text: str, where: str) -> ModelBundle | None:
     whole-file parse reads there, and the text with ``[]`` in its place parses
     to the same object but for the trees.  That array is the payload's
     ``trees`` when ``"trees"`` occurs nowhere else and the payload's
-    ``trees`` reads ``[]``.
+    ``trees`` reads ``[]``.  A tree is parsed once the text read holds a ``]``
+    after its start, where it ends unless it holds a ``]`` itself, as no tree
+    ``save_model`` writes does; a parse that fails there declines the file.
     """
-    start = text.find(_TREES) + len(_TREES)
-    if start < len(_TREES) or "\\" in text:
-        return None
     try:
+        head, seen = "", 0
+        while head.find(_TREES, seen) < 0:
+            chunk = fh.read(_CHUNK)
+            if not chunk or "\\" in chunk:
+                return None
+            seen = max(0, len(head) - len(_TREES) + 1)
+            head += chunk
+        head, _, text = head.partition(_TREES)
         raw_decode = json.JSONDecoder().raw_decode
-        trees, pos = [], start
-        while text[pos] != "]":
-            if trees:
-                if text[pos] != ",":
+        trees, pos, seen = [], 0, 0  # text[pos:] opens with the next tree, its comma or "]"
+        while (close := text.find("]", seen)) < 0 or text[pos] != "]":
+            if close < 0:
+                chunk = fh.read(_CHUNK)
+                if not chunk or "\\" in chunk:
                     return None
-                pos += 1
-            nodes, pos = raw_decode(text, pos)
+                text, seen, pos = text[pos:], len(text) - pos, 0  # drop the parsed text
+                text += chunk
+                continue
+            if trees and text[pos] != ",":
+                return None
+            nodes, pos = raw_decode(text, pos + bool(trees))
             # Feature indices are checked against the model's feature count below.
             trees.append(_decode_tree(nodes, 2**63, where))
-        rest = text[:start] + text[pos:]
-        if rest.count('"trees"') != 1:
+            nodes, seen = None, pos  # the tree's dicts go before the next tree is parsed
+        rest = head + _TREES + text[pos:] + fh.read()
+        if "\\" in rest or rest.count('"trees"') != 1:
             return None
         obj = json.loads(rest)
         if obj["payload"]["trees"] != []:
@@ -293,6 +309,8 @@ def _load_cut(text: str, where: str) -> ModelBundle | None:
         if any(t.feature.max() >= len(bundle.feature_names) for t in trees):
             return None
         return bundle
+    except MemoryError:  # the whole-file reader needs more memory still
+        raise
     except Exception:  # whatever failed, the whole-file reader gives the answer or the error
         return None
 

@@ -369,8 +369,11 @@ def mutated(draw, text):
 class TestCutReader:
     @settings(max_examples=200, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(tree_list=st.lists(trees(12), min_size=1, max_size=4), data=st.data())
-    def test_loads_like_whole_file_reader(self, tmp_path, tree_list, data):
+    @given(tree_list=st.lists(trees(12), min_size=1, max_size=4), data=st.data(),
+           chunk=st.sampled_from([1, 2, 7, 64, persist._CHUNK]))
+    def test_loads_like_whole_file_reader(self, tmp_path, monkeypatch, tree_list, data, chunk):
+        # Small chunks put '"trees":[', a tree's "]" and a backslash on chunk edges.
+        monkeypatch.setattr(persist, "_CHUNK", chunk)
         path = tmp_path / "forest.json"
         save_model(forest_bundle(tree_list), path)
         assert_same_bundle(load_model(path), whole_file_load(path))
@@ -406,13 +409,33 @@ class TestCutReader:
         bundle, _ = make_bundle("forest")
         path = tmp_path / "forest.json"
         save_model(bundle, path)
+        monkeypatch.setattr(persist, "_CHUNK", 16)  # a small part of any one tree's text
         monkeypatch.setattr(persist, "_load_whole", None)  # fails if called
         assert_same_bundle(load_model(path), bundle)
 
+    def test_out_of_memory_is_not_retried_whole(self, tmp_path, monkeypatch):
+        # The whole-file reader holds every node as a dict, so it would need more still.
+        path = tmp_path / "forest.json"
+        save_model(make_bundle("forest")[0], path)
 
-def forest_file(path, target_name, n_trees=100):
-    """A forest of ``n_trees`` trees saved by ``save_model`` under ``target_name``."""
-    d, X, y = training_data(n=100, seed=11)
+        def out_of_memory(*args):
+            raise MemoryError
+
+        whole_file_reads = []
+        monkeypatch.setattr(persist, "_decode_tree", out_of_memory)
+        monkeypatch.setattr(persist, "_load_whole", lambda text, where: (
+            whole_file_reads.append(where)))
+        with pytest.raises(MemoryError):
+            load_model(path)
+        assert whole_file_reads == []
+
+
+def forest_file(path, target_name, n_trees=100, n_rows=100, scaled=False):
+    """A forest of ``n_trees`` trees on ``n_rows`` synth rows, min-max scaled as ``train``
+    scales them if ``scaled``, saved by ``save_model`` under ``target_name``."""
+    d, X, y = training_data(n=n_rows, seed=11)
+    if scaled:  # as train fits them: the file then holds about 31 bytes a node, the trees 24
+        X, y = ((v - v.min(axis=0)) / (v.max(axis=0) - v.min(axis=0)) for v in (X, y))
     model = fit_forest(X, y, ForestParams(n_trees=n_trees, seed=3), CANONICAL_FEATURES)
     bundle, _ = make_bundle("mlr")
     save_model(ModelBundle(kind="forest", feature_names=bundle.feature_names,
@@ -439,6 +462,11 @@ class TestLoadMemory:
         # Parsing every node into a dict first peaked near 13 times the file's bytes.
         path = forest_file(tmp_path / "forest.json", "yield")
         assert traced_peak(lambda: load_model(path)) < 6 * path.stat().st_size
+
+    def test_forest_load_does_not_hold_the_file_whole(self, tmp_path):
+        # Holding the file's bytes and its text at once peaked at 2.0 times the file.
+        path = forest_file(tmp_path / "forest.json", "yield", n_rows=400, scaled=True)
+        assert traced_peak(lambda: load_model(path)) < 1.25 * path.stat().st_size
 
     def test_non_ascii_target_forest_is_cut(self, tmp_path, monkeypatch):
         # Written as \u escapes, such a name sent the file to the whole-file reader.
