@@ -200,7 +200,7 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
             raise MemoryError(f"--trees {cfg.trees} on {len(split.train)} training rows needs "
                               f"over {need / 2**30:.1f} GiB; this machine has {ram / 2**30:.1f}")
 
-    train = d.matrix()[list(split.train)]  # soil_schema puts the target last
+    train = d.values[list(split.train)]  # soil_schema puts the target last
     x_train = apply_minmax(feature_scaler, train[:, :-1])
     y_train = apply_minmax(target_scaler, train[:, -1:]).ravel()
     log_lines = [
@@ -254,7 +254,7 @@ def predict_bundle(bundle: ModelBundle, d: Dataset) -> tuple[np.ndarray, int]:
         raise ValidationError(
             f"input lacks model feature columns: {', '.join(missing)}"
         )
-    x_raw = d.matrix(bundle.feature_names)
+    x_raw = d.values if d.column_names == bundle.feature_names else d.matrix(bundle.feature_names)
     clamped = out_of_range_count(bundle.feature_scaler, x_raw)
     x_norm = apply_minmax(bundle.feature_scaler, x_raw)
     predict = predict_forest if isinstance(bundle.model, ForestModel) else predict_linear

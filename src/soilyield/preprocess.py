@@ -75,12 +75,13 @@ def apply_minmax(params: NormalizationParams, x) -> np.ndarray:
     clamped so the output always lies in [0, 1].  Accepts a single row
     vector or a row-major matrix.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.array(x, dtype=np.float64)  # the one copy, scaled in place; the input stays as it was
     _check_width(params, x)
     spread = params.maxs - params.mins
-    safe = np.where(spread > 0, spread, 1.0)
-    z = np.clip((x - params.mins) / safe, 0.0, 1.0)
-    return np.where(spread > 0, z, 0.0)
+    np.subtract(x, params.mins, out=x)
+    np.clip(np.divide(x, np.where(spread > 0, spread, 1.0), out=x), 0.0, 1.0, out=x)
+    x[..., spread == 0] = 0.0
+    return x
 
 
 def invert_minmax(params: NormalizationParams, z) -> np.ndarray:

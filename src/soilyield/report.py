@@ -113,7 +113,6 @@ _BAR_FILL = "#2e6da4"
 _BAR_W = 80.0
 _GAP = 40.0
 _CHART_H = 220.0
-_BASE_Y = 260.0
 _MARGIN = 50.0
 
 

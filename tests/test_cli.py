@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -23,10 +24,14 @@ from hypothesis import strategies as st
 import soilyield
 from soilyield import cli, forest, persist, pipeline
 from soilyield.cli import main
+from soilyield.dataset import CANONICAL_FEATURES, Dataset
+from soilyield.forest import ForestParams, fit_forest
 from soilyield.metrics import mae, rmse
 from soilyield.persist import load_model, save_model
 from soilyield.pipeline import RunConfig
+from soilyield.preprocess import apply_minmax, fit_minmax
 from soilyield.report import ModelScore, build_report, write_comparison_csv
+from soilyield.synth import generate
 
 GOLDEN_TRAIN_LOG = """\
 input: synthetic_soil.csv
@@ -584,6 +589,54 @@ class TestPredict:
         again = (second / "predictions.csv").read_text()
         assert again.splitlines()[-1].endswith(" rows_dropped=0")
         assert again == first.read_text()
+
+
+def scored_rows(n_rows, seed):
+    """``n_rows`` synth rows of the twelve required features, as ``predict`` reads them."""
+    d = generate(n_rows, seed=seed)
+    return Dataset(CANONICAL_FEATURES, d.matrix(CANONICAL_FEATURES), rows_read=n_rows)
+
+
+@pytest.fixture(scope="module")
+def forest_bundle():
+    """A 100-tree forest fitted, as ``train`` fits it, on 400 min-max scaled synth rows."""
+    d = generate(400, seed=7)
+    features = CANONICAL_FEATURES
+    feature_scaler = fit_minmax(d, range(400), features)
+    target_scaler = fit_minmax(d, range(400), ("yield",))
+    model = fit_forest(apply_minmax(feature_scaler, d.matrix(features)),
+                       apply_minmax(target_scaler, d.matrix(("yield",))).ravel(),
+                       ForestParams(n_trees=100, seed=7), features)
+    return persist.ModelBundle("forest", features, "yield", feature_scaler, target_scaler, model)
+
+
+class TestPredictMemory:
+    def test_scoring_peak_is_under_two_and_a_quarter_times_the_rows(self, forest_bundle):
+        # A copy of the rows in the same column order plus full-size temporaries for each
+        # step of the scaling peaked at 3.07 times the rows' bytes.
+        d = scored_rows(10_000, seed=8)
+        pipeline.predict_bundle(forest_bundle, d)  # imports and caches settle outside
+        tracemalloc.start()
+        try:
+            pipeline.predict_bundle(forest_bundle, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * d.values.nbytes
+
+    def test_scoring_leaves_the_rows_as_read(self, forest_bundle):
+        # predictions.csv writes the cleaned rows after scoring them, and predict_bundle
+        # scales them straight from the dataset's own array.
+        d = scored_rows(2_000, seed=8)
+        d.values[::7, 3] = 1e9  # clamped cells
+        before = d.values.copy()
+        d.values.setflags(write=False)
+        predictions, clamped = pipeline.predict_bundle(forest_bundle, d)
+        assert d.values.tobytes() == before.tobytes()
+        assert clamped >= len(before[::7])
+        reordered = Dataset(d.column_names[::-1], before[:, ::-1], rows_read=d.rows_read)
+        assert pipeline.predict_bundle(forest_bundle, reordered)[0].tobytes() == (
+            predictions.tobytes())
 
 
 class TestModelFileReading:

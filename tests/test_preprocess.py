@@ -90,6 +90,33 @@ class TestApplyMinmax:
             z = apply_minmax(p, x)
             assert np.all(z >= 0.0) and np.all(z <= 1.0)
 
+    @pytest.mark.parametrize("x", [
+        np.array([[5.0, 7.0, 0.5], [-3.0, 7.0, 2.0], [12.0, 8.0, -0.0], [0.0, 6.0, 1.0]]),
+        np.array([[np.inf, np.inf, -np.inf], [-np.inf, -np.inf, np.inf]]),
+        np.array([[np.nan, np.nan, 0.25], [1e308, -1e308, np.nan]]),
+        np.array([10.0, 7.0, 0.75]),  # one row
+        np.array([[3, 7, 1], [-4, 9, 0]]),  # ints
+    ], ids=["out-of-range", "infinities", "nan", "row", "ints"])
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_equals_the_expression_bit_for_bit(self, x, read_only):
+        # Scaling one copy in place runs the same ufuncs in the same order as the
+        # expression below, which made a full-size temporary for each step.
+        def expression(params, x):
+            x = np.asarray(x, dtype=np.float64)
+            spread = params.maxs - params.mins
+            safe = np.where(spread > 0, spread, 1.0)
+            z = np.clip((x - params.mins) / safe, 0.0, 1.0)
+            return np.where(spread > 0, z, 0.0)
+
+        p = params([0.0, 7.0, -1.0], [10.0, 7.0, 1.0])  # the middle column is constant
+        before = x.copy()
+        x.setflags(write=not read_only)
+        expected, got = expression(p, x), apply_minmax(p, x)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert x.tobytes() == before.tobytes()
+        assert not np.shares_memory(got, x)
+
     def test_out_of_range_count(self):
         p = params([0.0, 0.0], [1.0, 1.0])
         x = np.array([[0.5, 2.0], [-1.0, 0.5], [0.1, 0.9]])
