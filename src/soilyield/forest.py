@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .linear import _as_xy, _check_rows, _names
+from .linear import _as_xy, _check_rows
 from .metrics import r2_if_defined
 
 # A scan call pads its nodes to the widest, so nodes of up to 8 rows, of up
@@ -121,7 +121,7 @@ class ForestParams:
 class ForestModel:
     trees: tuple[Tree, ...]
     params: ForestParams
-    feature_names: tuple[str, ...]
+    n_features: int
     oob_r2: float | None
     # Each training row's prediction, from the fit; not saved, so None once loaded.
     training_predictions: np.ndarray | None = None
@@ -498,9 +498,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def fit_forest(X, y, params: ForestParams,
-               feature_names: Sequence[str] | None = None,
-               workers: int = 1) -> ForestModel:
+def fit_forest(X, y, params: ForestParams, workers: int = 1) -> ForestModel:
     """Fit ``params.n_trees`` bootstrap trees.
 
     ``workers`` caps the processes forked to grow the trees, never more than
@@ -515,7 +513,6 @@ def fit_forest(X, y, params: ForestParams,
     if n < 2:
         raise ValidationError(f"need at least 2 rows, got {n}")
     resolved = params.resolved(d)
-    names = _names(feature_names, d)
 
     # A tree's bootstrap comes first from its generator, its candidates after.
     rngs = [_tree_rng(resolved.seed, t) for t in range(resolved.n_trees)]
@@ -533,7 +530,7 @@ def fit_forest(X, y, params: ForestParams,
         # raised the peak RSS by about 0.4 MB.
         grown = _fork_map(partial(_grow, X, y, resolved), blocks)
     trees, leaves = zip(*chain.from_iterable(grown))
-    return ForestModel(trees, resolved, names, *_fold(trees, leaves, y, roots))
+    return ForestModel(trees, resolved, d, *_fold(trees, leaves, y, roots))
 
 
 def _fork_map(fn, blocks: list) -> list:
@@ -674,7 +671,7 @@ def _route(trees: Sequence[Tree], labels: Iterable[np.ndarray],
 def predict_forest(m: ForestModel, X) -> np.ndarray:
     """Per row, the arithmetic mean of the routed leaf values, added tree by tree from 0."""
     X = np.ascontiguousarray(X, dtype=np.float64)  # row-major once, not per group of trees
-    _check_rows(X, len(m.feature_names))
+    _check_rows(X, m.n_features)
     total = np.zeros(len(X))
     for values in _route(m.trees, (tree.number for tree in m.trees), X):
         total += values

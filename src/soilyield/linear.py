@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,14 +33,10 @@ class FitDiagnostics:
 class LinearModel:
     intercept: float
     coefficients: np.ndarray
-    feature_names: tuple[str, ...]
     regularization_lambda: float
     diagnostics: FitDiagnostics
 
     def __post_init__(self) -> None:
-        if len(self.coefficients) != len(self.feature_names):
-            raise ValueError(f"{len(self.coefficients)} coefficients for "
-                             f"{len(self.feature_names)} feature names")
         if self.regularization_lambda < 0:
             raise ValueError(f"lambda must be nonnegative, got {self.regularization_lambda}")
 
@@ -65,15 +60,6 @@ def _check_rows(X: np.ndarray, d: int) -> None:
         raise ValidationError(f"expected shape (n, {d}), got {X.shape}")
 
 
-def _names(feature_names: Sequence[str] | None, d: int) -> tuple[str, ...]:
-    if feature_names is None:
-        return tuple(f"x{i}" for i in range(d))
-    names = tuple(feature_names)
-    if len(names) != d:
-        raise ValidationError(f"expected {d} feature names, got {len(names)}")
-    return names
-
-
 def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ell = np.linalg.cholesky(a)
     d = b.shape[0]
@@ -86,8 +72,7 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _solve_centered(X: np.ndarray, y: np.ndarray, lam: float,
-                    feature_names: Sequence[str] | None) -> LinearModel:
+def _solve_centered(X: np.ndarray, y: np.ndarray, lam: float) -> LinearModel:
     """The model fitted on the centered system with penalty ``lam``."""
     x_mean = X.mean(axis=0)
     y_mean = float(y.mean())
@@ -121,29 +106,28 @@ def _solve_centered(X: np.ndarray, y: np.ndarray, lam: float,
     return LinearModel(
         intercept=intercept,
         coefficients=beta,
-        feature_names=_names(feature_names, X.shape[1]),
         regularization_lambda=lam,
         diagnostics=FitDiagnostics(cond, r2_if_defined(y, intercept + X @ beta), solver),
     )
 
 
-def fit_mlr(X, y, feature_names: Sequence[str] | None = None) -> LinearModel:
+def fit_mlr(X, y) -> LinearModel:
     """Least-squares fit of y on X with an intercept."""
     X, y = _as_xy(X, y)
     n, d = X.shape
     if n <= d:
         raise NumericalError(f"need more rows than features: n={n}, d={d}")
-    return _solve_centered(X, y, 0.0, feature_names)
+    return _solve_centered(X, y, 0.0)
 
 
-def fit_ridge(X, y, lam: float, feature_names: Sequence[str] | None = None) -> LinearModel:
+def fit_ridge(X, y, lam: float) -> LinearModel:
     """L2-penalized least squares; the intercept is not penalized."""
     if not (isinstance(lam, (int, float)) and math.isfinite(lam)) or lam < 0:
         raise ValidationError(f"lambda must be a nonnegative real, got {lam!r}")
     X, y = _as_xy(X, y)
     if X.shape[0] < 1 or X.shape[1] < 1:
         raise ValidationError(f"need at least one row and one feature, got {X.shape}")
-    return _solve_centered(X, y, float(lam), feature_names)
+    return _solve_centered(X, y, float(lam))
 
 
 def predict_linear(m: LinearModel, X) -> np.ndarray:

@@ -350,7 +350,7 @@ def _bundle(obj, where: str, trees: list[Tree] | None = None) -> ModelBundle:
         raise SchemaViolationError(f"{where}: encodings must be empty; every column is numeric")
     payload = _expect(obj, "payload", dict, where)
     if kind == "forest":
-        model = _forest_from_payload(payload, feature_names, where, trees)
+        model = _forest_from_payload(payload, len(feature_names), where, trees)
     else:
         model = _linear_from_payload(payload, feature_names, where)
     return ModelBundle(kind, feature_names, target_name, feature_scaler, target_scaler, model)
@@ -373,15 +373,17 @@ def _linear_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
     lam = _number(payload, "lambda", where)
     intercept = _number(payload, "intercept", where)
     diagnostics = FitDiagnostics(condition, _r2(diag_obj, "training_r2", where), solver)
+    if len(coefficients) != len(feature_names):
+        raise SchemaViolationError(f"{where}: {len(coefficients)} coefficients for "
+                                   f"{len(feature_names)} feature names")
     try:
         return LinearModel(intercept=intercept, coefficients=np.asarray(coefficients),
-                           feature_names=feature_names, regularization_lambda=lam,
-                           diagnostics=diagnostics)
+                           regularization_lambda=lam, diagnostics=diagnostics)
     except ValueError as exc:
         raise SchemaViolationError(f"{where}: {exc}") from None
 
 
-def _forest_from_payload(payload: dict, feature_names: tuple[str, ...], where: str,
+def _forest_from_payload(payload: dict, n_features: int, where: str,
                          trees: list[Tree] | None = None) -> ForestModel:
     params_obj = _expect(payload, "params", dict, where)
     max_depth = (None if params_obj.get("max_depth", 0) is None
@@ -396,7 +398,7 @@ def _forest_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
             seed=_expect(params_obj, "seed", int, where),
             bootstrap=_expect(params_obj, "bootstrap", bool, where),
         )
-        params.resolved(len(feature_names))  # refuses more max_features than features
+        params.resolved(n_features)  # refuses more max_features than features
     except ValueError as exc:
         raise SchemaViolationError(f"{where}: {exc}") from None
     trees_obj = _expect(payload, "trees", list, where) if trees is None else trees
@@ -405,6 +407,6 @@ def _forest_from_payload(payload: dict, feature_names: tuple[str, ...], where: s
             f"{where}: payload has {len(trees_obj)} trees, params say {params.n_trees}"
         )
     if trees is None:
-        trees = [_decode_tree(t, len(feature_names), f"{where}: tree {i}")
+        trees = [_decode_tree(t, n_features, f"{where}: tree {i}")
                  for i, t in enumerate(trees_obj)]
-    return ForestModel(tuple(trees), params, feature_names, _r2(payload, "oob_r2", where))
+    return ForestModel(tuple(trees), params, n_features, _r2(payload, "oob_r2", where))

@@ -216,14 +216,14 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
     bundles = []
     for kind in kinds:
         if kind == "forest":
-            model = fit_forest(x_train, y_train, params, features, workers=cfg.workers)
+            model = fit_forest(x_train, y_train, params, workers=cfg.workers)
             train_pred = model.training_predictions
             oob = model.oob_r2
             fields = f"trees={cfg.trees} oob_r2=" + ("n/a" if oob is None else f"{oob:.6f}")
         else:
             ridge = kind == "ridge"
-            model = (fit_ridge(x_train, y_train, cfg.ridge_lambda, features) if ridge
-                     else fit_mlr(x_train, y_train, features))
+            model = (fit_ridge(x_train, y_train, cfg.ridge_lambda) if ridge
+                     else fit_mlr(x_train, y_train))
             train_pred = predict_linear(model, x_train)
             lam = f"lambda={cfg.ridge_lambda} " if ridge else ""
             fields = f"{lam}solver={model.diagnostics.solver}"

@@ -35,9 +35,6 @@ class NormalizationParams:
         if not finite.all():  # (x - min) / (max - min) would give NaN or inf
             raise ValueError(f"column {self.columns[finite.argmin()]!r}: max - min overflows")
 
-    def __len__(self) -> int:
-        return len(self.columns)
-
 
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
@@ -62,9 +59,9 @@ def fit_minmax(d: Dataset, rows: Sequence[int],
 
 
 def _check_width(params: NormalizationParams, x: np.ndarray) -> None:
-    if x.shape[-1] != len(params):
+    if x.shape[-1] != len(params.columns):
         raise ValidationError(
-            f"expected {len(params)} columns, got {x.shape[-1]}"
+            f"expected {len(params.columns)} columns, got {x.shape[-1]}"
         )
 
 

@@ -48,17 +48,6 @@ _RANGES: tuple[tuple[str, float, float], ...] = (
 _NOISE_SD = 1.2
 
 
-def yield_response(ph, ec, oc, p, k, zn) -> np.ndarray:
-    """The documented noise-free yield response (vectorized)."""
-    ph = np.asarray(ph, dtype=np.float64)
-    peak = 14.0 * np.exp(-(((ph - 6.3) / 0.8) ** 2))
-    step = 7.0 * ((np.asarray(k) > 47.5) & (np.asarray(oc) > 0.7))
-    phosphorus = 0.3 * np.asarray(p)
-    zinc_penalty = 4.0 * (np.asarray(zn) < 1.0)
-    salinity = 6.0 * np.clip((np.asarray(ec) - 0.8) / 0.4, 0.0, 1.0)
-    return 20.0 + peak + step + phosphorus - zinc_penalty - salinity
-
-
 def generate(n: int, seed: int) -> Dataset:
     """Generate ``n`` synthetic soil rows in the canonical columns."""
     if n < 10:
@@ -68,10 +57,13 @@ def generate(n: int, seed: int) -> Dataset:
     for name, low, high in _RANGES:
         columns[name] = np.round(rng.uniform(low, high, size=n), 3)
     noise = rng.normal(0.0, _NOISE_SD, size=n)
-    response = yield_response(
-        columns["pH"], columns["EC"], columns["OC"],
-        columns["P"], columns["K"], columns["Zn"],
-    )
+    # The documented noise-free response, from the rounded features.
+    peak = 14.0 * np.exp(-(((columns["pH"] - 6.3) / 0.8) ** 2))
+    step = 7.0 * ((columns["K"] > 47.5) & (columns["OC"] > 0.7))
+    phosphorus = 0.3 * columns["P"]
+    zinc_penalty = 4.0 * (columns["Zn"] < 1.0)
+    salinity = 6.0 * np.clip((columns["EC"] - 0.8) / 0.4, 0.0, 1.0)
+    response = 20.0 + peak + step + phosphorus - zinc_penalty - salinity
     columns[TARGET_COLUMN] = np.round(np.maximum(response + noise, 0.0), 3)
 
     names = CANONICAL_FEATURES + (TARGET_COLUMN,)

@@ -606,7 +606,7 @@ def forest_bundle():
     target_scaler = fit_minmax(d, range(400), ("yield",))
     model = fit_forest(apply_minmax(feature_scaler, d.matrix(features)),
                        apply_minmax(target_scaler, d.matrix(("yield",))).ravel(),
-                       ForestParams(n_trees=100, seed=7), features)
+                       ForestParams(n_trees=100, seed=7))
     return persist.ModelBundle("forest", features, "yield", feature_scaler, target_scaler, model)
 
 
@@ -1524,6 +1524,20 @@ class TestTracedNames:
         # name; a wrapper or rebinding here would read its forest metrics as 0.
         assert pipeline.fit_forest is forest.fit_forest
         assert pipeline.predict_forest is forest.predict_forest
+
+    def test_train_passes_workers_as_the_only_keyword(self, tmp_path, monkeypatch):
+        # perfbench refits the traced call as fit_forest(*args, **dict(kwargs, workers=w)),
+        # so the rows, targets and params go by position and the worker count by keyword.
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((len(args), kwargs))
+            return forest.fit_forest(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_forest", spy)
+        assert main(["train", "--input", str(synth_csv(tmp_path)), "--model", "forest",
+                     "--trees", "3", "--output-dir", str(tmp_path / "out")]) == 0
+        assert calls == [(3, {"workers": 1})]
 
 
 # A number as a text file may hold it, or a word Python reads as a non-finite float.

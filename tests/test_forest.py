@@ -1096,7 +1096,7 @@ class TestPredictForest:
         model = ForestModel(
             trees=(tree_from_nodes([leaf(4.0, 1)]), tree_from_nodes([leaf(6.0, 1)])),
             params=ForestParams(n_trees=2, max_features=1),
-            feature_names=("a",),
+            n_features=1,
             oob_r2=None,
         )
         assert predict_forest(model, [[0.0]])[0] == 5.0
@@ -1105,7 +1105,7 @@ class TestPredictForest:
         model = ForestModel(
             trees=(tree_from_nodes([leaf(2.5, 10)]),),
             params=ForestParams(n_trees=1, max_features=1),
-            feature_names=("a",),
+            n_features=1,
             oob_r2=None,
         )
         assert np.all(predict_forest(model, [[-9.0], [0.0], [9.0]]) == 2.5)
@@ -1115,7 +1115,7 @@ class TestPredictForest:
         model = ForestModel(
             trees=(tree,),
             params=ForestParams(n_trees=1, max_features=1),
-            feature_names=("a",),
+            n_features=1,
             oob_r2=None,
         )
         assert predict_forest(model, [[2.5]])[0] == -1.0
@@ -1144,7 +1144,7 @@ class TestPredictForest:
         for tree in trees:
             assert predict_tree(tree, X).tobytes() == route_level_by_level(tree, X).tobytes()
         model = ForestModel(trees=tuple(trees), params=ForestParams(n_trees=len(trees)),
-                            feature_names=tuple(f"x{i}" for i in range(X.shape[1])), oob_r2=None)
+                            n_features=X.shape[1], oob_r2=None)
         expected = sum(route_level_by_level(tree, X) for tree in trees) / len(trees)
         assert predict_forest(model, X).tobytes() == expected.tobytes()
 
@@ -1163,7 +1163,7 @@ class TestPredictForest:
         per_group = forest._ROUTE_PAIRS // len(rows)
         assert per_group < len(trees) < 2 * per_group
         model = ForestModel(trees=trees, params=ForestParams(n_trees=len(trees)),
-                            feature_names=fitted.feature_names, oob_r2=None)
+                            n_features=fitted.n_features, oob_r2=None)
         expected = sum(route_level_by_level(tree, rows) for tree in trees) / len(trees)
         assert predict_forest(model, rows).tobytes() == expected.tobytes()
         assert predict_forest(model, np.asfortranarray(rows)).tobytes() == expected.tobytes()
@@ -1178,7 +1178,7 @@ class TestPredictForest:
         model = ForestModel(
             trees=(tree_from_nodes([leaf(1.0, 1)]),),
             params=ForestParams(n_trees=1, max_features=1),
-            feature_names=("a",),
+            n_features=1,
             oob_r2=None,
         )
         with pytest.raises(ValidationError, match=re.escape("expected shape (n, 1), got (1, 2)")):

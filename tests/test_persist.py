@@ -33,11 +33,11 @@ def training_data(n=60, seed=5):
 def make_bundle(kind, seed=5):
     d, X, y = training_data(seed=seed)
     if kind == "mlr":
-        model = fit_mlr(X, y, CANONICAL_FEATURES)
+        model = fit_mlr(X, y)
     elif kind == "ridge":
-        model = fit_ridge(X, y, 1.5, CANONICAL_FEATURES)
+        model = fit_ridge(X, y, 1.5)
     else:
-        model = fit_forest(X, y, ForestParams(n_trees=20, seed=seed), CANONICAL_FEATURES)
+        model = fit_forest(X, y, ForestParams(n_trees=20, seed=seed))
     return ModelBundle(
         kind=kind,
         feature_names=CANONICAL_FEATURES,
@@ -100,7 +100,7 @@ def forest_bundle(tree_list):
     bundle, _ = make_bundle("mlr")
     params = ForestParams(n_trees=len(tree_list), max_features=3)
     model = ForestModel(trees=tuple(tree_list), params=params,
-                        feature_names=bundle.feature_names, oob_r2=None)
+                        n_features=len(bundle.feature_names), oob_r2=None)
     return ModelBundle(kind="forest", feature_names=bundle.feature_names, target_name="yield",
                        feature_scaler=bundle.feature_scaler, target_scaler=bundle.target_scaler,
                        model=model)
@@ -145,6 +145,19 @@ class TestRoundTrip:
         assert np.array_equal(loaded.feature_scaler.mins, bundle.feature_scaler.mins)
         assert np.array_equal(loaded.target_scaler.maxs, bundle.target_scaler.maxs)
         assert loaded.model.regularization_lambda == 1.5
+
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_loaded_forest_takes_its_width_from_the_feature_names(self, tmp_path, monkeypatch,
+                                                                  whole):
+        bundle, X = make_bundle("forest")
+        path = tmp_path / "forest.json"
+        save_model(bundle, path)
+        if whole:  # the cut reader declines, so the whole-file reader builds the forest
+            monkeypatch.setattr(persist, "_load_cut", lambda fh, where: None)
+        loaded = load_model(path)
+        assert loaded.model.n_features == len(loaded.feature_names) == 12
+        with pytest.raises(ValidationError, match=re.escape("expected shape (n, 12), got")):
+            predict_forest(loaded.model, X[:, :11])
 
 
 class TestTreeText:
@@ -248,7 +261,7 @@ class TestRejection:
         obj = json.loads(path.read_text())
         obj["payload"]["coefficients"].append(1.0)
         path.write_text(json.dumps(obj))
-        with pytest.raises(SchemaViolationError):
+        with pytest.raises(SchemaViolationError, match="13 coefficients for 12 feature names"):
             load_model(path)
 
     def test_trailing_tree_nodes_rejected(self, tmp_path):
@@ -436,7 +449,7 @@ def forest_file(path, target_name, n_trees=100, n_rows=100, scaled=False):
     d, X, y = training_data(n=n_rows, seed=11)
     if scaled:  # as train fits them: the file then holds about 31 bytes a node, the trees 24
         X, y = ((v - v.min(axis=0)) / (v.max(axis=0) - v.min(axis=0)) for v in (X, y))
-    model = fit_forest(X, y, ForestParams(n_trees=n_trees, seed=3), CANONICAL_FEATURES)
+    model = fit_forest(X, y, ForestParams(n_trees=n_trees, seed=3))
     bundle, _ = make_bundle("mlr")
     save_model(ModelBundle(kind="forest", feature_names=bundle.feature_names,
                            target_name=target_name, feature_scaler=bundle.feature_scaler,
