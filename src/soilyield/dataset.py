@@ -76,14 +76,6 @@ class Dataset:
         return self.values.take([position[c] for c in columns], axis=1)
 
 
-@dataclass(frozen=True)
-class SplitIndices:
-    """A seeded train/test partition of row indices."""
-
-    train: tuple[int, ...]
-    test: tuple[int, ...]
-
-
 def soil_schema(header: Sequence[str], target: str | None = TARGET_COLUMN) -> tuple[str, ...]:
     """The columns to read from a soil CSV with this header: the features in
     canonical order, then ``target``.
@@ -199,8 +191,8 @@ def drop_incomplete_rows(d: Dataset) -> Dataset:
     return replace(d, values=kept, rows_dropped=d.rows_dropped + d.n_rows - kept.shape[0])
 
 
-def train_test_split(d: Dataset, test_ratio: float, seed: int) -> SplitIndices:
-    """Seeded uniformly random partition of the row indices.
+def train_test_split(d: Dataset, test_ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded uniformly random partition of the row indices, as sorted ``(train, test)`` arrays.
 
     The same (dataset size, ratio, seed) triple yields identical indices on
     every platform; the generator is numpy's PCG64.  The test size is
@@ -214,6 +206,4 @@ def train_test_split(d: Dataset, test_ratio: float, seed: int) -> SplitIndices:
     n_test = int(round(test_ratio * n))
     n_test = max(1, min(n_test, n - 1))
     perm = np.random.default_rng(seed).permutation(n)
-    test = tuple(sorted(int(i) for i in perm[:n_test]))
-    train = tuple(sorted(int(i) for i in perm[n_test:]))
-    return SplitIndices(train=train, test=test)
+    return np.sort(perm[n_test:]), np.sort(perm[:n_test])

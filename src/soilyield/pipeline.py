@@ -168,23 +168,24 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
     input_path = _require_input(cfg)
     kinds = MODEL_KINDS if cfg.model == "all" else (cfg.model,)
     d = _load_cleaned(input_path, target=cfg.target_column)
-    split = train_test_split(d, cfg.test_ratio, cfg.seed)
+    train_rows, test_rows = train_test_split(d, cfg.test_ratio, cfg.seed)
+    train = replace(d, values=d.values[train_rows])  # soil_schema puts the target last
 
     target = cfg.target_column
     features = tuple(c for c in d.column_names if c != target)
-    if len(split.train) < 2:
-        raise ValidationError(f"--test-ratio {cfg.test_ratio} leaves {len(split.train)} training "
+    if train.n_rows < 2:
+        raise ValidationError(f"--test-ratio {cfg.test_ratio} leaves {train.n_rows} training "
                               f"row of {d.n_rows}; training needs at least 2")
-    if "mlr" in kinds and len(split.train) <= len(features):
+    if "mlr" in kinds and train.n_rows <= len(features):
         raise ValidationError(
             f"mlr needs more training rows than features: test_ratio {cfg.test_ratio} leaves "
-            f"{len(split.train)} of {d.n_rows} rows for {len(features)} features"
+            f"{train.n_rows} of {d.n_rows} rows for {len(features)} features"
         )
-    feature_scaler = fit_minmax(d, split.train, features)
-    target_scaler = fit_minmax(d, split.train, (target,))
+    feature_scaler = fit_minmax(train, features)
+    target_scaler = fit_minmax(train, (target,))
     if target_scaler.mins[0] == target_scaler.maxs[0]:  # each model logs an undefined R²
         raise NumericalError(f"target column {target!r} of {Path(input_path).name} is "
-                             f"constant over its {len(split.train)} training rows")
+                             f"constant over its {train.n_rows} training rows")
     if "forest" in kinds:
         params = ForestParams(n_trees=cfg.trees, max_depth=cfg.max_depth,
                               min_samples_split=cfg.min_samples_split,
@@ -193,23 +194,22 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
         # The fit makes every tree's generator (over 1 KB) and bootstrap rows, then a node
         # at least, before it grows one: refuse a forest whose lower bound exceeds the RAM,
         # where the RAM is known (Windows has no ``os.sysconf``).
-        need = cfg.trees * (1024 + 8 * len(split.train) + 24)
+        need = cfg.trees * (1024 + 8 * train.n_rows + 24)
         known = "SC_PHYS_PAGES" in getattr(os, "sysconf_names", {})
         ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") if known else np.inf
         if need > ram:
-            raise MemoryError(f"--trees {cfg.trees} on {len(split.train)} training rows needs "
+            raise MemoryError(f"--trees {cfg.trees} on {train.n_rows} training rows needs "
                               f"over {need / 2**30:.1f} GiB; this machine has {ram / 2**30:.1f}")
 
-    train = d.values[list(split.train)]  # soil_schema puts the target last
-    x_train = apply_minmax(feature_scaler, train[:, :-1])
-    y_train = apply_minmax(target_scaler, train[:, -1:]).ravel()
+    x_train = apply_minmax(feature_scaler, train.values[:, :-1])
+    y_train = apply_minmax(target_scaler, train.values[:, -1:]).ravel()
     log_lines = [
         f"input: {Path(input_path).name}",
         f"rows_read: {d.rows_read}",
         f"rows_dropped: {d.rows_dropped}",
         f"rows_kept: {d.n_rows}",
-        f"train_rows: {len(split.train)}",
-        f"test_rows: {len(split.test)}",
+        f"train_rows: {train.n_rows}",
+        f"test_rows: {len(test_rows)}",
         f"seed: {cfg.seed}",
         f"test_ratio: {cfg.test_ratio}",
     ]
@@ -227,7 +227,7 @@ def run_train(cfg: RunConfig) -> dict[str, Path]:
             train_pred = predict_linear(model, x_train)
             lam = f"lambda={cfg.ridge_lambda} " if ridge else ""
             fields = f"{lam}solver={model.diagnostics.solver}"
-        r2 = r2_score(train[:, -1], invert_minmax(target_scaler, train_pred[:, None]).ravel())
+        r2 = r2_score(train.values[:, -1], invert_minmax(target_scaler, train_pred[:, None]).ravel())
         log_lines.append(f"model {kind}: training_r2={r2:.6f} {fields} file={model_filename(kind)}")
         bundles.append(ModelBundle(kind, features, target, feature_scaler, target_scaler, model))
 
@@ -262,8 +262,8 @@ def predict_bundle(bundle: ModelBundle, d: Dataset) -> tuple[np.ndarray, int]:
     return invert_minmax(bundle.target_scaler, pred_norm[:, None]).ravel(), clamped
 
 
-def _scalers_match(bundle: ModelBundle, d: Dataset, train_rows: Sequence[int]) -> bool:
-    """Whether the bundle's scalers are, bit for bit, the min and max of ``train_rows``.
+def _scalers_match(bundle: ModelBundle, train: Dataset) -> bool:
+    """Whether the bundle's scalers are, bit for bit, the min and max of the ``train`` rows.
 
     Training fits them on its split's training rows, so a model trained on
     another split (seed, test ratio or input) nearly always fails this.  It is
@@ -273,7 +273,7 @@ def _scalers_match(bundle: ModelBundle, d: Dataset, train_rows: Sequence[int]) -
     return all(
         np.array_equal(scaler.mins, refit.mins) and np.array_equal(scaler.maxs, refit.maxs)
         for scaler in (bundle.feature_scaler, bundle.target_scaler)
-        for refit in [fit_minmax(d, train_rows, scaler.columns)]
+        for refit in [fit_minmax(train, scaler.columns)]
     )
 
 
@@ -281,11 +281,11 @@ def run_evaluate(cfg: RunConfig, model_paths: Sequence[str]) -> tuple[Evaluation
     """Score persisted models on the held-out split reconstructed from the seed."""
     input_path = _require_input(cfg)
     d = _load_cleaned(input_path, target=cfg.target_column)
-    split = train_test_split(d, cfg.test_ratio, cfg.seed)
-    if len(split.test) < 2:
-        raise ValidationError(f"--test-ratio {cfg.test_ratio} leaves {len(split.test)} test row "
+    train_rows, test_rows = train_test_split(d, cfg.test_ratio, cfg.seed)
+    if len(test_rows) < 2:
+        raise ValidationError(f"--test-ratio {cfg.test_ratio} leaves {len(test_rows)} test row "
                               f"of {d.n_rows}; scoring needs at least 2")
-    test = replace(d, values=d.values[list(split.test)])
+    train, test = (replace(d, values=d.values[rows]) for rows in (train_rows, test_rows))
     y_true = test.matrix((cfg.target_column,)).ravel()
 
     entries = []
@@ -302,7 +302,7 @@ def run_evaluate(cfg: RunConfig, model_paths: Sequence[str]) -> tuple[Evaluation
         y_pred, _ = predict_bundle(bundle, test)
         # A test split that cannot be scored (a constant target) is reported first.
         score = score_predictions(bundle.kind, y_true, y_pred)
-        if not _scalers_match(bundle, d, split.train):
+        if not _scalers_match(bundle, train):
             raise ValidationError(
                 f"{model_path}: model was not trained on this split "
                 "(seed/test_ratio/input differ)"

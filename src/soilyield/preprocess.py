@@ -42,20 +42,12 @@ class CorrelationMatrix:
     values: np.ndarray
 
 
-def fit_minmax(d: Dataset, rows: Sequence[int],
-               columns: Sequence[str] | None = None) -> NormalizationParams:
-    """Per-column min and max over the selected (training) rows, of ``columns``
-    (default: every column)."""
-    rows = list(rows)
-    if not rows:
+def fit_minmax(d: Dataset, columns: Sequence[str]) -> NormalizationParams:
+    """Per-column min and max of ``columns`` over every row of ``d`` (the training rows)."""
+    if not d.n_rows:
         raise ValidationError("cannot fit normalization on an empty row selection")
-    columns = d.column_names if columns is None else tuple(columns)
-    m = d.matrix(columns)[rows]
-    return NormalizationParams(
-        columns=columns,
-        mins=m.min(axis=0),
-        maxs=m.max(axis=0),
-    )
+    m = d.matrix(columns)
+    return NormalizationParams(columns=tuple(columns), mins=m.min(axis=0), maxs=m.max(axis=0))
 
 
 def _check_width(params: NormalizationParams, x: np.ndarray) -> None:

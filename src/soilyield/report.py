@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .dataset import _records, reading_text
 from .errors import SchemaViolationError
 from .metrics import mae, r2_score, rmse
@@ -37,9 +35,8 @@ class EvaluationReport:
 
 def score_predictions(model_name: str, y_true, y_pred) -> ModelScore:
     """Score one model on held-out data."""
-    yt = np.asarray(y_true, dtype=np.float64)
-    yp = np.asarray(y_pred, dtype=np.float64)
-    return ModelScore(model_name, r2_score(yt, yp), rmse(yt, yp), mae(yt, yp), int(yt.shape[0]))
+    return ModelScore(model_name, r2_score(y_true, y_pred), rmse(y_true, y_pred),
+                      mae(y_true, y_pred), len(y_true))
 
 
 def build_report(entries: Sequence[ModelScore]) -> EvaluationReport:

@@ -602,8 +602,8 @@ def forest_bundle():
     """A 100-tree forest fitted, as ``train`` fits it, on 400 min-max scaled synth rows."""
     d = generate(400, seed=7)
     features = CANONICAL_FEATURES
-    feature_scaler = fit_minmax(d, range(400), features)
-    target_scaler = fit_minmax(d, range(400), ("yield",))
+    feature_scaler = fit_minmax(d, features)
+    target_scaler = fit_minmax(d, ("yield",))
     model = fit_forest(apply_minmax(feature_scaler, d.matrix(features)),
                        apply_minmax(target_scaler, d.matrix(("yield",))).ravel(),
                        ForestParams(n_trees=100, seed=7))

@@ -318,31 +318,33 @@ class TestDropIncompleteRows:
 class TestTrainTestSplit:
     def test_partition_sizes_and_disjointness(self):
         d = small_dataset([[float(i)] for i in range(10)])
-        s = train_test_split(d, 0.2, seed=0)
-        assert len(s.train) == 8 and len(s.test) == 2
-        assert set(s.train) | set(s.test) == set(range(10))
-        assert set(s.train) & set(s.test) == set()
+        train, test = train_test_split(d, 0.2, seed=0)
+        assert train.dtype == test.dtype == np.intp
+        assert len(train) == 8 and len(test) == 2
+        assert set(train.tolist()) | set(test.tolist()) == set(range(10))
+        assert set(train.tolist()) & set(test.tolist()) == set()
 
     def test_deterministic(self):
         d = small_dataset([[float(i)] for i in range(25)])
-        assert train_test_split(d, 0.3, seed=9) == train_test_split(d, 0.3, seed=9)
+        first, again = train_test_split(d, 0.3, seed=9), train_test_split(d, 0.3, seed=9)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again, strict=True))
 
     def test_golden_indices(self):
         # Frozen from the first verified run of the seeded generator.
         d = small_dataset([[float(i)] for i in range(20)])
-        s = train_test_split(d, 0.25, seed=3)
-        assert s.test == (3, 8, 12, 16, 18)
+        _, test = train_test_split(d, 0.25, seed=3)
+        assert test.tolist() == [3, 8, 12, 16, 18]
 
     def test_different_seeds_differ(self):
         d = small_dataset([[float(i)] for i in range(100)])
-        s1 = train_test_split(d, 0.2, seed=1)
-        s2 = train_test_split(d, 0.2, seed=2)
+        _, test1 = train_test_split(d, 0.2, seed=1)
+        _, test2 = train_test_split(d, 0.2, seed=2)
         # Frozen golden sets from the first verified run.
-        assert s1.test == (5, 6, 8, 16, 17, 19, 20, 34, 38, 43, 48, 55, 56,
-                           60, 67, 80, 81, 85, 87, 99)
-        assert s2.test == (7, 10, 14, 25, 34, 47, 48, 52, 56, 59, 61, 69, 73,
-                           79, 84, 88, 90, 91, 92, 94)
-        assert s1.test != s2.test
+        assert test1.tolist() == [5, 6, 8, 16, 17, 19, 20, 34, 38, 43, 48, 55, 56,
+                                  60, 67, 80, 81, 85, 87, 99]
+        assert test2.tolist() == [7, 10, 14, 25, 34, 47, 48, 52, 56, 59, 61, 69, 73,
+                                  79, 84, 88, 90, 91, 92, 94]
+        assert test1.tolist() != test2.tolist()
 
     def test_partition_property_random(self):
         rng = np.random.default_rng(123)
@@ -350,9 +352,11 @@ class TestTrainTestSplit:
             n = int(rng.integers(2, 60))
             ratio = float(rng.uniform(0.05, 0.95))
             d = small_dataset([[float(i)] for i in range(n)])
-            s = train_test_split(d, ratio, seed=int(rng.integers(0, 2**32)))
-            assert sorted(s.train + s.test) == list(range(n))
-            assert len(s.train) >= 1 and len(s.test) >= 1
+            train, test = train_test_split(d, ratio, seed=int(rng.integers(0, 2**32)))
+            assert sorted(train.tolist() + test.tolist()) == list(range(n))
+            assert train.tolist() == sorted(train.tolist())
+            assert test.tolist() == sorted(test.tolist())
+            assert len(train) >= 1 and len(test) >= 1
 
     def test_invalid_ratio(self):
         d = small_dataset([[1.0], [2.0]])
